@@ -1,6 +1,7 @@
 #include "cache/system_cache.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "check/contract.hpp"
@@ -182,17 +183,14 @@ bool SystemCache::is_unused_prefetch(std::uint64_t block) const {
 void SystemCache::track_pollution_eviction(std::uint64_t block) {
   if (pollution_fifo_.size() < kPollutionFilterCap) {
     pollution_fifo_.push_back(block);
-    pollution_set_.insert(block);
-    return;
+  } else {
+    // Erase-before-insert matters when the overwritten slot holds `block`
+    // (set semantics, not multiset): the ordering leaves the block a member.
+    pollution_set_.erase(pollution_fifo_[pollution_head_]);
+    pollution_fifo_[pollution_head_] = block;
+    pollution_head_ = (pollution_head_ + 1) % kPollutionFilterCap;
   }
-  const std::uint64_t old = pollution_fifo_[pollution_head_];
-  pollution_set_.erase(old);
-  pollution_fifo_[pollution_head_] = block;
-  pollution_set_.insert(block);
-  pollution_head_ = (pollution_head_ + 1) % kPollutionFilterCap;
-  // Erase-before-insert matters when old == block (set semantics, not
-  // multiset): the ordering above leaves the block a member, matching the
-  // std::unordered_set implementation this structure replaced.
+  if (!pollution_set_.contains(block)) pollution_set_.insert(block, 0);
   // The FIFO and the membership set shadow each other; duplicates in the
   // FIFO would let the set shrink below it and break O(1) membership.
   PLANARIA_INVARIANT_MSG(kTableOccupancy,
@@ -238,7 +236,10 @@ void SystemCache::save_state(snapshot::Writer& w) const {
   for (std::uint64_t v : pollution_fifo_) w.u64(v);
   w.u64(static_cast<std::uint64_t>(pollution_head_));
   std::vector<std::uint64_t> members;
-  pollution_set_.sorted_members(members);
+  members.reserve(pollution_set_.size());
+  pollution_set_.for_each(
+      [&](std::uint64_t block, std::uint8_t) { members.push_back(block); });
+  std::sort(members.begin(), members.end());
   w.u64(static_cast<std::uint64_t>(members.size()));
   for (std::uint64_t v : members) w.u64(v);
 }
@@ -298,7 +299,10 @@ void SystemCache::load_state(snapshot::Reader& r) {
   pollution_fifo_.assign(fifo_size, 0);
   for (std::uint64_t& v : pollution_fifo_) v = r.u64();
   pollution_head_ = static_cast<std::size_t>(r.u64());
-  if (fifo_size > 0 && pollution_head_ >= kPollutionFilterCap) {
+  // The head only moves once the FIFO is full; a head anywhere else would
+  // rotate the FIFO from the wrong slot when it fills.
+  if (fifo_size < kPollutionFilterCap ? pollution_head_ != 0
+                                      : pollution_head_ >= kPollutionFilterCap) {
     throw snapshot::SnapshotError("pollution FIFO head out of range");
   }
   const std::uint64_t set_size = r.u64();
@@ -307,7 +311,23 @@ void SystemCache::load_state(snapshot::Reader& r) {
   }
   std::vector<std::uint64_t> members(set_size);
   for (std::uint64_t& v : members) v = r.u64();
-  pollution_set_.assign(std::move(members));
+  if (std::adjacent_find(members.begin(), members.end(),
+                         std::greater_equal<>()) != members.end()) {
+    throw snapshot::SnapshotError("pollution set members not strictly ascending");
+  }
+  // Every member must be queued, or nothing would ever evict it from the
+  // set. Before the first wrap nothing has left the set, so every queued
+  // block must be a member too.
+  std::vector<std::uint64_t> queued = pollution_fifo_;
+  std::sort(queued.begin(), queued.end());
+  queued.erase(std::unique(queued.begin(), queued.end()), queued.end());
+  if (!std::includes(queued.begin(), queued.end(), members.begin(),
+                     members.end()) ||
+      (fifo_size < kPollutionFilterCap && members.size() != queued.size())) {
+    throw snapshot::SnapshotError("pollution set does not match its FIFO");
+  }
+  pollution_set_.clear();
+  for (std::uint64_t v : members) pollution_set_.insert(v, 0);
 }
 
 }  // namespace planaria::cache

@@ -381,12 +381,30 @@ std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
   if (records == 0) throw std::invalid_argument("generate_app_trace: 0 records");
   const double wsum = app.weight_footprint + app.weight_neighbor +
                       app.weight_stream + app.weight_irregular;
-  if (wsum <= 0.0) throw std::invalid_argument("generate_app_trace: weights");
+  if (wsum <= 0.0 ||
+      std::min({app.weight_footprint, app.weight_neighbor, app.weight_stream,
+                app.weight_irregular}) < 0.0) {
+    throw std::invalid_argument("generate_app_trace: weights");
+  }
 
   const Cycle horizon = records * app.mean_gap;
-  const auto budget = [&](double w) {
-    return static_cast<std::uint64_t>(static_cast<double>(records) * w / wsum);
-  };
+  // Floored per-stream budgets fall short of `records` by less than one
+  // record per stream; the heaviest stream (first on ties) takes that
+  // remainder so the merged trace has exactly `records` entries.
+  enum { kFootprint, kNeighbor, kStream, kIrregular };
+  const double weights[] = {app.weight_footprint, app.weight_neighbor,
+                            app.weight_stream, app.weight_irregular};
+  std::uint64_t budget[4] = {};
+  std::uint64_t assigned = 0;
+  int heaviest = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (weights[i] <= 0.0) continue;
+    budget[i] = static_cast<std::uint64_t>(static_cast<double>(records) *
+                                           weights[i] / wsum);
+    assigned += budget[i];
+    if (weights[i] > weights[heaviest]) heaviest = i;
+  }
+  budget[heaviest] += records - assigned;
 
   Rng rng_fp(app.seed * 4 + 1);
   Rng rng_nb(app.seed * 4 + 2);
@@ -400,22 +418,19 @@ std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
   const double b = app.burstiness;
   if (app.weight_footprint > 0.0) {
     streams.push_back(generate_footprint(
-        app.footprint,
-        Pacing{budget(app.weight_footprint), horizon, 0, 0.5, b}, rng_fp));
+        app.footprint, Pacing{budget[kFootprint], horizon, 0, 0.5, b}, rng_fp));
   }
   if (app.weight_neighbor > 0.0) {
     streams.push_back(generate_neighbor(
-        app.neighbor, Pacing{budget(app.weight_neighbor), horizon, 0, 0.5, b},
-        rng_nb));
+        app.neighbor, Pacing{budget[kNeighbor], horizon, 0, 0.5, b}, rng_nb));
   }
   if (app.weight_stream > 0.0) {
     streams.push_back(generate_stream(
-        app.stream, Pacing{budget(app.weight_stream), horizon, 6, 0.5, b},
-        rng_st));
+        app.stream, Pacing{budget[kStream], horizon, 6, 0.5, b}, rng_st));
   }
   if (app.weight_irregular > 0.0) {
     streams.push_back(generate_irregular(
-        app.irregular, Pacing{budget(app.weight_irregular), horizon, 8, 0.5, b},
+        app.irregular, Pacing{budget[kIrregular], horizon, 8, 0.5, b},
         rng_ir));
   }
   return merge_sorted(streams);

@@ -133,10 +133,11 @@ struct AppProfile {
   std::uint64_t seed = 1;
 };
 
-/// Generates a complete merged bus trace of `records` entries for `app`.
-/// Throws std::invalid_argument on non-positive weights/records. Pure: all
-/// RNG state is derived locally from app.seed, so concurrent calls are safe
-/// and output depends only on (app, records).
+/// Generates a complete merged bus trace of exactly `records` entries for
+/// `app`. Throws std::invalid_argument on zero records, a negative weight or
+/// a non-positive weight sum. Pure: all RNG state is derived locally from
+/// app.seed, so concurrent calls are safe and output depends only on
+/// (app, records).
 std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
                                             std::uint64_t records);
 

@@ -15,12 +15,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <random>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "cache/system_cache.hpp"
 #include "common/block_map.hpp"
 #include "common/set_table.hpp"
 #include "common/table.hpp"
@@ -484,6 +487,147 @@ TEST(DifferentialBlockMap, MatchesUnorderedMapOverRandomOps) {
   }
 }
 
+// ---------------------------------------------------- SC pollution filter
+
+// The filter the SystemCache pollution set must match: a FIFO of the last
+// kCap demand lines displaced by prefetch fills, and a std::unordered_set
+// holding its members. Overwriting a slot erases the old block before
+// inserting the new one, so a block queued twice leaves the set when its
+// older copy is overwritten. The snapshot tail it encodes is the last part
+// of SystemCache::save_state: FIFO size, FIFO slots, head, sorted members.
+class RefPollutionFilter {
+ public:
+  static constexpr std::size_t kCap = 1 << 14;
+
+  void track(std::uint64_t block) {
+    if (fifo_.size() < kCap) {
+      fifo_.push_back(block);
+    } else {
+      if (fifo_[head_] == block) ++same_slot_;
+      members_.erase(fifo_[head_]);
+      fifo_[head_] = block;
+      head_ = (head_ + 1) % kCap;
+    }
+    members_.insert(block);
+    ++tracked_;
+  }
+
+  bool contains(std::uint64_t block) const { return members_.count(block) > 0; }
+  std::uint64_t tracked() const { return tracked_; }
+  std::size_t queued_members() const { return members_.size(); }
+  /// Overwrites of a slot that already held the block being queued.
+  std::uint64_t same_slot_overwrites() const { return same_slot_; }
+
+  std::vector<std::uint8_t> tail_bytes() const {
+    snapshot::Writer w;
+    w.u64(fifo_.size());
+    for (std::uint64_t v : fifo_) w.u64(v);
+    w.u64(head_);
+    std::vector<std::uint64_t> sorted(members_.begin(), members_.end());
+    std::sort(sorted.begin(), sorted.end());
+    w.u64(sorted.size());
+    for (std::uint64_t v : sorted) w.u64(v);
+    return w.buffer();
+  }
+
+ private:
+  std::vector<std::uint64_t> fifo_;
+  std::size_t head_ = 0;
+  std::unordered_set<std::uint64_t> members_;
+  std::uint64_t tracked_ = 0;
+  std::uint64_t same_slot_ = 0;
+};
+
+std::vector<std::uint8_t> cache_bytes(const cache::SystemCache& c) {
+  snapshot::Writer w;
+  c.save_state(w);
+  return w.buffer();
+}
+
+// Drives a direct-mapped SC past two full turns of the pollution FIFO. The
+// reference cache is one {block, prefetched} line per set, which is all a
+// 1-way cache's fill/probe behaviour depends on. The block universe is
+// far smaller than the FIFO, so blocks are displaced again while still
+// queued, the membership set runs smaller than the FIFO, and some overwrites
+// hit a slot holding the very block being queued. At milestones before,
+// at and after the wrap the cache's encoding must end in the reference's
+// filter, and a save -> load -> save round trip must be byte-identical; the
+// run then continues on the restored cache, so the loaded filter is live.
+TEST(DifferentialPollutionFilter, MatchesFifoPlusUnorderedSetAcrossWrap) {
+  constexpr std::uint64_t kCap = RefPollutionFilter::kCap;
+  cache::CacheConfig config;
+  config.size_bytes = 1 << 14;  // 256 sets of one way
+  config.ways = 1;
+  const std::uint64_t sets = config.sets();
+  ASSERT_EQ(sets, 256u);
+
+  struct RefLine {
+    std::uint64_t block = 0;
+    bool valid = false;
+    bool prefetched = false;
+  };
+  std::vector<RefLine> lines(sets);
+  RefPollutionFilter ref;
+  std::uint64_t ref_pollution_misses = 0;
+
+  auto live = std::make_unique<cache::SystemCache>(config);
+  std::mt19937_64 rng(41);
+  std::uniform_int_distribution<std::uint64_t> block_dist(0, 2999);
+  std::uniform_int_distribution<int> op_dist(0, 99);
+  const std::vector<std::uint64_t> milestones = {
+      kCap - 1, kCap, kCap + 1, kCap + 2, 2 * kCap, 2 * kCap + 777};
+  std::size_t next_milestone = 0;
+  std::uint64_t requeued = 0;  // displacements of a block still a member
+
+  while (next_milestone < milestones.size()) {
+    const std::uint64_t block = block_dist(rng);
+    RefLine& line = lines[block & (sets - 1)];
+    const bool resident = line.valid && line.block == block;
+    const int op = op_dist(rng);
+    if (op < 25) {
+      const bool hit = live->access(block, AccessType::kRead).hit;
+      ASSERT_EQ(hit, resident);
+      if (resident) {
+        line.prefetched = false;
+      } else if (ref.contains(block)) {
+        ++ref_pollution_misses;
+      }
+    } else {
+      const bool prefetch = op < 65;
+      live->fill(block, prefetch ? cache::FillSource::kPrefetchOther
+                                 : cache::FillSource::kDemand);
+      if (!resident) {
+        if (prefetch && line.valid && !line.prefetched) {
+          if (ref.contains(line.block)) ++requeued;
+          ref.track(line.block);
+        }
+        line = RefLine{block, true, prefetch};
+      }
+    }
+    ASSERT_EQ(live->stats().pollution_misses, ref_pollution_misses);
+
+    if (ref.tracked() != milestones[next_milestone]) continue;
+    SCOPED_TRACE(ref.tracked());
+    const std::vector<std::uint8_t> first = cache_bytes(*live);
+    const std::vector<std::uint8_t> tail = ref.tail_bytes();
+    ASSERT_GE(first.size(), tail.size());
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(), first.end() - tail.size()));
+    auto restored = std::make_unique<cache::SystemCache>(config);
+    snapshot::Reader r(first);
+    restored->load_state(r);
+    r.require_end();
+    EXPECT_EQ(cache_bytes(*restored), first);
+    live = std::move(restored);
+    ++next_milestone;
+  }
+  // The run must have exercised what it claims: re-displaced queued blocks,
+  // same-slot overwrites, a membership set smaller than the full FIFO, and
+  // real pollution misses.
+  EXPECT_GT(requeued, kCap);
+  EXPECT_GT(ref.same_slot_overwrites(), 0u);
+  EXPECT_LT(ref.queued_members(), kCap);
+  EXPECT_GT(ref_pollution_misses, kCap);
+}
 
 // ------------------------------------------------- DRAM advance equivalence
 

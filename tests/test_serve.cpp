@@ -143,6 +143,22 @@ TEST(Serve, FleetCompletesAndReconciles) {
   EXPECT_EQ(summarized, 6u);
 }
 
+// A session length the trace generator's per-stream budgets do not divide
+// evenly: every session must still be fed exactly records_per_session.
+TEST(Serve, UnevenSessionLengthCompletes) {
+  serve::ServeConfig config = small_config();
+  config.records_per_session = 4096;
+  serve::SessionServer server(config, 1);
+  server.add_fleet(small_fleet());
+  server.serve();
+  ASSERT_TRUE(server.finished());
+  for (const auto& o : server.outcomes()) {
+    EXPECT_EQ(o.state, serve::SessionState::kCompleted) << "session " << o.id;
+    EXPECT_EQ(o.records_fed, 4096u);
+  }
+  expect_reconciled(server);
+}
+
 TEST(Serve, ThreadCountIsInvisible) {
   serve::SessionServer serial(small_config(), 1);
   serial.add_fleet(small_fleet());

@@ -17,6 +17,7 @@
 //     bump snapshot::kFormatVersion and regenerate the golden with
 //     PLANARIA_WRITE_GOLDEN=1 (see SnapshotGolden below).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -380,6 +381,73 @@ TEST(SnapshotRoundTrip, EveryReplacementPolicyIsByteStable) {
     restored.save_state(second);
     EXPECT_EQ(first.buffer(), second.buffer());
   }
+}
+
+// A cache image whose pollution filter is replaced by the given FIFO, head
+// and member list. The base cache only ever takes demand fills, so it never
+// tracks a pollution eviction and its image ends in the empty filter: FIFO
+// size 0, head 0, member count 0.
+std::vector<std::uint8_t> cache_image_with_filter(
+    const std::vector<std::uint64_t>& fifo, std::uint64_t head,
+    const std::vector<std::uint64_t>& members) {
+  cache::SystemCache base(cache::CacheConfig{});
+  for (std::uint64_t block = 0; block < 64; ++block) {
+    base.fill(block, cache::FillSource::kDemand);
+  }
+  snapshot::Writer w;
+  base.save_state(w);
+  std::vector<std::uint8_t> image = w.buffer();
+  const auto empty_filter = image.end() - 3 * sizeof(std::uint64_t);
+  EXPECT_TRUE(std::all_of(empty_filter, image.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  image.erase(empty_filter, image.end());
+  snapshot::Writer filter;
+  filter.u64(fifo.size());
+  for (std::uint64_t v : fifo) filter.u64(v);
+  filter.u64(head);
+  filter.u64(members.size());
+  for (std::uint64_t v : members) filter.u64(v);
+  image.insert(image.end(), filter.buffer().begin(), filter.buffer().end());
+  return image;
+}
+
+void load_cache_image(const std::vector<std::uint8_t>& image) {
+  cache::SystemCache cache{cache::CacheConfig{}};
+  snapshot::Reader r(image);
+  cache.load_state(r);
+  r.require_end();
+}
+
+// Control: a block queued twice is a single member. Each reject test below
+// breaks one rule that this well-formed filter keeps.
+TEST(SnapshotPollutionFilter, WellFormedFilterLoads) {
+  EXPECT_NO_THROW(load_cache_image(cache_image_with_filter({5, 6, 5}, 0, {5, 6})));
+}
+
+// The head only moves once the FIFO is full; a head elsewhere would make
+// the FIFO rotate from the wrong slot when it fills.
+TEST(SnapshotPollutionFilter, RejectsHeadMovedBeforeFifoIsFull) {
+  EXPECT_THROW(load_cache_image(cache_image_with_filter({5, 6}, 1, {5, 6})),
+               snapshot::SnapshotError);
+}
+
+// Nothing would ever erase a member that is not queued, so it would count
+// pollution misses for ever.
+TEST(SnapshotPollutionFilter, RejectsMemberMissingFromFifo) {
+  EXPECT_THROW(load_cache_image(cache_image_with_filter({5, 6}, 0, {5, 7})),
+               snapshot::SnapshotError);
+}
+
+TEST(SnapshotPollutionFilter, RejectsDuplicateMembers) {
+  EXPECT_THROW(load_cache_image(cache_image_with_filter({5, 6}, 0, {5, 5})),
+               snapshot::SnapshotError);
+}
+
+// Before the first wrap nothing leaves the set, so every queued block must
+// be a member.
+TEST(SnapshotPollutionFilter, RejectsQueuedBlockMissingBeforeWrap) {
+  EXPECT_THROW(load_cache_image(cache_image_with_filter({5, 6}, 0, {5})),
+               snapshot::SnapshotError);
 }
 
 // LruPolicy is the one policy class visible in the header (the cache calls

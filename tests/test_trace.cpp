@@ -298,9 +298,21 @@ TEST(IrregularGenerator, RejectsBadParams) {
 TEST(AppTrace, GeneratesMergedSortedTrace) {
   AppProfile app = app_by_name("HoK");
   const auto out = generate_app_trace(app, 20000);
-  EXPECT_GE(out.size(), 19000u);  // budget rounding may trim a little
+  EXPECT_EQ(out.size(), 20000u);
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out[i].arrival, out[i - 1].arrival);
+  }
+}
+
+// At these counts no app's weights split the records evenly across its
+// streams, so the floored per-stream budgets leave a remainder of 1-3
+// records that one stream must still emit.
+TEST(AppTrace, LengthIsExactAtUnevenCounts) {
+  for (const std::uint64_t records : {2048u, 4096u, 8192u}) {
+    for (const auto& name : app_names()) {
+      EXPECT_EQ(generate_app_trace(app_by_name(name), records).size(), records)
+          << name << " at " << records;
+    }
   }
 }
 
@@ -342,6 +354,12 @@ TEST(AppTrace, RejectsZeroWeights) {
   AppProfile app = app_by_name("HoK");
   app.weight_footprint = app.weight_neighbor = app.weight_stream =
       app.weight_irregular = 0.0;
+  EXPECT_THROW(generate_app_trace(app, 100), std::invalid_argument);
+}
+
+TEST(AppTrace, RejectsNegativeWeight) {
+  AppProfile app = app_by_name("HoK");
+  app.weight_stream = -0.1;
   EXPECT_THROW(generate_app_trace(app, 100), std::invalid_argument);
 }
 
