@@ -29,7 +29,9 @@ int main(int argc, char** argv) {
                                                 runner.bop_config(),
                                                 runner.spp_config());
     sim::Simulator simulator(runner.config(), std::move(factory), kind_name);
-    for (const auto& rec : trace) simulator.step(rec);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      simulator.step(trace.record(i));
+    }
     const auto result = simulator.finish();
 
     // Channel-0 prefetcher internals (all channels are statistically alike).

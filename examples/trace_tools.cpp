@@ -139,7 +139,8 @@ int cmd_sim(int argc, char** argv) {
   const auto records = load(argv[2]);
   const auto kind = sim::prefetcher_kind_from_name(argv[3]);
   const auto result = sim::Simulator::run(
-      sim::SimConfig{}, sim::make_prefetcher_factory(kind), argv[3], records);
+      sim::SimConfig{}, sim::make_prefetcher_factory(kind), argv[3],
+      trace::TraceBatch(records));
   std::printf("%s: amat=%.1f cycles, hit=%.1f%%, accuracy=%.1f%%, "
               "coverage=%.1f%%, power=%.1f mW\n",
               result.prefetcher.c_str(), result.amat_cycles,

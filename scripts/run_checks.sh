@@ -139,9 +139,9 @@ stage_storm() {
 stage_tsan() {
   cmake -B build-tsan -S . -DPLANARIA_WERROR=ON \
     -DPLANARIA_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target test_parallel test_sim test_sim_edge
+  cmake --build build-tsan -j "$JOBS" --target test_parallel test_sim test_sim_edge test_serve
   PLANARIA_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-tsan -R 'test_parallel|test_sim' --output-on-failure
+    ctest --test-dir build-tsan -R 'test_parallel|test_sim|test_serve' --output-on-failure
 }
 
 stage_tidy() {

@@ -36,21 +36,16 @@ const char* recovery_outcome_name(RecoveryReport::Outcome outcome) {
   PLANARIA_UNREACHABLE();
 }
 
-namespace {
-
-/// Shared sampling core: `record(i)` yields the i-th logical record. Both
-/// public overloads funnel here so the vector and columnar fingerprints of
-/// the same trace are byte-for-byte the same hash input.
-template <typename RecordAt>
-std::uint64_t fingerprint_impl(std::size_t n, RecordAt record) {
+std::uint64_t trace_fingerprint(const trace::TraceBatch& batch) {
   // Sample up to ~4096 records at a fixed stride so fingerprinting stays
   // cheap on long traces; the count rides in the low word so traces that
   // differ only in length still get distinct fingerprints.
   constexpr std::size_t kSampleTarget = 4096;
+  const std::size_t n = batch.size();
   const std::size_t stride = std::max<std::size_t>(1, n / kSampleTarget);
   snapshot::Writer w;
   for (std::size_t i = 0; i < n; i += stride) {
-    const trace::TraceRecord rec = record(i);
+    const trace::TraceRecord rec = batch.record(i);
     w.u64(rec.address);
     w.u64(rec.arrival);
     w.u8(static_cast<std::uint8_t>(rec.type));
@@ -60,19 +55,6 @@ std::uint64_t fingerprint_impl(std::size_t n, RecordAt record) {
       snapshot::crc32(w.buffer().data(), w.buffer().size());
   return (static_cast<std::uint64_t>(crc) << 32) ^
          static_cast<std::uint64_t>(n);
-}
-
-}  // namespace
-
-std::uint64_t trace_fingerprint(
-    const std::vector<trace::TraceRecord>& records) {
-  return fingerprint_impl(records.size(),
-                          [&](std::size_t i) { return records[i]; });
-}
-
-std::uint64_t trace_fingerprint(const trace::TraceBatch& batch) {
-  return fingerprint_impl(batch.size(),
-                          [&](std::size_t i) { return batch.record(i); });
 }
 
 namespace {
@@ -183,22 +165,17 @@ std::uint64_t load_checkpoint(Simulator& sim, const std::string& path,
   return cursor;
 }
 
-namespace {
-
-/// Driver shared by the vector and columnar entry points: recovery candidate
-/// selection, chunked execution, and checkpoint rotation are identical; only
-/// how a [cursor, next) span reaches the simulator differs (`feed`).
-template <typename Feed>
-SimResult run_checkpointed_impl(const SimConfig& config,
-                                PrefetcherFactory factory,
-                                std::string prefetcher_name, std::uint64_t n,
-                                std::uint64_t fingerprint,
-                                const CheckpointConfig& ckpt,
-                                RecoveryReport* report, Feed feed) {
+SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
+                           std::string prefetcher_name,
+                           const trace::TraceBatch& batch,
+                           const CheckpointConfig& ckpt,
+                           common::ThreadPool* pool, RecoveryReport* report) {
   RecoveryReport local;
   RecoveryReport& rep = report != nullptr ? *report : local;
   rep = RecoveryReport{};
 
+  const std::uint64_t n = batch.size();
+  const std::uint64_t fingerprint = trace_fingerprint(batch);
   std::unique_ptr<Simulator> sim;
   std::uint64_t cursor = 0;
 
@@ -241,7 +218,7 @@ SimResult run_checkpointed_impl(const SimConfig& config,
   const std::uint64_t chunk = ckpt.enabled() ? ckpt.every : n;
   while (cursor < n) {
     const std::uint64_t next = std::min(n, cursor + chunk);
-    feed(*sim, cursor, next);
+    sim->run_sharded(batch, cursor, next, pool);
     cursor = next;
     // No checkpoint after the final chunk: the result is about to be
     // returned, and a stale full-run snapshot would poison the next run.
@@ -262,49 +239,17 @@ SimResult run_checkpointed_impl(const SimConfig& config,
   return sim->finish();
 }
 
-}  // namespace
-
-SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
-                           std::string prefetcher_name,
-                           const std::vector<trace::TraceRecord>& records,
-                           const CheckpointConfig& ckpt,
-                           common::ThreadPool* pool, RecoveryReport* report) {
-  return run_checkpointed_impl(
-      config, std::move(factory), std::move(prefetcher_name), records.size(),
-      trace_fingerprint(records), ckpt, report,
-      [&records, pool](Simulator& sim, std::uint64_t cursor,
-                       std::uint64_t next) {
-        sim.run_sharded(records.data() + cursor, records.data() + next, pool);
-      });
-}
-
-SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
-                           std::string prefetcher_name,
-                           const trace::TraceBatch& batch,
-                           const CheckpointConfig& ckpt,
-                           common::ThreadPool* pool, RecoveryReport* report) {
-  return run_checkpointed_impl(
-      config, std::move(factory), std::move(prefetcher_name), batch.size(),
-      trace_fingerprint(batch), ckpt, report,
-      [&batch, pool](Simulator& sim, std::uint64_t cursor,
-                     std::uint64_t next) {
-        sim.run_sharded(batch, cursor, next, pool);
-      });
-}
-
 SimResult resume(const SimConfig& config, PrefetcherFactory factory,
-                 std::string prefetcher_name,
-                 const std::vector<trace::TraceRecord>& records,
+                 std::string prefetcher_name, const trace::TraceBatch& batch,
                  const std::string& path, common::ThreadPool* pool) {
   Simulator sim(config, std::move(factory), std::move(prefetcher_name));
-  const std::uint64_t fingerprint = trace_fingerprint(records);
-  const std::uint64_t cursor = load_checkpoint(sim, path, fingerprint);
-  if (cursor > records.size()) {
+  const std::uint64_t cursor =
+      load_checkpoint(sim, path, trace_fingerprint(batch));
+  if (cursor > batch.size()) {
     throw snapshot::SnapshotError(
         "snapshot cursor lies beyond the end of the trace");
   }
-  sim.run_sharded(records.data() + cursor,
-                  records.data() + records.size(), pool);
+  sim.run_sharded(batch, cursor, batch.size(), pool);
   return sim.finish();
 }
 

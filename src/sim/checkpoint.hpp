@@ -4,9 +4,9 @@
 // atomic file envelope; this layer decides *when* to checkpoint and *what* to
 // trust at restart. A checkpointed run:
 //
-//   * feeds the trace in `every`-record chunks through the range form of
+//   * feeds the trace in `every`-record [begin, end) spans through
 //     Simulator::run_sharded (chunked execution is bit-identical to a single
-//     call — see the contract on that overload);
+//     call — see the contract on that function);
 //   * after each full chunk rotates <label>.snap to <label>.snap.prev and
 //     atomically writes a fresh <label>.snap, so at every instant the
 //     directory holds at least one complete snapshot (last-good retention);
@@ -96,11 +96,6 @@ ScrubReport scrub_checkpoints(const CheckpointConfig& ckpt);
 /// sample of records (every (n/4096)-th, so the cost is flat) combined with
 /// the record count. A snapshot taken against a different trace fails this
 /// check at load time instead of producing subtly wrong results.
-std::uint64_t trace_fingerprint(const std::vector<trace::TraceRecord>& records);
-
-/// Columnar form. Produces the *identical* value to the vector overload on
-/// the same logical trace — resume validation must not care which container
-/// the caller happened to hold.
 std::uint64_t trace_fingerprint(const trace::TraceBatch& batch);
 
 /// Serializes `sim` plus the resume envelope (cursor, trace fingerprint) and
@@ -125,17 +120,6 @@ std::uint64_t load_checkpoint(Simulator& sim, const std::string& path,
 /// chunk and no files. `report`, when non-null, receives the recovery trail.
 SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
                            std::string prefetcher_name,
-                           const std::vector<trace::TraceRecord>& records,
-                           const CheckpointConfig& ckpt,
-                           common::ThreadPool* pool = nullptr,
-                           RecoveryReport* report = nullptr);
-
-/// Columnar form: feeds chunks through the TraceBatch span overload of
-/// Simulator::run_sharded. Bit-identical to the vector form on the same
-/// logical trace (same fingerprint, same chunking, same admission order), so
-/// a snapshot written by one is resumable by the other.
-SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
-                           std::string prefetcher_name,
                            const trace::TraceBatch& batch,
                            const CheckpointConfig& ckpt,
                            common::ThreadPool* pool = nullptr,
@@ -145,8 +129,7 @@ SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
 /// snapshot::SnapshotError if it is missing or invalid — no fallback) and
 /// completes the run. Bit-identical to the uninterrupted run.
 SimResult resume(const SimConfig& config, PrefetcherFactory factory,
-                 std::string prefetcher_name,
-                 const std::vector<trace::TraceRecord>& records,
+                 std::string prefetcher_name, const trace::TraceBatch& batch,
                  const std::string& path, common::ThreadPool* pool = nullptr);
 
 }  // namespace planaria::sim

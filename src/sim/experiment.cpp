@@ -35,29 +35,17 @@ ExperimentRunner::ExperimentRunner(SimConfig config, std::uint64_t records,
   checkpoint_every_ = env.every;
 }
 
-ExperimentRunner::TraceEntry& ExperimentRunner::entry_for(
-    const std::string& app) {
+const trace::TraceBatch& ExperimentRunner::trace_for(const std::string& app) {
   TraceEntry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(traces_mutex_);
     entry = &traces_[app];
   }
   std::call_once(entry->once, [&] {
-    entry->records = trace::generate_app_trace(trace::app_by_name(app), records_);
-    // Build the columnar mirror inside the same once: every later reader
-    // (vector or batch) sees both forms complete.
-    entry->batch = trace::TraceBatch(entry->records);
+    entry->batch = trace::TraceBatch(
+        trace::generate_app_trace(trace::app_by_name(app), records_));
   });
-  return *entry;
-}
-
-const std::vector<trace::TraceRecord>& ExperimentRunner::trace_for(
-    const std::string& app) {
-  return entry_for(app).records;
-}
-
-const trace::TraceBatch& ExperimentRunner::batch_for(const std::string& app) {
-  return entry_for(app).batch;
+  return entry->batch;
 }
 
 void ExperimentRunner::clear_trace_cache() {
@@ -111,7 +99,7 @@ void ExperimentRunner::store_cell(const std::string& app, const char* kind,
 SimResult ExperimentRunner::run_cell(const std::string& app,
                                      PrefetcherKind kind,
                                      const PrefetcherFactory& factory) {
-  const auto& batch = batch_for(app);
+  const auto& batch = trace_for(app);
   // Each cell checkpoints under its own label so concurrent cells on the
   // pool never rotate each other's snapshots. Disabled when the runner has
   // no checkpoint dir or no interval.

@@ -55,16 +55,11 @@ class ExperimentRunner {
       std::uint64_t records = records_from_env(400000),
       std::size_t threads = common::ThreadPool::threads_from_env(1));
 
-  /// Generated (and cached) bus trace for one paper app. Thread-safe:
-  /// concurrent sweep cells block on one std::call_once generation instead of
-  /// racing to generate their own copies.
-  const std::vector<trace::TraceRecord>& trace_for(const std::string& app);
-
-  /// Columnar (SoA) view of the same cached trace, built once per app
-  /// alongside the record vector. Cells consume this form: the simulator's
-  /// admission loop then streams three flat columns instead of striding
-  /// through 24-byte structs.
-  const trace::TraceBatch& batch_for(const std::string& app);
+  /// Generated (and cached) bus trace for one paper app, in the columnar form
+  /// the simulator consumes. Thread-safe: concurrent sweep cells block on one
+  /// std::call_once generation instead of racing to generate their own
+  /// copies. Record-oriented consumers convert once with to_records().
+  const trace::TraceBatch& trace_for(const std::string& app);
 
   /// One cell of the grid (channel-sharded across the pool when one exists).
   SimResult run(const std::string& app, PrefetcherKind kind);
@@ -112,11 +107,8 @@ class ExperimentRunner {
   /// node (and its once_flag) stays put while cells share it.
   struct TraceEntry {
     std::once_flag once;
-    std::vector<trace::TraceRecord> records;
-    trace::TraceBatch batch;  ///< SoA mirror of `records`, built in the once
+    trace::TraceBatch batch;
   };
-
-  TraceEntry& entry_for(const std::string& app);
 
   SimResult run_cell(const std::string& app, PrefetcherKind kind,
                      const PrefetcherFactory& factory);

@@ -133,39 +133,8 @@ Simulator::Simulator(const SimConfig& config, PrefetcherFactory factory,
           config_.fault, static_cast<std::uint64_t>(c));
       ch.pf->set_fault_injector(ch.fault.get());
     }
-    ch.kernel = select_kernel(ch.pf.get());
     channels_.push_back(std::move(ch));
   }
-}
-
-Simulator::ChannelKernel Simulator::select_kernel(
-    const prefetch::Prefetcher* pf) {
-  // One dynamic_cast chain per channel per run — never per record. Each
-  // matched type is final, so the kernel instantiated for it binds
-  // on_demand/on_fill statically. Composites (Serial/ParallelComposite) and
-  // any type registered by tests fall through to the generic virtual loop.
-  if (dynamic_cast<const core::PlanariaPrefetcher*>(pf) != nullptr) {
-    return ChannelKernel::kPlanaria;
-  }
-  if (dynamic_cast<const prefetch::NullPrefetcher*>(pf) != nullptr) {
-    return ChannelKernel::kNull;
-  }
-  if (dynamic_cast<const prefetch::BestOffsetPrefetcher*>(pf) != nullptr) {
-    return ChannelKernel::kBop;
-  }
-  if (dynamic_cast<const prefetch::SignaturePathPrefetcher*>(pf) != nullptr) {
-    return ChannelKernel::kSpp;
-  }
-  if (dynamic_cast<const prefetch::SmsPrefetcher*>(pf) != nullptr) {
-    return ChannelKernel::kSms;
-  }
-  if (dynamic_cast<const prefetch::NextLinePrefetcher*>(pf) != nullptr) {
-    return ChannelKernel::kNextLine;
-  }
-  if (dynamic_cast<const prefetch::StridePrefetcher*>(pf) != nullptr) {
-    return ChannelKernel::kStride;
-  }
-  return ChannelKernel::kGeneric;
 }
 
 Simulator::HotParams Simulator::hot_params() const {
@@ -174,8 +143,7 @@ Simulator::HotParams Simulator::hot_params() const {
                    config_.fault.dram_stall_cycles};
 }
 
-template <typename PF>
-void Simulator::process_completions_k(Channel& ch, const HotParams& hp) {
+void Simulator::process_completions(Channel& ch, const HotParams& hp) {
   if (!ch.dram->has_completions()) return;  // common case: nothing landed
   ch.dram->take_completions(ch.done_scratch);
   for (const auto& done : ch.done_scratch) {
@@ -207,15 +175,14 @@ void Simulator::process_completions_k(Channel& ch, const HotParams& hp) {
       wb.tag = fill.writeback_block;
       ch.dram->submit(wb);
     }
-    static_cast<PF&>(*ch.pf).on_fill(
-        block, fly.source != cache::FillSource::kDemand, done.finish);
+    ch.pf->on_fill(block, fly.source != cache::FillSource::kDemand,
+                   done.finish);
     ch.in_flight.erase(block);
   }
 }
 
-template <typename PF>
-void Simulator::handle_demand_k(Channel& ch, const trace::TraceRecord& record,
-                                const HotParams& hp) {
+void Simulator::handle_demand(Channel& ch, const trace::TraceRecord& record,
+                              const HotParams& hp) {
   const std::uint64_t block = dram::AddressMapper::local_block(record.address);
   const auto result = ch.sc->access(block, record.type);
 
@@ -263,7 +230,7 @@ void Simulator::handle_demand_k(Channel& ch, const trace::TraceRecord& record,
   event.hit_was_prefetch = result.first_use_of_prefetch;
 
   ch.scratch.clear();
-  static_cast<PF&>(*ch.pf).on_demand(event, ch.scratch);
+  ch.pf->on_demand(event, ch.scratch);
 
   int issued_this_trigger = 0;
   for (const auto& pf : ch.scratch) {
@@ -305,28 +272,18 @@ void Simulator::handle_demand_k(Channel& ch, const trace::TraceRecord& record,
                       "prefetch degree cap exceeded on one trigger");
 }
 
-template <typename PF>
-void Simulator::step_channel_k(Channel& ch, const trace::TraceRecord& record,
-                               const HotParams& hp) {
+void Simulator::step_channel(Channel& ch, const trace::TraceRecord& record,
+                             const HotParams& hp) {
   if (ch.fault != nullptr && ch.fault->roll(fault::FaultClass::kDramStall)) {
     ch.dram->inject_stall(hp.dram_stall_cycles);
     ch.fault->record(fault::FaultClass::kDramStall);
   }
   ch.dram->advance(record.arrival);
-  process_completions_k<PF>(ch, hp);
-  handle_demand_k<PF>(ch, record, hp);
+  process_completions(ch, hp);
+  handle_demand(ch, record, hp);
 }
 
-void Simulator::process_completions(Channel& ch) {
-  process_completions_k<prefetch::Prefetcher>(ch, hot_params());
-}
-
-void Simulator::step_channel(Channel& ch, const trace::TraceRecord& record) {
-  step_channel_k<prefetch::Prefetcher>(ch, record, hot_params());
-}
-
-template <typename PF>
-void Simulator::run_channel_shard_k(Channel& ch) {
+void Simulator::run_channel_shard(Channel& ch) {
   const HotParams hp = hot_params();
   const std::size_t n = ch.shard.size();
   const Address* addresses = ch.shard.addresses();
@@ -336,38 +293,8 @@ void Simulator::run_channel_shard_k(Channel& ch) {
     const trace::TraceRecord rec{addresses[i], arrivals[i],
                                  trace::TraceBatch::meta_type(meta[i]),
                                  trace::TraceBatch::meta_device(meta[i])};
-    step_channel_k<PF>(ch, rec, hp);
+    step_channel(ch, rec, hp);
   }
-}
-
-void Simulator::run_channel_shard(Channel& ch) {
-  switch (ch.kernel) {
-    case ChannelKernel::kNull:
-      run_channel_shard_k<prefetch::NullPrefetcher>(ch);
-      return;
-    case ChannelKernel::kBop:
-      run_channel_shard_k<prefetch::BestOffsetPrefetcher>(ch);
-      return;
-    case ChannelKernel::kSpp:
-      run_channel_shard_k<prefetch::SignaturePathPrefetcher>(ch);
-      return;
-    case ChannelKernel::kSms:
-      run_channel_shard_k<prefetch::SmsPrefetcher>(ch);
-      return;
-    case ChannelKernel::kPlanaria:
-      run_channel_shard_k<core::PlanariaPrefetcher>(ch);
-      return;
-    case ChannelKernel::kNextLine:
-      run_channel_shard_k<prefetch::NextLinePrefetcher>(ch);
-      return;
-    case ChannelKernel::kStride:
-      run_channel_shard_k<prefetch::StridePrefetcher>(ch);
-      return;
-    case ChannelKernel::kGeneric:
-      run_channel_shard_k<prefetch::Prefetcher>(ch);
-      return;
-  }
-  PLANARIA_UNREACHABLE();
 }
 
 void Simulator::corrupt_and_admit(trace::TraceRecord& rec) {
@@ -399,22 +326,21 @@ void Simulator::step(const trace::TraceRecord& record) {
   trace::TraceRecord rec = record;
   corrupt_and_admit(rec);
   step_channel(
-      channels_[static_cast<std::size_t>(addr::channel_of(rec.address))],
-      rec);
+      channels_[static_cast<std::size_t>(addr::channel_of(rec.address))], rec,
+      hot_params());
 }
 
-void Simulator::run_sharded(const std::vector<trace::TraceRecord>& records,
-                            common::ThreadPool* pool) {
-  run_sharded(records.data(), records.data() + records.size(), pool);
-}
-
-void Simulator::run_sharded(const trace::TraceRecord* begin,
-                            const trace::TraceRecord* end,
-                            common::ThreadPool* pool) {
+void Simulator::run_sharded(const trace::TraceBatch& batch, std::size_t begin,
+                            std::size_t end, common::ThreadPool* pool) {
   PLANARIA_REQUIRE_MSG(kTimingMonotonicity, !finished_,
                        "run_sharded() after finish()");
-  if (begin == end) return;
-  const std::size_t count = static_cast<std::size_t>(end - begin);
+  const bool in_range = begin <= end && end <= batch.size();
+  PLANARIA_REQUIRE_MSG(kTimingMonotonicity, in_range,
+                       "run_sharded() batch span out of range");
+  // The contract returns under kCount/kRecover; the span is then dropped
+  // whole, before any column is read or any simulator state changes.
+  if (!in_range || begin == end) return;
+  const std::size_t count = end - begin;
 
   // One pass replaces the per-record addr::channel_of dispatch: apply ingest
   // faults and validate the global time order once (corrupt_and_admit, the
@@ -427,32 +353,6 @@ void Simulator::run_sharded(const trace::TraceRecord* begin,
     ch.shard.clear();
     ch.shard.reserve(count / static_cast<std::size_t>(kChannels) + 1);
   }
-  for (const trace::TraceRecord* p = begin; p != end; ++p) {
-    trace::TraceRecord rec = *p;
-    corrupt_and_admit(rec);
-    channels_[static_cast<std::size_t>(addr::channel_of(rec.address))]
-        .shard.push_back(rec);
-  }
-  run_shards(pool);
-}
-
-void Simulator::run_sharded(const trace::TraceBatch& batch, std::size_t begin,
-                            std::size_t end, common::ThreadPool* pool) {
-  PLANARIA_REQUIRE_MSG(kTimingMonotonicity, !finished_,
-                       "run_sharded() after finish()");
-  PLANARIA_REQUIRE_MSG(kTimingMonotonicity,
-                       begin <= end && end <= batch.size(),
-                       "run_sharded() batch span out of range");
-  if (begin == end) return;
-  const std::size_t count = end - begin;
-
-  for (auto& ch : channels_) {
-    ch.shard.clear();
-    ch.shard.reserve(count / static_cast<std::size_t>(kChannels) + 1);
-  }
-  // Columnar admission: the batch's columns stream sequentially; each record
-  // is materialized once for corruption/admission and lands directly in its
-  // channel's SoA shard.
   const Address* addresses = batch.addresses();
   const Cycle* arrivals = batch.arrivals();
   const std::uint8_t* meta = batch.meta();
@@ -464,15 +364,7 @@ void Simulator::run_sharded(const trace::TraceBatch& batch, std::size_t begin,
     channels_[static_cast<std::size_t>(addr::channel_of(rec.address))]
         .shard.push_back(rec);
   }
-  run_shards(pool);
-}
-
-void Simulator::run_sharded(const trace::TraceBatch& batch,
-                            common::ThreadPool* pool) {
-  run_sharded(batch, 0, batch.size(), pool);
-}
-
-void Simulator::run_shards(common::ThreadPool* pool) {
+  // No state crosses channels, so the shards run concurrently on the pool.
   if (pool != nullptr && pool->size() > 1) {
     pool->parallel_for(static_cast<std::size_t>(kChannels), [&](std::size_t c) {
       run_channel_shard(channels_[c]);
@@ -480,6 +372,11 @@ void Simulator::run_shards(common::ThreadPool* pool) {
   } else {
     for (auto& ch : channels_) run_channel_shard(ch);
   }
+}
+
+void Simulator::run_sharded(const trace::TraceBatch& batch,
+                            common::ThreadPool* pool) {
+  run_sharded(batch, 0, batch.size(), pool);
 }
 
 SimResult Simulator::finish() {
@@ -502,7 +399,7 @@ SimResult Simulator::finish() {
     // comparable, then drain stragglers.
     ch.dram->advance(last_arrival_);
     ch.dram->drain();
-    process_completions(ch);
+    process_completions(ch, hot_params());
     // Any still-unresolved in-flight entries would indicate lost completions.
     // Unordered visitation is safe: this is an order-independent check and
     // no value leaves the callback.
@@ -636,12 +533,12 @@ SimResult Simulator::finish() {
 
 SimResult Simulator::run(const SimConfig& config, PrefetcherFactory factory,
                          std::string prefetcher_name,
-                         const std::vector<trace::TraceRecord>& records,
+                         const trace::TraceBatch& batch,
                          common::ThreadPool* pool) {
   // Checkpointing is env-opt-in (PLANARIA_CHECKPOINT_DIR/_EVERY); with it off
   // run_checkpointed degenerates to the plain construct/run/finish sequence.
   return run_checkpointed(config, std::move(factory),
-                          std::move(prefetcher_name), records,
+                          std::move(prefetcher_name), batch,
                           CheckpointConfig::from_env(), pool, nullptr);
 }
 

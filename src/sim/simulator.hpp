@@ -117,31 +117,20 @@ class Simulator {
   /// Feeds one demand record; records must arrive in non-decreasing time.
   void step(const trace::TraceRecord& record);
 
-  /// Feeds a whole time-ordered trace by pre-sharding it into kChannels
-  /// per-channel record streams (channel = address bits [11:10]; no state
-  /// crosses channels) and simulating each slice independently — on `pool`
-  /// when one is supplied, serially in channel order otherwise. Because every
-  /// channel sees exactly the subsequence it would have seen through step()
-  /// and all accounting is kept per channel in integer cycles, the merged
-  /// result is bit-identical to the serial per-record dispatch in every mode
-  /// (see DESIGN.md §9). May be called repeatedly before finish().
-  void run_sharded(const std::vector<trace::TraceRecord>& records,
-                   common::ThreadPool* pool = nullptr);
-
-  /// Range form of run_sharded, for chunked (checkpointed) execution: feeding
-  /// a trace in consecutive [begin, end) slices is bit-identical to feeding
-  /// it whole, because each channel sees the same concatenated subsequence
-  /// and the ingest decision stream is consumed record-by-record either way.
-  void run_sharded(const trace::TraceRecord* begin,
-                   const trace::TraceRecord* end,
-                   common::ThreadPool* pool = nullptr);
-
-  /// SoA form: consumes records [begin, end) of a columnar TraceBatch
-  /// directly, without materializing AoS records in between. Admission,
-  /// sharding and per-channel execution are the same code as the record
-  /// overloads, so all forms are bit-identical and freely mixable.
+  /// Feeds records [begin, end) of a time-ordered columnar trace by
+  /// pre-sharding them into kChannels per-channel record streams (channel =
+  /// address bits [11:10]; no state crosses channels) and simulating each
+  /// slice independently — on `pool` when one is supplied, serially in channel
+  /// order otherwise. Because every channel sees exactly the subsequence it
+  /// would have seen through step() and all accounting is kept per channel in
+  /// integer cycles, the merged result is bit-identical to the serial
+  /// per-record dispatch in every mode (see DESIGN.md §9). Feeding a trace in
+  /// consecutive [begin, end) slices is bit-identical to feeding it whole, so
+  /// chunked (checkpointed) execution uses the same call. An out-of-range
+  /// span fires the contract and is ignored without touching any state.
   void run_sharded(const trace::TraceBatch& batch, std::size_t begin,
                    std::size_t end, common::ThreadPool* pool = nullptr);
+  /// The whole batch: run_sharded(batch, 0, batch.size(), pool).
   void run_sharded(const trace::TraceBatch& batch,
                    common::ThreadPool* pool = nullptr);
 
@@ -154,7 +143,7 @@ class Simulator {
   /// channels when `pool` is non-null and has more than one lane).
   static SimResult run(const SimConfig& config, PrefetcherFactory factory,
                        std::string prefetcher_name,
-                       const std::vector<trace::TraceRecord>& records,
+                       const trace::TraceBatch& batch,
                        common::ThreadPool* pool = nullptr);
 
   const cache::SystemCache& cache_slice(int channel) const;
@@ -180,22 +169,6 @@ class Simulator {
     /// second demand to the same airborne block inside its service window is
     /// rare), so the storage is inline — no allocation on the merge path.
     common::SmallVector<Cycle, 2> demand_waiters;
-  };
-
-  /// Which monomorphized inner loop drives a channel. Selected once at
-  /// construction from the concrete prefetcher type; kGeneric (virtual
-  /// dispatch per record) remains for composites and test doubles, and is
-  /// always behaviorally identical to the specialized kernels — they differ
-  /// only in how on_demand/on_fill are bound.
-  enum class ChannelKernel : std::uint8_t {
-    kGeneric = 0,
-    kNull,
-    kBop,
-    kSpp,
-    kSms,
-    kPlanaria,
-    kNextLine,
-    kStride,
   };
 
   /// Per-record config values hoisted out of the inner loop: one struct read
@@ -234,7 +207,6 @@ class Simulator {
     /// This channel's slice of the current run_sharded call, SoA. A member
     /// (not a per-call local) so its column capacity is reused across chunks.
     trace::TraceBatch shard;
-    ChannelKernel kernel = ChannelKernel::kGeneric;
     /// Per-channel fault injector (null when no class is armed). Channel
     /// faults draw from a channel-indexed stream, so injection stays
     /// deterministic however the channels are scheduled.
@@ -248,29 +220,16 @@ class Simulator {
   void corrupt_and_admit(trace::TraceRecord& rec);
 
   HotParams hot_params() const;
-  static ChannelKernel select_kernel(const prefetch::Prefetcher* pf);
 
-  /// Monomorphized per-record pipeline: PF is the channel's concrete
-  /// prefetcher type (or prefetch::Prefetcher for the generic kernel), so
-  /// on_demand/on_fill bind statically — the leaf classes are final — and
-  /// the per-record virtual dispatch disappears from the specialized loops.
-  template <typename PF>
-  void process_completions_k(Channel& ch, const HotParams& hp);
-  template <typename PF>
-  void handle_demand_k(Channel& ch, const trace::TraceRecord& record,
-                       const HotParams& hp);
-  template <typename PF>
-  void step_channel_k(Channel& ch, const trace::TraceRecord& record,
-                      const HotParams& hp);
-  template <typename PF>
-  void run_channel_shard_k(Channel& ch);
-
-  void process_completions(Channel& ch);
-  void step_channel(Channel& ch, const trace::TraceRecord& record);
-  /// Drains ch.shard through the kernel selected at construction.
+  /// Per-record pipeline of one channel; the prefetcher is reached through
+  /// virtual dispatch (DESIGN.md §14).
+  void process_completions(Channel& ch, const HotParams& hp);
+  void handle_demand(Channel& ch, const trace::TraceRecord& record,
+                     const HotParams& hp);
+  void step_channel(Channel& ch, const trace::TraceRecord& record,
+                    const HotParams& hp);
+  /// Drains ch.shard through step_channel.
   void run_channel_shard(Channel& ch);
-  /// Runs every channel's shard (on `pool` when supplied) and clears them.
-  void run_shards(common::ThreadPool* pool);
 
   SimConfig config_;
   std::string name_;

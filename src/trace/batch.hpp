@@ -25,7 +25,8 @@ class TraceBatch {
  public:
   TraceBatch() = default;
   explicit TraceBatch(const std::vector<TraceRecord>& records) {
-    assign(records.data(), records.data() + records.size());
+    reserve(records.size());
+    for (const TraceRecord& rec : records) push_back(rec);
   }
 
   static std::uint8_t pack_meta(AccessType type, DeviceId device) {
@@ -38,12 +39,6 @@ class TraceBatch {
   }
   static DeviceId meta_device(std::uint8_t meta) {
     return static_cast<DeviceId>(meta >> 1);
-  }
-
-  void assign(const TraceRecord* begin, const TraceRecord* end) {
-    clear();
-    reserve(static_cast<std::size_t>(end - begin));
-    for (const TraceRecord* p = begin; p != end; ++p) push_back(*p);
   }
 
   void push_back(const TraceRecord& rec) {

@@ -304,14 +304,25 @@ MappedTraceBatch::MappedTraceBatch(const std::string& path) {
     if (h.version != kBatchVersion) {
       fail("unsupported batch version " + std::to_string(h.version));
     }
+    // v1 defines no flags and writes zero reserved words; anything else is a
+    // different (or damaged) format, not one to read as v1.
+    if (h.flags != 0 || h.reserved0 != 0 || h.reserved1 != 0) {
+      fail("non-zero batch flags or reserved header fields");
+    }
     // The declared count is untrusted: bound the payload it implies by the
-    // bytes the file actually holds before dereferencing anything.
+    // bytes the file actually holds before dereferencing anything, and
+    // require the file to end exactly where the payload does (no trailing
+    // bytes, no second container glued on).
     const std::uint64_t per_record = sizeof(Address) + sizeof(Cycle) + 1;
     const std::uint64_t avail = file_len - sizeof(BatchHeader);
     if (h.count > avail / per_record) {
       fail("header claims " + std::to_string(h.count) +
            " records but the file holds only " + std::to_string(avail) +
            " payload bytes");
+    }
+    if (avail != h.count * per_record) {
+      fail(std::to_string(avail - h.count * per_record) +
+           " trailing bytes after the batch payload");
     }
     const std::size_t n = static_cast<std::size_t>(h.count);
     const std::uint8_t* payload = base + sizeof(BatchHeader);

@@ -108,8 +108,8 @@ void write_batch_file(const std::string& path, const TraceBatch& batch);
 /// Read-only view of a "PLTB" file. Uses mmap where available (the columns
 /// alias the page cache; nothing is copied) with a read-into-memory fallback.
 /// The constructor throws std::runtime_error on any malformed input: bad
-/// magic/version, a count the file's bytes cannot back, CRC mismatch, or an
-/// out-of-range meta byte.
+/// magic/version, non-zero flags or reserved fields, a file length other than
+/// exactly 32 + 17 * count bytes, CRC mismatch, or an out-of-range meta byte.
 class MappedTraceBatch {
  public:
   explicit MappedTraceBatch(const std::string& path);

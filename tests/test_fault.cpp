@@ -152,12 +152,13 @@ TEST(FaultInjector, RecordCountsApplyNotRolls) {
 // ---------------------------------------------------------------------------
 // End-to-end through the simulator
 
-std::vector<trace::TraceRecord> test_trace(std::uint64_t records) {
-  return trace::generate_app_trace(trace::paper_apps().front(), records);
+trace::TraceBatch test_trace(std::uint64_t records) {
+  return trace::TraceBatch(
+      trace::generate_app_trace(trace::paper_apps().front(), records));
 }
 
 sim::SimResult run_kind(const sim::SimConfig& config,
-                        const std::vector<trace::TraceRecord>& records,
+                        const trace::TraceBatch& records,
                         planaria::common::ThreadPool* pool = nullptr) {
   const auto kind = sim::PrefetcherKind::kPlanaria;
   return sim::Simulator::run(config, sim::make_prefetcher_factory(kind),

@@ -210,8 +210,9 @@ TEST_F(IoFaultTest, AppendLineDegradesToFalseUnderEveryFaultClass) {
 // Checkpoint recovery chain under injected storms
 // ---------------------------------------------------------------------------
 
-std::vector<trace::TraceRecord> storm_trace(std::uint64_t records) {
-  return trace::generate_app_trace(trace::paper_apps().front(), records);
+trace::TraceBatch storm_trace(std::uint64_t records) {
+  return trace::TraceBatch(
+      trace::generate_app_trace(trace::paper_apps().front(), records));
 }
 
 TEST_F(IoFaultTest, CheckpointedRunSurvivesEveryWriteSideFaultClass) {
@@ -293,9 +294,9 @@ TEST_F(IoFaultTest, ScrubQuarantinesAndRepairsFromTheSurvivingCopy) {
   // Two generations on disk: cursor 2000 in .prev, cursor 4000 in current.
   {
     sim::Simulator s(sim::SimConfig{}, factory, "planaria");
-    s.run_sharded(t.data(), t.data() + 2000);
+    s.run_sharded(t, 0, 2000);
     sim::write_checkpoint(s, ckpt, 2000, sim::trace_fingerprint(t));
-    s.run_sharded(t.data() + 2000, t.data() + 4000);
+    s.run_sharded(t, 2000, 4000);
     sim::write_checkpoint(s, ckpt, 4000, sim::trace_fingerprint(t));
   }
   const auto prev_bytes = snapshot::read_file(ckpt.prev_path());
@@ -346,9 +347,9 @@ TEST_F(IoFaultTest, ScrubWithBothCopiesRottenQuarantinesBothRepairsNothing) {
   ckpt.label = "doomed";
   {
     sim::Simulator s(sim::SimConfig{}, factory, "planaria");
-    s.run_sharded(t.data(), t.data() + 1000);
+    s.run_sharded(t, 0, 1000);
     sim::write_checkpoint(s, ckpt, 1000, sim::trace_fingerprint(t));
-    s.run_sharded(t.data() + 1000, t.data() + 2000);
+    s.run_sharded(t, 1000, 2000);
     sim::write_checkpoint(s, ckpt, 2000, sim::trace_fingerprint(t));
   }
   flip_payload_byte(ckpt.current_path());
@@ -381,7 +382,7 @@ TEST_F(IoFaultTest, ScrubCountsAMissingPartnerWithoutFabricatingIt) {
   ckpt.label = "lone";
   {
     sim::Simulator s(sim::SimConfig{}, factory, "planaria");
-    s.run_sharded(t.data(), t.data() + 1000);
+    s.run_sharded(t, 0, 1000);
     sim::write_checkpoint(s, ckpt, 1000, sim::trace_fingerprint(t));
   }
   ASSERT_FALSE(fs::exists(ckpt.prev_path()));

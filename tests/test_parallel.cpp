@@ -179,8 +179,9 @@ void expect_bit_identical(const sim::SimResult& a, const sim::SimResult& b,
   EXPECT_TRUE(a == b) << "SimResult differs in a field not itemized above";
 }
 
-std::vector<trace::TraceRecord> test_trace(std::uint64_t records) {
-  return trace::generate_app_trace(trace::paper_apps().front(), records);
+trace::TraceBatch test_trace(std::uint64_t records) {
+  return trace::TraceBatch(
+      trace::generate_app_trace(trace::paper_apps().front(), records));
 }
 
 TEST(ParallelSimulation, ShardedRunMatchesStepLoopForAllKinds) {
@@ -193,7 +194,9 @@ TEST(ParallelSimulation, ShardedRunMatchesStepLoopForAllKinds) {
     // step() API, the original serial execution model.
     sim::Simulator serial(sim::SimConfig{}, sim::make_prefetcher_factory(kind),
                           name);
-    for (const auto& rec : records) serial.step(rec);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      serial.step(records.record(i));
+    }
     const sim::SimResult expected = serial.finish();
 
     const sim::SimResult sharded = sim::Simulator::run(
@@ -252,7 +255,7 @@ TEST(ParallelSweep, SharedTraceCacheGeneratesOncePerApp) {
   // object (one call_once generation per app, no racing copies).
   sim::ExperimentRunner runner(sim::SimConfig{}, 5000, 4);
   const std::string app = trace::app_names().front();
-  std::vector<const std::vector<trace::TraceRecord>*> seen(16, nullptr);
+  std::vector<const trace::TraceBatch*> seen(16, nullptr);
   runner.pool()->parallel_for(seen.size(), [&](std::size_t i) {
     seen[i] = &runner.trace_for(app);
   });

@@ -28,7 +28,8 @@ PrefetcherFactory null_factory() {
 // ------------------------------------------------------------------- basics
 
 TEST(Simulator, EmptyTraceProducesZeroResult) {
-  const auto r = Simulator::run(small_config(), null_factory(), "none", {});
+  const auto r = Simulator::run(small_config(), null_factory(), "none",
+                                trace::TraceBatch{});
   EXPECT_EQ(r.demand_reads, 0u);
   EXPECT_EQ(r.amat_cycles, 0.0);
   EXPECT_EQ(r.sc_hit_rate, 0.0);
@@ -37,7 +38,7 @@ TEST(Simulator, EmptyTraceProducesZeroResult) {
 TEST(Simulator, SingleReadCostsScPlusDram) {
   const auto config = small_config();
   const auto r = Simulator::run(config, null_factory(), "none",
-                                {rec(0x10000, 100)});
+                                trace::TraceBatch({rec(0x10000, 100)}));
   EXPECT_EQ(r.demand_reads, 1u);
   EXPECT_EQ(r.sc_hit_rate, 0.0);
   // Cold miss: SC latency + ACT + CAS + burst.
@@ -52,7 +53,7 @@ TEST(Simulator, RepeatAccessHitsAfterFill) {
   const auto config = small_config();
   const auto r = Simulator::run(
       config, null_factory(), "none",
-      {rec(0x10000, 100), rec(0x10000, 5000)});
+      trace::TraceBatch({rec(0x10000, 100), rec(0x10000, 5000)}));
   EXPECT_EQ(r.demand_reads, 2u);
   EXPECT_NEAR(r.sc_hit_rate, 0.5, 1e-9);
 }
@@ -62,7 +63,7 @@ TEST(Simulator, MergedDemandsShareOneFill) {
   // flight: one DRAM read, two resolved demands.
   const auto r = Simulator::run(
       small_config(), null_factory(), "none",
-      {rec(0x10000, 100), rec(0x10000, 110)});
+      trace::TraceBatch({rec(0x10000, 100), rec(0x10000, 110)}));
   EXPECT_EQ(r.demand_reads, 2u);
   EXPECT_EQ(r.dram_reads, 1u);
 }
@@ -70,7 +71,7 @@ TEST(Simulator, MergedDemandsShareOneFill) {
 TEST(Simulator, WritesGoToDramOnMiss) {
   const auto r = Simulator::run(
       small_config(), null_factory(), "none",
-      {rec(0x10000, 100, AccessType::kWrite)});
+      trace::TraceBatch({rec(0x10000, 100, AccessType::kWrite)}));
   EXPECT_EQ(r.demand_writes, 1u);
   EXPECT_EQ(r.dram_writes, 1u);
   EXPECT_EQ(r.dram_reads, 0u);
@@ -110,7 +111,7 @@ TEST(Simulator, RejectsInvalidConfig) {
 TEST(Simulator, NextLinePrefetchProducesPrefetchHits) {
   // Sequential stream: next-line prefetch should convert later misses into
   // prefetch hits.
-  std::vector<trace::TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 100;
   for (int i = 0; i < 64; ++i) {
     records.push_back(rec(addr::compose_segment(7, 0, 0) +
@@ -129,7 +130,7 @@ TEST(Simulator, NextLinePrefetchProducesPrefetchHits) {
 }
 
 TEST(Simulator, PrefetchTrafficCountsInDram) {
-  std::vector<trace::TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 100;
   for (int i = 0; i < 32; ++i) {
     records.push_back(rec(addr::compose_segment(7, 0, 0) +
@@ -177,7 +178,7 @@ TEST(SimResult, HelpersHandleZeroBaselines) {
 }
 
 TEST(Simulator, PowerAndIpcArePopulated) {
-  std::vector<trace::TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   for (int i = 0; i < 2000; ++i) {
     records.push_back(rec(static_cast<Address>(i % 300) * kBlockBytes * 7,

@@ -287,20 +287,21 @@ TEST_F(SnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
 // byte-identical, on warmed (mid-run) state.
 // ---------------------------------------------------------------------------
 
-std::vector<trace::TraceRecord> test_trace(std::uint64_t records) {
-  return trace::generate_app_trace(trace::paper_apps().front(), records);
+trace::TraceBatch test_trace(std::uint64_t records) {
+  return trace::TraceBatch(
+      trace::generate_app_trace(trace::paper_apps().front(), records));
 }
 
 /// Simulator with real mid-run state: tables populated, requests in flight,
 /// DRAM queues non-empty (no finish(), so nothing has been drained).
 std::unique_ptr<sim::Simulator> warmed(sim::PrefetcherKind kind,
-                                       const std::vector<trace::TraceRecord>& t,
+                                       const trace::TraceBatch& t,
                                        std::size_t feed,
                                        const sim::SimConfig& config = {}) {
   auto s = std::make_unique<sim::Simulator>(
       config, sim::make_prefetcher_factory(kind),
       sim::prefetcher_kind_name(kind));
-  s->run_sharded(t.data(), t.data() + feed);
+  s->run_sharded(t, 0, feed);
   return s;
 }
 
@@ -792,8 +793,8 @@ TEST_F(SnapshotFileTest, PoisonedSweepCellBacksOffThenReportsOthersLand) {
 /// Hand-constructed deterministic trace (kept independent of the trace
 /// generator so generator tuning can never invalidate the golden file).
 /// Addresses walk all four channels; every 7th record is a write.
-std::vector<trace::TraceRecord> golden_trace() {
-  std::vector<trace::TraceRecord> out;
+trace::TraceBatch golden_trace() {
+  trace::TraceBatch out;
   std::uint64_t state = 0x9E3779B97F4A7C15ull;
   Cycle t = 0;
   for (int i = 0; i < 512; ++i) {
@@ -1085,7 +1086,7 @@ TEST(SnapshotGolden, CommittedSnapshotStillDecodes) {
 
   // And the restored state is live: completing the run reproduces the
   // uninterrupted result bit for bit.
-  s->run_sharded(t.data() + cursor, t.data() + t.size());
+  s->run_sharded(t, cursor, t.size());
   const auto resumed = s->finish();
   const auto base = sim::Simulator::run(
       sim::SimConfig{},

@@ -2,16 +2,21 @@
 // to every reader (binary, CSV, DRAMSim2, ChampSim) under both recovery
 // policies. kThrow must fail precisely (location in the message, no giant
 // allocation first); kRecover must salvage what is intact, tally what it
-// skipped, and still refuse input that is the wrong format outright.
+// skipped, and still refuse input that is the wrong format outright. The
+// mapped PLTB container has no recovery policy: it accepts exactly what a v1
+// writer emits and rejects every other byte image.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/contract.hpp"
+#include "trace/batch.hpp"
 #include "trace/import.hpp"
 #include "trace/io.hpp"
 
@@ -21,7 +26,9 @@ namespace check = planaria::check;
 namespace trace = planaria::trace;
 using planaria::AccessType;
 using planaria::DeviceId;
+using trace::MappedTraceBatch;
 using trace::RecoveryPolicy;
+using trace::TraceBatch;
 using trace::TraceReadReport;
 using trace::TraceRecord;
 
@@ -350,6 +357,157 @@ TEST(MergeSortedNegative, SortedInputStaysSilent) {
     EXPECT_GE(merged[i].arrival, merged[i - 1].arrival);
   }
   check::reset_violations();
+}
+
+// ---------------------------------------------------------------------------
+// PLTB columnar container: the mapped reader must accept exactly what v1
+// writers emit (32-byte header + 17 bytes per record, zero flags/reserved)
+// and reject everything else.
+
+/// One record per AccessType x DeviceId pair, so every meta packing is used.
+TraceBatch every_meta_batch() {
+  TraceBatch batch;
+  std::uint64_t i = 0;
+  for (const AccessType type : {AccessType::kRead, AccessType::kWrite}) {
+    for (int d = 0; d < static_cast<int>(DeviceId::kCount); ++d) {
+      batch.push_back(TraceRecord{0x40000 + (i << 6), 7 * i, type,
+                                  static_cast<DeviceId>(d)});
+      ++i;
+    }
+  }
+  return batch;
+}
+
+std::string batch_image(const TraceBatch& batch) {
+  std::ostringstream os(std::ios::binary);
+  trace::write_batch(os, batch);
+  return os.str();
+}
+
+/// Bitwise CRC-32 (IEEE 802.3), independent of the reader's table routine.
+std::uint32_t reference_crc32(const char* data, std::size_t len) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= static_cast<std::uint8_t>(data[i]);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+class PltbNegative : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = (std::filesystem::temp_directory_path() /
+             (std::string("planaria-pltb-") + info->name() + ".pltb"))
+                .string();
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  void put(const std::string& bytes) const {
+    std::ofstream(path_, std::ios::binary | std::ios::trunc) << bytes;
+  }
+  bool accepted(const std::string& bytes) const {
+    put(bytes);
+    try {
+      MappedTraceBatch mapped(path_);
+      return true;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  }
+
+  std::string path_;
+};
+
+constexpr std::size_t kHeaderBytes = 32;
+constexpr std::size_t kFlagsOffset = 6;
+constexpr std::size_t kCrcOffset = 16;
+constexpr std::size_t kReserved0Offset = 20;
+constexpr std::size_t kReserved1Offset = 24;
+
+TEST_F(PltbNegative, WriteMapRoundTripCoversEveryMetaPacking) {
+  const TraceBatch batch = every_meta_batch();
+  ASSERT_EQ(batch.size(), 2u * static_cast<std::size_t>(DeviceId::kCount));
+  trace::write_batch_file(path_, batch);
+  const MappedTraceBatch mapped(path_);
+  ASSERT_EQ(mapped.size(), batch.size());
+  EXPECT_TRUE(mapped.to_batch() == batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(mapped.record(i), batch.record(i)) << "record " << i;
+  }
+  EXPECT_EQ(std::filesystem::file_size(path_),
+            kHeaderBytes + 17 * batch.size());
+}
+
+TEST_F(PltbNegative, EveryTruncationIsRejected) {
+  const std::string full = batch_image(every_meta_batch());
+  ASSERT_TRUE(accepted(full));
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    EXPECT_FALSE(accepted(full.substr(0, len))) << "truncated to " << len;
+  }
+}
+
+TEST_F(PltbNegative, EverySingleByteFlipIsRejected) {
+  const std::string full = batch_image(every_meta_batch());
+  for (std::size_t at = 0; at < full.size(); ++at) {
+    for (const unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+      std::string damaged = full;
+      damaged[at] = static_cast<char>(damaged[at] ^ static_cast<char>(mask));
+      EXPECT_FALSE(accepted(damaged))
+          << "byte " << at << " xor 0x" << std::hex << mask;
+    }
+  }
+}
+
+TEST_F(PltbNegative, BadDeviceIdWithRecomputedCrcIsRejected) {
+  const TraceBatch batch = every_meta_batch();
+  std::string image = batch_image(batch);
+  // Meta column: the last `count` bytes. Device id DeviceId::kCount is one
+  // past the last valid id; the CRC is recomputed so only the range check can
+  // catch it.
+  const std::size_t meta_at = image.size() - batch.size();
+  image[meta_at] = static_cast<char>(
+      static_cast<std::uint8_t>(DeviceId::kCount) << 1);
+  const std::uint32_t crc = reference_crc32(image.data() + kHeaderBytes,
+                                            image.size() - kHeaderBytes);
+  std::memcpy(&image[kCrcOffset], &crc, sizeof(crc));
+  put(image);
+  try {
+    MappedTraceBatch mapped(path_);
+    FAIL() << "accepted an out-of-range device id";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad device id"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(PltbNegative, TrailingBytesAreRejected) {
+  const std::string full = batch_image(every_meta_batch());
+  EXPECT_FALSE(accepted(full + std::string(1, '\0')));
+  EXPECT_FALSE(accepted(full + std::string(17, '\0')));
+}
+
+TEST_F(PltbNegative, ConcatenatedContainersAreRejected) {
+  const std::string full = batch_image(every_meta_batch());
+  EXPECT_FALSE(accepted(full + full));
+}
+
+TEST_F(PltbNegative, NonZeroFlagsAreRejected) {
+  std::string image = batch_image(every_meta_batch());
+  image[kFlagsOffset] = 1;
+  EXPECT_FALSE(accepted(image));
+}
+
+TEST_F(PltbNegative, NonZeroReservedFieldsAreRejected) {
+  const std::string full = batch_image(every_meta_batch());
+  for (const std::size_t at : {kReserved0Offset, kReserved1Offset}) {
+    std::string image = full;
+    image[at] = 1;
+    EXPECT_FALSE(accepted(image)) << "reserved byte " << at;
+  }
 }
 
 }  // namespace

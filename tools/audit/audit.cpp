@@ -252,6 +252,18 @@ std::vector<trace::AppProfile> audit_profiles(std::uint64_t seed) {
   return {trace::paper_apps().front(), fuzz};
 }
 
+/// Generates one trace per profile (on `pool` when supplied) in the columnar
+/// form the simulator consumes.
+std::vector<trace::TraceBatch> audit_traces(
+    const std::vector<trace::AppProfile>& profiles, std::uint64_t records,
+    planaria::common::ThreadPool* pool) {
+  std::vector<trace::TraceBatch> out;
+  for (const auto& t : trace::generate_app_traces(profiles, records, pool)) {
+    out.emplace_back(t);
+  }
+  return out;
+}
+
 void replay_audit(std::uint64_t records, std::uint64_t seed) {
   std::printf("replay audit: %llu records/app, all kinds, contracts armed\n",
               static_cast<unsigned long long>(records));
@@ -262,7 +274,7 @@ void replay_audit(std::uint64_t records, std::uint64_t seed) {
   planaria::common::ThreadPool pool(4);
   // Profile-level parallel generation (deterministic: each profile owns its
   // seeds); also exercises the generator under the pool for the TSan build.
-  const auto traces = trace::generate_app_traces(profiles, records, &pool);
+  const auto traces = audit_traces(profiles, records, &pool);
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const auto& app = profiles[p];
     const auto& trace_records = traces[p];
@@ -326,7 +338,7 @@ struct ChaosOutcome {
 
 ChaosOutcome run_chaos_cell(const sim::SimConfig& config,
                             sim::PrefetcherKind kind,
-                            const std::vector<trace::TraceRecord>& records,
+                            const trace::TraceBatch& records,
                             planaria::common::ThreadPool* pool) {
   check::reset_violations();
   check::reset_recoveries();
@@ -370,7 +382,7 @@ void chaos_audit(std::uint64_t records, std::uint64_t seed) {
 
   const std::vector<trace::AppProfile> profiles = audit_profiles(seed);
   planaria::common::ThreadPool pool(4);
-  const auto traces = trace::generate_app_traces(profiles, records, &pool);
+  const auto traces = audit_traces(profiles, records, &pool);
 
   // kRecover for the whole stage: a violation under chaos is expected and
   // must be recovered, not aborted on. Counters are reset per cell inside
@@ -439,21 +451,19 @@ void chaos_audit(std::uint64_t records, std::uint64_t seed) {
 /// never called). That is what SIGKILL at record `kill_at` leaves behind: a
 /// last-good snapshot on disk, all in-memory progress since it lost.
 void crash_at(const sim::SimConfig& config, sim::PrefetcherKind kind,
-              const std::vector<trace::TraceRecord>& records,
+              const trace::TraceBatch& records,
               const sim::CheckpointConfig& ckpt, std::uint64_t kill_at,
               std::uint64_t fingerprint, planaria::common::ThreadPool* pool) {
   sim::Simulator doomed(config, sim::make_prefetcher_factory(kind),
                         sim::prefetcher_kind_name(kind));
   std::uint64_t cursor = 0;
   while (cursor + ckpt.every <= kill_at) {
-    doomed.run_sharded(records.data() + cursor,
-                       records.data() + cursor + ckpt.every, pool);
+    doomed.run_sharded(records, cursor, cursor + ckpt.every, pool);
     cursor += ckpt.every;
     sim::write_checkpoint(doomed, ckpt, cursor, fingerprint);
   }
   if (cursor < kill_at) {
-    doomed.run_sharded(records.data() + cursor, records.data() + kill_at,
-                       pool);
+    doomed.run_sharded(records, cursor, kill_at, pool);
   }
 }
 
@@ -497,7 +507,7 @@ void crash_audit(std::uint64_t records, std::uint64_t seed) {
 
   const std::vector<trace::AppProfile> profiles = audit_profiles(seed);
   planaria::common::ThreadPool pool(4);
-  const auto traces = trace::generate_app_traces(profiles, records, &pool);
+  const auto traces = audit_traces(profiles, records, &pool);
 
   sim::CheckpointConfig ckpt;
   std::error_code ec;
@@ -879,7 +889,7 @@ std::vector<std::uint8_t> storm_payload(std::uint64_t seed, std::size_t size) {
 /// damage "succeeds" here and is only caught by the resume-side CRC.
 std::uint64_t storm_crash_at(const sim::SimConfig& config,
                              sim::PrefetcherKind kind,
-                             const std::vector<trace::TraceRecord>& records,
+                             const trace::TraceBatch& records,
                              const sim::CheckpointConfig& ckpt,
                              std::uint64_t kill_at,
                              std::uint64_t fingerprint) {
@@ -888,8 +898,7 @@ std::uint64_t storm_crash_at(const sim::SimConfig& config,
   std::uint64_t lost = 0;
   std::uint64_t cursor = 0;
   while (cursor + ckpt.every <= kill_at) {
-    doomed.run_sharded(records.data() + cursor,
-                       records.data() + cursor + ckpt.every, nullptr);
+    doomed.run_sharded(records, cursor, cursor + ckpt.every, nullptr);
     cursor += ckpt.every;
     try {
       sim::write_checkpoint(doomed, ckpt, cursor, fingerprint);
@@ -898,8 +907,7 @@ std::uint64_t storm_crash_at(const sim::SimConfig& config,
     }
   }
   if (cursor < kill_at) {
-    doomed.run_sharded(records.data() + cursor, records.data() + kill_at,
-                       nullptr);
+    doomed.run_sharded(records, cursor, kill_at, nullptr);
   }
   return lost;
 }
@@ -984,8 +992,7 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
 
   // Legs (b) and (c) run against a real checkpointed simulation.
   const std::vector<trace::AppProfile> profiles = audit_profiles(seed);
-  const auto traces =
-      trace::generate_app_traces(profiles, records, nullptr);
+  const auto traces = audit_traces(profiles, records, nullptr);
   const auto& trace_records = traces[0];
   const std::uint64_t n = trace_records.size();
   sim::CheckpointConfig ckpt;
