@@ -4,12 +4,18 @@
 // usable at paper-scale record counts.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
+
+#include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "core/planaria.hpp"
 #include "dram/channel.hpp"
 #include "prefetch/bop.hpp"
 #include "prefetch/spp.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
+#include "trace/io.hpp"
 
 namespace {
 
@@ -110,6 +116,40 @@ void BM_TraceGeneration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 50000);
 }
 BENCHMARK(BM_TraceGeneration);
+
+void BM_Crc32(benchmark::State& state) {
+  constexpr std::size_t kBytes = std::size_t{16} << 20;
+  std::vector<std::uint8_t> buf(kBytes);
+  Rng rng(0xC3C);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(common::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBytes));
+}
+BENCHMARK(BM_Crc32);
+
+// The PLTB ingest path a mapped-trace run pays once per trace: durable
+// write (CRC over the columns, fsync+rename), map (CRC re-check, meta range
+// check) and the bulk copy back into an owning batch.
+void BM_PltbWriteMap(benchmark::State& state) {
+  constexpr std::uint64_t kRecords = 1000000;
+  const trace::TraceBatch batch(sample_trace(kRecords));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "planaria-bench-micro.pltb")
+          .string();
+  for (auto _ : state) {
+    trace::write_batch_file(path, batch);
+    const trace::MappedTraceBatch mapped(path);
+    const trace::TraceBatch back = mapped.to_batch();
+    benchmark::DoNotOptimize(back.addresses());
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_PltbWriteMap)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -268,18 +268,43 @@ void Tlp::load_state(snapshot::Reader& r) {
     }
   }
   tick_ = r.u64();
+  // Every genuine snapshot obeys the invariants below (allocate() maintains
+  // them and nothing else writes pages or Ref bits); a stream that breaks one
+  // is crafted or corrupt, and restoring it would silently run a different
+  // table. A snapshot is outside input, so the checks run in every build.
   page_index_.clear();
   for (std::size_t i = 0; i < slot_count(); ++i) {
-    if (valid_[i] != 0 && page_index_.find(pages_[i]) == TagIndex::npos) {
-      page_index_.insert(pages_[i], static_cast<std::uint32_t>(i));
+    if (valid_[i] == 0) continue;
+    if (last_use_[i] > tick_) {
+      throw snapshot::SnapshotError("RPT slot " + std::to_string(i) +
+                                    " last use is ahead of the TLP tick");
+    }
+    if (page_index_.find(pages_[i]) != TagIndex::npos) {
+      throw snapshot::SnapshotError("RPT slot " + std::to_string(i) +
+                                    " duplicates a resident page");
+    }
+    page_index_.insert(pages_[i], static_cast<std::uint32_t>(i));
+  }
+  // The Ref matrix is a pure function of the page column: Ref[i][j] is set
+  // exactly for distinct valid slots within the distance threshold.
+  const std::uint64_t threshold = config_.distance_threshold;
+  for (std::size_t i = 0; i < slot_count(); ++i) {
+    for (std::size_t j = 0; j < slot_count(); ++j) {
+      const bool near =
+          valid_[i] != 0 && valid_[j] != 0 && i != j &&
+          (pages_[i] > pages_[j] ? pages_[i] - pages_[j]
+                                 : pages_[j] - pages_[i]) <= threshold;
+      if (ref_get(i, j) != near) {
+        throw snapshot::SnapshotError(
+            "RPT Ref[" + std::to_string(i) + "][" + std::to_string(j) +
+            "] disagrees with the restored page distances");
+      }
     }
   }
   stats_.allocations = r.u64();
   stats_.issue_triggers = r.u64();
   stats_.transfers = r.u64();
   stats_.prefetches_issued = r.u64();
-  PLANARIA_DASSERT_MSG(ref_matrix_consistent(),
-                       "restored RPT Ref matrix lost symmetry");
 }
 
 }  // namespace planaria::core

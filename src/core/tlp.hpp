@@ -73,7 +73,10 @@ class Tlp {
 
   /// Checkpoint/restore (DESIGN.md §11): every RPT slot (bitmap, Ref row,
   /// LRU stamp), the LRU tick and stats. Slot indices are part of the
-  /// encoding because the Ref matrix is slot-addressed.
+  /// encoding because the Ref matrix is slot-addressed. load_state throws
+  /// SnapshotError on an RPT no allocation sequence could produce: a page
+  /// resident in two slots, an LRU stamp ahead of the tick, or a Ref bit that
+  /// disagrees with the page distances.
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 

@@ -1,6 +1,5 @@
 #include "snapshot/snapshot.hpp"
 
-#include <array>
 #include <bit>
 #include <cstring>
 
@@ -13,29 +12,7 @@ namespace {
 constexpr char kMagic[8] = {'P', 'L', 'N', 'S', 'N', 'A', 'P', '1'};
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 4;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
 }  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 

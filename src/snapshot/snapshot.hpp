@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
+
 namespace planaria::snapshot {
 
 /// Raised on any malformed snapshot: truncated buffer, CRC mismatch, bad
@@ -60,8 +62,9 @@ constexpr std::uint32_t tag4(const char (&s)[5]) {
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[3])) << 24;
 }
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) over `size` bytes.
-std::uint32_t crc32(const void* data, std::size_t size);
+/// CRC32 (IEEE 802.3 polynomial, reflected) over `size` bytes: the tree's
+/// one checksum routine (common/crc32.hpp), shared with the PLTB container.
+using common::crc32;
 
 /// Append-only little-endian encoder. Never fails; the buffer grows as
 /// needed.

@@ -29,6 +29,19 @@ class TraceBatch {
     for (const TraceRecord& rec : records) push_back(rec);
   }
 
+  /// Bulk copy of `n` records held as three columns (one memcpy-class copy
+  /// per column). Every meta byte must already be a valid packing — the PLTB
+  /// reader range-checks the whole column at open before calling this.
+  static TraceBatch from_columns(const Address* addresses,
+                                 const Cycle* arrivals,
+                                 const std::uint8_t* meta, std::size_t n) {
+    TraceBatch out;
+    out.addresses_.assign(addresses, addresses + n);
+    out.arrivals_.assign(arrivals, arrivals + n);
+    out.meta_.assign(meta, meta + n);
+    return out;
+  }
+
   static std::uint8_t pack_meta(AccessType type, DeviceId device) {
     return static_cast<std::uint8_t>(
         (static_cast<std::uint8_t>(device) << 1) |

@@ -1,7 +1,6 @@
 #include "trace/io.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -20,6 +19,7 @@
 #endif
 
 #include "check/contract.hpp"
+#include "common/crc32.hpp"
 #include "io/vfs.hpp"
 
 namespace planaria::trace {
@@ -205,60 +205,52 @@ struct BatchHeader {
 static_assert(sizeof(BatchHeader) == 32,
               "columns after the header must stay 8-aligned");
 
-/// CRC-32 (IEEE 802.3, same polynomial as the snapshot envelope). The trace
-/// layer sits below src/snapshot in the module DAG, so it carries its own
-/// copy of the 40-line table routine rather than an upward dependency.
-std::uint32_t trace_crc32(const std::uint8_t* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+/// The PLTB header for `batch`. The payload CRC runs incrementally over the
+/// three columns in file order, so no staging copy of the payload exists.
+BatchHeader batch_header(const TraceBatch& batch) {
+  const std::size_t n = batch.size();
+  BatchHeader h{};
+  h.magic = kBatchMagic;
+  h.version = kBatchVersion;
+  h.count = n;
+  h.payload_crc = common::Crc32()
+                      .update(batch.addresses(), n * sizeof(Address))
+                      .update(batch.arrivals(), n * sizeof(Cycle))
+                      .update(batch.meta(), n)
+                      .value();
+  return h;
+}
+
+/// The container image as four spans — header, addresses, arrivals, meta —
+/// aliasing `h` and the batch's columns. Both writers emit exactly these.
+std::vector<io::ByteSpan> batch_image(const BatchHeader& h,
+                                      const TraceBatch& batch) {
+  const std::size_t n = batch.size();
+  return {io::ByteSpan{&h, sizeof(h)},
+          io::ByteSpan{batch.addresses(), n * sizeof(Address)},
+          io::ByteSpan{batch.arrivals(), n * sizeof(Cycle)},
+          io::ByteSpan{batch.meta(), n}};
 }
 
 }  // namespace
 
 void write_batch(std::ostream& os, const TraceBatch& batch) {
-  const std::uint64_t n = batch.size();
-  BatchHeader h{};
-  h.magic = kBatchMagic;
-  h.version = kBatchVersion;
-  h.count = n;
-  // Stage the payload image once so the CRC is computed over exactly the
-  // bytes written (the three columns are separate vectors in memory).
-  std::vector<std::uint8_t> payload;
-  payload.reserve(n * (sizeof(Address) + sizeof(Cycle) + 1));
-  const auto append = [&payload](const void* p, std::size_t len) {
-    const auto* bytes = static_cast<const std::uint8_t*>(p);
-    payload.insert(payload.end(), bytes, bytes + len);
-  };
-  append(batch.addresses(), n * sizeof(Address));
-  append(batch.arrivals(), n * sizeof(Cycle));
-  append(batch.meta(), n);
-  h.payload_crc = trace_crc32(payload.data(), payload.size());
-  os.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  os.write(reinterpret_cast<const char*>(payload.data()),
-           static_cast<std::streamsize>(payload.size()));
+  const BatchHeader h = batch_header(batch);
+  for (const io::ByteSpan& span : batch_image(h, batch)) {
+    if (span.size == 0) continue;  // an empty column may have a null base
+    os.write(static_cast<const char*>(span.data),
+             static_cast<std::streamsize>(span.size));
+  }
   if (!os) fail("batch write failed");
 }
 
 void write_batch_file(const std::string& path, const TraceBatch& batch) {
-  std::ostringstream os(std::ios::binary);
-  write_batch(os, batch);
-  const std::string image = os.str();
+  // The spans alias the batch's own columns: the VFS streams them straight
+  // into the tmp file, keeping its fsync+rename durability and the storage
+  // fault drills without a single intermediate copy of the payload.
+  const BatchHeader h = batch_header(batch);
   try {
-    io::write_file_durable(path, {io::ByteSpan{image.data(), image.size()}});
+    io::write_file_durable(path, batch_image(h, batch));
   } catch (const io::IoError& e) {
     fail(e.what());
   }
@@ -327,7 +319,7 @@ MappedTraceBatch::MappedTraceBatch(const std::string& path) {
     const std::size_t n = static_cast<std::size_t>(h.count);
     const std::uint8_t* payload = base + sizeof(BatchHeader);
     const std::size_t payload_len = n * static_cast<std::size_t>(per_record);
-    if (trace_crc32(payload, payload_len) != h.payload_crc) {
+    if (common::crc32(payload, payload_len) != h.payload_crc) {
       fail("batch payload CRC mismatch");
     }
     addresses_ = reinterpret_cast<const Address*>(payload);
@@ -390,10 +382,8 @@ MappedTraceBatch& MappedTraceBatch::operator=(
 }
 
 TraceBatch MappedTraceBatch::to_batch() const {
-  TraceBatch out;
-  out.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) out.push_back(record(i));
-  return out;
+  // Every meta byte was range-checked at open, so the columns copy verbatim.
+  return TraceBatch::from_columns(addresses_, arrivals_, meta_, count_);
 }
 
 void write_csv(std::ostream& os, const std::vector<TraceRecord>& records) {

@@ -1,14 +1,20 @@
-// Unit tests for the common substrate: geometry, bitmaps, RNG, stats, tables.
+// Unit tests for the common substrate: geometry, bitmaps, RNG, stats, tables,
+// CRC-32.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/bitmap.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "common/set_table.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
+#include "reference_crc32.hpp"
 
 namespace planaria {
 namespace {
@@ -383,6 +389,47 @@ TEST(SetAssocTable, EvictIfSweeps) {
              [&](std::uint64_t, int&&) { ++evicted; });
   t.for_each([](std::uint64_t, int& v) { EXPECT_LT(v, 3); });
   EXPECT_GE(evicted, 1u);
+}
+
+// ------------------------------------------------------------------ CRC-32
+
+std::vector<char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<char> out(n);
+  for (char& c : out) c = static_cast<char>(rng.next() & 0xFFu);
+  return out;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(common::crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(common::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(common::Crc32().value(), 0u);
+}
+
+TEST(Crc32, IncrementalUpdateAtEverySplitEqualsOneShot) {
+  const std::vector<char> buf = random_bytes(300, 0xC3C3);
+  const std::uint32_t whole = common::crc32(buf.data(), buf.size());
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    const std::uint32_t split = common::Crc32()
+                                    .update(buf.data(), cut)
+                                    .update(buf.data() + cut, buf.size() - cut)
+                                    .value();
+    EXPECT_EQ(split, whole) << "split at " << cut;
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Offsets 0..7 into the buffer put the first byte at every alignment the
+  // 8-byte folding loop can see; lengths 0..1024 cover every tail length.
+  const std::vector<char> buf = random_bytes(1024 + 8, 0x5EED);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(common::crc32(p, len), reference_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 }  // namespace

@@ -964,6 +964,124 @@ TEST(SnapshotTypeCoverage, SlpAndTlpRoundTripOutsideTheCoordinators) {
   EXPECT_EQ(tlp_first.buffer(), tlp_second.buffer());
 }
 
+/// One RPT slot of a hand-built TLP0 section (4-slot table, so each Ref row
+/// is one byte: bit j = Ref[i][j]).
+struct CraftedRptSlot {
+  bool valid = false;
+  std::uint64_t page = 0;
+  std::uint64_t last_use = 0;
+  std::uint8_t ref = 0;
+};
+
+constexpr int kCraftedRptEntries = 4;
+
+core::TlpConfig crafted_tlp_config() {
+  core::TlpConfig config;
+  config.rpt_entries = kCraftedRptEntries;
+  config.distance_threshold = 64;
+  return config;
+}
+
+std::vector<std::uint8_t> craft_tlp_stream(
+    const std::vector<CraftedRptSlot>& slots, std::uint64_t tick) {
+  snapshot::Writer w;
+  w.tag(snapshot::tag4("TLP0"));
+  w.u64(slots.size());
+  for (const CraftedRptSlot& s : slots) {
+    w.b(s.valid);
+    if (!s.valid) continue;
+    w.u64(s.page);
+    w.u16(0x0003);
+    w.u64(s.last_use);
+    w.u8(s.ref);
+  }
+  w.u64(tick);
+  for (int i = 0; i < 4; ++i) w.u64(0);  // stats
+  return w.buffer();
+}
+
+/// Pages 10 and 20 are neighbors (distance 10 <= 64); 1000 is far from both;
+/// slot 3 is empty. This is exactly what allocate() would have built.
+std::vector<CraftedRptSlot> wellformed_rpt() {
+  return {{true, 10, 1, 0b0010}, {true, 20, 2, 0b0001},
+          {true, 1000, 3, 0b0000}, {false, 0, 0, 0}};
+}
+
+void load_crafted_tlp(const std::vector<std::uint8_t>& stream) {
+  core::Tlp tlp(crafted_tlp_config());
+  snapshot::Reader r(stream);
+  tlp.load_state(r);
+  r.require_end();
+}
+
+TEST(TlpSnapshotValidation, WellFormedCraftedRptLoadsAndRoundTrips) {
+  const auto stream = craft_tlp_stream(wellformed_rpt(), 3);
+  core::Tlp tlp(crafted_tlp_config());
+  snapshot::Reader r(stream);
+  tlp.load_state(r);
+  r.require_end();
+  snapshot::Writer again;
+  tlp.save_state(again);
+  EXPECT_EQ(again.buffer(), stream);
+}
+
+TEST(TlpSnapshotValidation, DuplicateResidentPageIsRejected) {
+  // Slot 2 holds page 10 again; its Ref bits are the ones the distance rule
+  // implies, so only the duplicate check can refuse it.
+  auto slots = wellformed_rpt();
+  slots[0].ref = 0b0110;
+  slots[1].ref = 0b0101;
+  slots[2] = {true, 10, 3, 0b0011};
+  EXPECT_THROW(load_crafted_tlp(craft_tlp_stream(slots, 3)),
+               snapshot::SnapshotError);
+}
+
+TEST(TlpSnapshotValidation, RefBitsDisagreeingWithPageDistancesAreRejected) {
+  {
+    SCOPED_TRACE("asymmetric: Ref[0][1] set, Ref[1][0] clear");
+    auto slots = wellformed_rpt();
+    slots[1].ref = 0;
+    EXPECT_THROW(load_crafted_tlp(craft_tlp_stream(slots, 3)),
+                 snapshot::SnapshotError);
+  }
+  {
+    SCOPED_TRACE("symmetric but far: pages 20 and 1000 marked neighbors");
+    auto slots = wellformed_rpt();
+    slots[1].ref |= 0b0100;
+    slots[2].ref |= 0b0010;
+    EXPECT_THROW(load_crafted_tlp(craft_tlp_stream(slots, 3)),
+                 snapshot::SnapshotError);
+  }
+  {
+    SCOPED_TRACE("symmetric but missing: neighbors 10 and 20 unlinked");
+    auto slots = wellformed_rpt();
+    slots[0].ref = 0;
+    slots[1].ref = 0;
+    EXPECT_THROW(load_crafted_tlp(craft_tlp_stream(slots, 3)),
+                 snapshot::SnapshotError);
+  }
+  {
+    SCOPED_TRACE("reflexive: Ref[0][0] set");
+    auto slots = wellformed_rpt();
+    slots[0].ref |= 0b0001;
+    EXPECT_THROW(load_crafted_tlp(craft_tlp_stream(slots, 3)),
+                 snapshot::SnapshotError);
+  }
+  {
+    SCOPED_TRACE("link to the empty slot 3");
+    auto slots = wellformed_rpt();
+    slots[0].ref |= 0b1000;
+    EXPECT_THROW(load_crafted_tlp(craft_tlp_stream(slots, 3)),
+                 snapshot::SnapshotError);
+  }
+}
+
+TEST(TlpSnapshotValidation, LastUseAheadOfTickIsRejected) {
+  // Slot 2 was stamped at tick 3, but the section claims the tick is 2.
+  EXPECT_THROW(load_crafted_tlp(craft_tlp_stream(wellformed_rpt(), 2)),
+               snapshot::SnapshotError);
+}
+
 TEST(SnapshotTypeCoverage, LruTableRoundTripsWithExactRecency) {
   LruTable<std::uint64_t, std::uint64_t> table(8);
   for (std::uint64_t k = 0; k < 13; ++k) table.insert(k * 3, k + 100);

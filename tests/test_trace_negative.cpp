@@ -10,12 +10,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "check/contract.hpp"
+#include "reference_crc32.hpp"
 #include "trace/batch.hpp"
 #include "trace/import.hpp"
 #include "trace/io.hpp"
@@ -384,18 +386,6 @@ std::string batch_image(const TraceBatch& batch) {
   return os.str();
 }
 
-/// Bitwise CRC-32 (IEEE 802.3), independent of the reader's table routine.
-std::uint32_t reference_crc32(const char* data, std::size_t len) {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc ^= static_cast<std::uint8_t>(data[i]);
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-    }
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 class PltbNegative : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -440,6 +430,68 @@ TEST_F(PltbNegative, WriteMapRoundTripCoversEveryMetaPacking) {
   }
   EXPECT_EQ(std::filesystem::file_size(path_),
             kHeaderBytes + 17 * batch.size());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A larger batch than every_meta_batch, so the payload CRC runs through the
+/// word-at-a-time path on every column (8n, 8n and n bytes).
+TraceBatch mixed_batch(std::size_t n) {
+  TraceBatch batch;
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.push_back(TraceRecord{
+        (0x9E3779B97F4A7C15ull * (i + 1)) & ~0x3Full, 3 * i + 1,
+        i % 3 == 0 ? AccessType::kWrite : AccessType::kRead,
+        static_cast<DeviceId>(i % static_cast<std::size_t>(DeviceId::kCount))});
+  }
+  return batch;
+}
+
+TEST_F(PltbNegative, StreamAndFileWritersEmitTheSameBytes) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{1000}}) {
+    const TraceBatch batch = mixed_batch(n);
+    trace::write_batch_file(path_, batch);
+    EXPECT_EQ(read_bytes(path_), batch_image(batch)) << n << " records";
+  }
+}
+
+TEST_F(PltbNegative, ImageMatchesTheDocumentedLayout) {
+  // Header {magic, version, flags, count, payload CRC, 12 reserved bytes},
+  // then the address, arrival and meta columns verbatim — assembled here
+  // field by field so the writer cannot drift from the v1 format unnoticed.
+  const TraceBatch batch = mixed_batch(257);
+  const std::size_t n = batch.size();
+  std::string payload(reinterpret_cast<const char*>(batch.addresses()),
+                      n * sizeof(std::uint64_t));
+  payload.append(reinterpret_cast<const char*>(batch.arrivals()),
+                 n * sizeof(std::uint64_t));
+  payload.append(reinterpret_cast<const char*>(batch.meta()), n);
+  std::string expect(kHeaderBytes, '\0');
+  const std::uint32_t magic = trace::kBatchMagic;
+  const std::uint16_t version = trace::kBatchVersion;
+  const std::uint64_t count = n;
+  const std::uint32_t crc = reference_crc32(payload.data(), payload.size());
+  std::memcpy(&expect[0], &magic, sizeof(magic));
+  std::memcpy(&expect[4], &version, sizeof(version));
+  std::memcpy(&expect[8], &count, sizeof(count));
+  std::memcpy(&expect[kCrcOffset], &crc, sizeof(crc));
+  EXPECT_EQ(batch_image(batch), expect + payload);
+}
+
+TEST_F(PltbNegative, EmptyBatchRoundTrips) {
+  // Every column of an empty batch may have a null base pointer; the writer,
+  // the CRC and the bulk-copy reader must all take that without touching it.
+  const TraceBatch empty;
+  trace::write_batch_file(path_, empty);
+  EXPECT_EQ(std::filesystem::file_size(path_), kHeaderBytes);
+  const MappedTraceBatch mapped(path_);
+  EXPECT_TRUE(mapped.empty());
+  EXPECT_TRUE(mapped.to_batch() == empty);
 }
 
 TEST_F(PltbNegative, EveryTruncationIsRejected) {
