@@ -9,7 +9,9 @@
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "common/set_table.hpp"
 #include "core/planaria.hpp"
+#include "core/tlp.hpp"
 #include "dram/channel.hpp"
 #include "prefetch/bop.hpp"
 #include "prefetch/spp.hpp"
@@ -52,6 +54,61 @@ void BM_PlanariaOnDemand(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PlanariaOnDemand);
+
+// RPT allocation cost: a stream of fresh, clustered pages (1-4 pages apart,
+// so at the default 64-page threshold each new page has ~25 Ref neighbours
+// in the full 128-entry RPT, and so does the page it evicts) where ~95% of
+// learn() calls allocate and the rest re-touch the newest page.
+void BM_TlpAllocate(benchmark::State& state) {
+  core::Tlp tlp;
+  Rng rng(0x71F);
+  std::vector<std::uint8_t> steps(std::size_t{1} << 16);  // 0 = re-touch
+  for (auto& s : steps) {
+    s = rng.next_below(20) == 0 ? 0 : static_cast<std::uint8_t>(
+                                          1 + rng.next_below(4));
+  }
+  prefetch::DemandEvent e;
+  PageNumber newest = PageNumber{1} << 20;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    newest += steps[i];
+    e.page = newest;
+    e.block_in_segment = static_cast<int>(i & 15);
+    tlp.learn(e);
+    i = (i + 1) & (steps.size() - 1);
+  }
+  benchmark::DoNotOptimize(tlp.stats().allocations);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlpAllocate);
+
+// Pattern History Table lookups at SLP's PT geometry (1024 sets x 12 ways),
+// filled to capacity; half the probes hit a resident page, half miss.
+void BM_SetAssocFind(benchmark::State& state) {
+  constexpr std::size_t kSets = 1024;
+  constexpr int kWays = 12;
+  SetAssocTable<PageNumber, SegmentBitmap> pt(kSets, kWays);
+  Rng rng(0x5E7);
+  for (PageNumber p = 0; pt.size() < pt.capacity() && p < (1u << 22); ++p) {
+    pt.insert((PageNumber{1} << 24) + p * 3,
+              SegmentBitmap(static_cast<std::uint16_t>(p)));
+  }
+  std::vector<PageNumber> resident;
+  pt.for_each([&](PageNumber page, SegmentBitmap&) { resident.push_back(page); });
+  std::vector<PageNumber> probes(std::size_t{1} << 16);
+  for (auto& p : probes) {
+    p = rng.next_below(2) == 0
+            ? resident[rng.next_below(resident.size())]
+            : (PageNumber{1} << 40) + rng.next_below(PageNumber{1} << 30);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pt.find(probes[i]));
+    i = (i + 1) & (probes.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SetAssocFind);
 
 void BM_BopOnDemand(benchmark::State& state) {
   const auto trace = sample_trace(100000);

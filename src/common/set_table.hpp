@@ -6,12 +6,14 @@
 // Keys are hashed to a set with a strong 64-bit mixer; each set holds `ways`
 // entries replaced LRU. Same payload-centric interface as LruTable.
 //
-// Like LruTable, lookups go through an open-addressing TagIndex (key ->
-// global slot) instead of scanning the ways, and recency is a generation
-// stamp written on touch. Victim selection on a miss still walks the set's
-// ways — that scan is bounded by associativity, and keeping it verbatim
-// preserves the exact eviction order (first invalid way, else minimum
-// last_use) and the canonical save_state layout.
+// Lookups compare only the key's set, as the hardware does. Keys live in a
+// separate tag column (SoA, the SystemCache layout): one set is `ways`
+// consecutive keys, one or two cache lines, and a tag match is confirmed
+// against the entry's valid flag because invalid ways keep a stale key.
+// Recency is a generation stamp written on touch. Victim selection on a miss
+// walks the same set's ways (first invalid way, else minimum last_use), and
+// save_state emits valid slots in slot order, so the eviction order and the
+// snapshot layout are independent of how lookups are done.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/tag_index.hpp"
 
 namespace planaria {
 
@@ -30,7 +31,7 @@ class SetAssocTable {
   SetAssocTable(std::size_t sets, int ways)
       : sets_(sets), ways_(ways),
         entries_(sets * static_cast<std::size_t>(ways)),
-        index_(entries_.size()) {
+        keys_(entries_.size()) {
     PLANARIA_ASSERT(sets > 0 && (sets & (sets - 1)) == 0);
     PLANARIA_ASSERT(ways > 0);
   }
@@ -47,76 +48,72 @@ class SetAssocTable {
   }
 
   Payload* find(const Key& key) {
-    const std::uint32_t s = index_.find(static_cast<std::uint64_t>(key));
-    if (s == TagIndex::npos) return nullptr;
+    const std::size_t s = slot_of(key);
+    if (s == kNone) return nullptr;
     Entry& e = entries_[s];
     e.last_use = ++tick_;
     return &e.payload;
   }
 
   const Payload* peek(const Key& key) const {
-    const std::uint32_t s = index_.find(static_cast<std::uint64_t>(key));
-    return s == TagIndex::npos ? nullptr : &entries_[s].payload;
+    const std::size_t s = slot_of(key);
+    return s == kNone ? nullptr : &entries_[s].payload;
   }
 
   /// Inserts key -> payload; returns the evicted (key, payload) if a valid
   /// LRU victim had to make room.
   std::optional<std::pair<Key, Payload>> insert(const Key& key, Payload payload) {
-    const std::uint32_t hit = index_.find(static_cast<std::uint64_t>(key));
-    if (hit != TagIndex::npos) {
+    const std::size_t base = set_base(key);
+    const std::size_t hit = find_in_set(base, key);
+    if (hit != kNone) {
       Entry& e = entries_[hit];
       e.payload = std::move(payload);
       e.last_use = ++tick_;
       return std::nullopt;
     }
-    Entry* base = set_base(key);
-    Entry* victim = nullptr;
-    for (int w = 0; w < ways_; ++w) {
-      Entry& e = base[w];
+    std::size_t victim = kNone;
+    for (std::size_t s = base; s < base + static_cast<std::size_t>(ways_); ++s) {
+      const Entry& e = entries_[s];
       if (!e.valid) {
-        if (victim == nullptr || victim->valid) victim = &e;
-      } else if (victim == nullptr ||
-                 (victim->valid && e.last_use < victim->last_use)) {
-        victim = &e;
+        if (victim == kNone || entries_[victim].valid) victim = s;
+      } else if (victim == kNone || (entries_[victim].valid &&
+                                     e.last_use < entries_[victim].last_use)) {
+        victim = s;
       }
     }
-    PLANARIA_ASSERT(victim != nullptr);
+    PLANARIA_ASSERT(victim != kNone);
+    Entry& v = entries_[victim];
     std::optional<std::pair<Key, Payload>> evicted;
-    if (victim->valid) {
-      index_.erase(static_cast<std::uint64_t>(victim->key));
-      evicted.emplace(victim->key, std::move(victim->payload));
+    if (v.valid) {
+      evicted.emplace(keys_[victim], std::move(v.payload));
     } else {
       ++live_;
     }
-    victim->key = key;
-    victim->payload = std::move(payload);
-    victim->last_use = ++tick_;
-    victim->valid = true;
-    index_.insert(static_cast<std::uint64_t>(key),
-                  static_cast<std::uint32_t>(victim - entries_.data()));
+    keys_[victim] = key;
+    v.payload = std::move(payload);
+    v.last_use = ++tick_;
+    v.valid = true;
     return evicted;
   }
 
   std::optional<Payload> erase(const Key& key) {
-    const std::uint32_t s = index_.find(static_cast<std::uint64_t>(key));
-    if (s == TagIndex::npos) return std::nullopt;
+    const std::size_t s = slot_of(key);
+    if (s == kNone) return std::nullopt;
     Entry& e = entries_[s];
     e.valid = false;
     --live_;
-    index_.erase(static_cast<std::uint64_t>(key));
     return std::move(e.payload);
   }
 
   void clear() {
     for (auto& e : entries_) e.valid = false;
     live_ = 0;
-    index_.clear();
   }
 
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (auto& e : entries_) {
-      if (e.valid) fn(e.key, e.payload);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].valid) fn(keys_[i], entries_[i].payload);
     }
   }
 
@@ -132,12 +129,12 @@ class SetAssocTable {
   /// callers amortize by sweeping periodically.
   template <typename Pred, typename OnEvict>
   void evict_if(Pred&& pred, OnEvict&& on_evict) {
-    for (auto& e : entries_) {
-      if (e.valid && pred(e.key, e.payload)) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      Entry& e = entries_[i];
+      if (e.valid && pred(keys_[i], e.payload)) {
         e.valid = false;
         --live_;
-        index_.erase(static_cast<std::uint64_t>(e.key));
-        on_evict(e.key, std::move(e.payload));
+        on_evict(keys_[i], std::move(e.payload));
       }
     }
   }
@@ -156,15 +153,18 @@ class SetAssocTable {
       const Entry& e = entries_[i];
       if (!e.valid) continue;
       w.u64(static_cast<std::uint64_t>(i));
-      w.u64(static_cast<std::uint64_t>(e.key));
+      w.u64(static_cast<std::uint64_t>(keys_[i]));
       w.u64(e.last_use);
       sp(w, e.payload);
     }
   }
 
   /// Restore counterpart; `lp(r)` decodes one payload. Geometry must match
-  /// the constructed table (slot indices out of range, descending, or
-  /// duplicated reject the snapshot via `r.fail`, which must not return).
+  /// the constructed table. `r.fail` (which must not return) rejects what no
+  /// run of this table could have saved: slot indices out of range,
+  /// descending or duplicated, a key stored outside the set its hash selects
+  /// (lookups scan only that set and would never find it), a key resident
+  /// twice, or a stamp ahead of the restored tick.
   template <typename Reader, typename LoadPayload>
   void load_state(Reader& r, LoadPayload&& lp) {
     clear();
@@ -180,25 +180,35 @@ class SetAssocTable {
         r.fail("set table slot index out of order");
       }
       prev = i;
+      const Key key = static_cast<Key>(r.u64());
+      const std::size_t base = set_base(key);
+      if (i < base || i >= base + static_cast<std::size_t>(ways_)) {
+        r.fail("set table key stored outside its set");
+      }
+      if (find_in_set(base, key) != kNone) {
+        r.fail("set table key resident twice");
+      }
       Entry& e = entries_[i];
-      e.key = static_cast<Key>(r.u64());
       e.last_use = r.u64();
+      if (e.last_use > tick_) {
+        r.fail("set table last use is ahead of the table tick");
+      }
       e.payload = lp(r);
+      keys_[i] = key;
       e.valid = true;
-      index_.insert(static_cast<std::uint64_t>(e.key),
-                    static_cast<std::uint32_t>(i));
+      ++live_;
     }
-    live_ = static_cast<std::size_t>(count);
   }
 
  private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
   std::size_t scanned_size() const {
     std::size_t n = 0;
     for (const auto& e : entries_) n += e.valid ? 1 : 0;
     return n;
   }
   struct Entry {
-    Key key{};
     Payload payload{};
     std::uint64_t last_use = 0;
     bool valid = false;
@@ -213,18 +223,32 @@ class SetAssocTable {
     return x;
   }
 
-  Entry* set_base(const Key& key) {
+  /// First slot of the set `key` hashes to.
+  std::size_t set_base(const Key& key) const {
     const std::size_t set = mix(static_cast<std::uint64_t>(key)) & (sets_ - 1);
-    return &entries_[set * static_cast<std::size_t>(ways_)];
+    return set * static_cast<std::size_t>(ways_);
   }
-  const Entry* set_base(const Key& key) const {
-    return const_cast<SetAssocTable*>(this)->set_base(key);
+
+  /// Slot of the valid entry holding `key` in the set starting at `base`, or
+  /// kNone. Scans the set's tag column; a stale tag on an invalid way is
+  /// rejected by the entry's valid flag.
+  std::size_t find_in_set(std::size_t base, const Key& key) const {
+    const Key* tags = keys_.data() + base;
+    for (int w = 0; w < ways_; ++w) {
+      const std::size_t s = base + static_cast<std::size_t>(w);
+      if (tags[w] == key && entries_[s].valid) return s;
+    }
+    return kNone;
+  }
+
+  std::size_t slot_of(const Key& key) const {
+    return find_in_set(set_base(key), key);
   }
 
   std::size_t sets_;
   int ways_;
   std::vector<Entry> entries_;
-  TagIndex index_;
+  std::vector<Key> keys_;  ///< tag column: keys_[i] is entries_[i]'s key
   std::uint64_t tick_ = 0;
   std::size_t live_ = 0;
 };

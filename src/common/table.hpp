@@ -185,7 +185,8 @@ class LruTable {
 
   /// Restore counterpart; malformed input is rejected through
   /// `r.fail(message)`, which must not return (snapshot::Reader throws
-  /// SnapshotError).
+  /// SnapshotError): slot indices out of range, descending or duplicated, a
+  /// key resident twice, or a stamp ahead of the restored tick.
   template <typename Reader, typename LoadPayload>
   void load_state(Reader& r, LoadPayload&& lp) {
     clear();
@@ -203,12 +204,20 @@ class LruTable {
       prev = i;
       Entry& e = entries_[i];
       e.key = static_cast<Key>(r.u64());
+      if (index_.find(static_cast<std::uint64_t>(e.key)) != TagIndex::npos) {
+        r.fail("lru table key resident twice");
+      }
       e.last_use = r.u64();
+      if (e.last_use > tick_) {
+        r.fail("lru table last use is ahead of the table tick");
+      }
       e.payload = lp(r);
       e.valid = true;
+      index_.insert(static_cast<std::uint64_t>(e.key),
+                    static_cast<std::uint32_t>(i));
     }
     live_ = static_cast<std::size_t>(count);
-    rebuild_index();
+    rebuild_free();
   }
 
  private:
@@ -226,16 +235,10 @@ class LruTable {
     // Ascending order is already a valid min-heap.
   }
 
-  void rebuild_index() {
-    index_.clear();
+  void rebuild_free() {
     free_.clear();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].valid) {
-        index_.insert(static_cast<std::uint64_t>(entries_[i].key),
-                      static_cast<std::uint32_t>(i));
-      } else {
-        free_.push_back(static_cast<std::uint32_t>(i));
-      }
+      if (!entries_[i].valid) free_.push_back(static_cast<std::uint32_t>(i));
     }
   }
 

@@ -1,17 +1,19 @@
-// Open-addressing key -> slot index for the content-addressed tables.
+// Open-addressing key -> slot index for the fully-associative tables.
 //
-// The hardware tables (LruTable, SetAssocTable, the SC tag array, TLP's
-// Recent Page Table) are CAMs: a probe compares every entry. Exact at
-// hardware scale, but a simulation bottleneck once the probe sits on the
-// per-record spine. This index shadows a table's valid entries with an
-// open-addressing hash (linear probing, backward-shift deletion) so lookups
-// cost O(1) while the table itself keeps its slot array — and therefore its
-// eviction order and PLNSNAP1 serialization — byte-for-byte unchanged.
+// The hardware tables (LruTable, TLP's Recent Page Table) are CAMs: a probe
+// compares every entry. Exact at hardware scale, but a simulation bottleneck
+// once the probe sits on the per-record spine. This index shadows a table's
+// valid entries with an open-addressing hash (linear probing, backward-shift
+// deletion) so lookups cost O(1) while the table itself keeps its slot array
+// — and therefore its eviction order and PLNSNAP1 serialization —
+// byte-for-byte unchanged. Set-associative tables (SetAssocTable, the SC tag
+// array) need no index: they scan the ways of one set.
 //
-// Capacity is fixed at construction (2x the owning table's slot count,
-// rounded to a power of two), so the load factor never exceeds 1/2 and the
-// index never rehashes mid-run. Deletion uses backward shifting instead of
-// tombstones: probe distance stays bounded regardless of churn.
+// Capacity is fixed at construction (at least `cells_per_entry` times the
+// owning table's slot count, default 2, rounded to a power of two), so the
+// load factor never exceeds 1/cells_per_entry and the index never rehashes
+// mid-run. Deletion uses backward shifting instead of tombstones: probe
+// distance stays bounded regardless of churn.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +32,10 @@ class TagIndex {
   /// default-construct the member first.
   TagIndex() : cells_(1), mask_(0) {}
 
-  explicit TagIndex(std::size_t table_capacity) {
+  explicit TagIndex(std::size_t table_capacity,
+                    std::size_t cells_per_entry = 2) {
     std::size_t want = 8;
-    while (want < table_capacity * 2) want <<= 1;
+    while (want < table_capacity * cells_per_entry) want <<= 1;
     cells_.resize(want);
     mask_ = want - 1;
   }

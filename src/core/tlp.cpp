@@ -15,6 +15,10 @@ void TlpConfig::validate() const {
   if (rpt_entries <= 0) {
     throw std::invalid_argument("tlp config: rpt_entries must be positive");
   }
+  if (rpt_entries > 0xFFFF) {
+    // Recency links are 16-bit slot indices with 0xFFFF as the null link.
+    throw std::invalid_argument("tlp config: rpt_entries must be at most 65535");
+  }
   if (distance_threshold == 0) {
     throw std::invalid_argument("tlp config: distance threshold must be positive");
   }
@@ -29,10 +33,51 @@ Tlp::Tlp(const TlpConfig& config)
       bitmaps_(static_cast<std::size_t>(config.rpt_entries)),
       last_use_(static_cast<std::size_t>(config.rpt_entries), 0),
       valid_(static_cast<std::size_t>(config.rpt_entries), 0),
-      page_index_(static_cast<std::size_t>(config.rpt_entries)) {
+      page_index_(static_cast<std::size_t>(config.rpt_entries),
+                  kPageIndexCellsPerEntry) {
   config_.validate();
   ref_words_ = (static_cast<std::size_t>(config_.rpt_entries) + 63) / 64;
   ref_.assign(slot_count() * ref_words_, 0);
+  rebuild_recency();
+}
+
+void Tlp::touch(std::size_t slot) {
+  const auto s = static_cast<std::uint16_t>(slot);
+  if (s == head_) return;
+  // Not the head, so prev_[s] is a real slot.
+  const std::uint16_t p = prev_[s];
+  const std::uint16_t nx = next_[s];
+  next_[p] = nx;
+  if (nx != kNil) {
+    prev_[nx] = p;
+  } else {
+    tail_ = p;
+  }
+  prev_[s] = kNil;
+  next_[s] = head_;
+  prev_[head_] = s;
+  head_ = s;
+}
+
+void Tlp::rebuild_recency() {
+  // Head-to-tail order is descending (valid, last_use, slot), so the tail is
+  // the first invalid slot, else the lowest-index minimum stamp.
+  const std::size_t n = slot_count();
+  std::vector<std::uint16_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint16_t>(i);
+  std::sort(order.begin(), order.end(), [&](std::uint16_t a, std::uint16_t b) {
+    if (valid_[a] != valid_[b]) return valid_[a] > valid_[b];
+    if (last_use_[a] != last_use_[b]) return last_use_[a] > last_use_[b];
+    return a > b;
+  });
+  prev_.assign(n, kNil);
+  next_.assign(n, kNil);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    next_[order[k]] = order[k + 1];
+    prev_[order[k + 1]] = order[k];
+  }
+  head_ = order.front();
+  tail_ = order.back();
 }
 
 int Tlp::find_slot(PageNumber page) const {
@@ -41,62 +86,62 @@ int Tlp::find_slot(PageNumber page) const {
 }
 
 int Tlp::allocate(PageNumber page) {
-  // LRU victim (or first invalid slot). Same selection as the historical
-  // single loop over an entry struct array: first invalid index if any,
-  // otherwise the lowest index holding the minimum LRU stamp. The two flat
-  // column scans below are what the SoA layout buys — each reads one small
-  // contiguous array instead of striding through 32-byte entry structs.
-  const std::size_t n = slot_count();
-  int victim = -1;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (valid_[i] == 0) {
-      victim = static_cast<int>(i);
-      break;
-    }
-  }
-  if (victim < 0) {
-    victim = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (last_use_[i] < last_use_[static_cast<std::size_t>(victim)]) {
-        victim = static_cast<int>(i);
-      }
-    }
-  }
-  const auto v = static_cast<std::size_t>(victim);
+  // LRU victim: the recency list's tail is the first invalid slot while the
+  // table fills, else the least recently used page (see rebuild_recency).
+  // learn() moves the slot to the head once it is stamped.
+  const std::size_t v = tail_;
   if (valid_[v] != 0) page_index_.erase(pages_[v]);
   pages_[v] = page;
   bitmaps_[v].reset();
   valid_[v] = 1;
-  const std::size_t vrow = v * ref_words_;
-  std::fill(ref_.begin() + static_cast<std::ptrdiff_t>(vrow),
-            ref_.begin() + static_cast<std::ptrdiff_t>(vrow + ref_words_), 0);
-  page_index_.insert(page, static_cast<std::uint32_t>(victim));
+  page_index_.insert(page, static_cast<std::uint32_t>(v));
+
   // Wire Ref bits against every resident page (the paper's allocation step:
   // "TLP allocates a new entry and sets Ref0 as 1 because ... neighboring
-  // pages in space"). ref_put overwrites, so this single pass both retires
-  // the old occupant's column and installs the new page's: every valid row's
-  // victim bit is rewritten from the new distance, invalid rows are all-zero
-  // by construction.
-  // The victim's row was zeroed above, so its side is set-only; the column
-  // side must overwrite (set or clear) every valid row's victim bit.
-  std::uint64_t* vrow_words = ref_.data() + vrow;
+  // pages in space"). The victim's new row is one branch-free pass over the
+  // page column: page_j is near iff it lies in [page - t, page + t] clamped
+  // to the u64 range, tested as one unsigned offset compare so every
+  // threshold t is exact, including ones where 2t overflows. The victim's own
+  // slot (distance 0) is masked out afterwards.
+  //
+  // The column side touches only rows whose bit changes. Ref is symmetric,
+  // so the old row (all-zero for a slot that was invalid) lists exactly the
+  // rows holding the evicted page's bit, and the new row lists the rows that
+  // must hold the new page's: toggling bit v in the rows of old ^ new
+  // retires the one and installs the other in O(neighbours).
+  const std::size_t n = slot_count();
+  const std::size_t words = ref_words_;
+  std::uint64_t* const ref = ref_.data();
+  const PageNumber* const pages = pages_.data();
+  const std::uint8_t* const valid = valid_.data();
+  const std::uint64_t t = config_.distance_threshold;
+  const std::uint64_t lo = page >= t ? page - t : 0;
+  const std::uint64_t hi = page <= UINT64_MAX - t ? page + t : UINT64_MAX;
+  const std::uint64_t span = hi - lo;
   const std::size_t vword = v / 64;
   const std::uint64_t vbit = 1ull << (v % 64);
-  const std::uint64_t threshold = config_.distance_threshold;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (valid_[j] == 0 || j == v) continue;
-    const std::uint64_t distance =
-        page > pages_[j] ? page - pages_[j] : pages_[j] - page;
-    const bool near = distance <= threshold;
-    if (near) vrow_words[j / 64] |= 1ull << (j % 64);
-    std::uint64_t& col = ref_[j * ref_words_ + vword];
-    col = near ? (col | vbit) : (col & ~vbit);
+  std::uint64_t* const vrow = ref + v * words;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t count = std::min<std::size_t>(64, n - base);
+    std::uint64_t bits = 0;
+    for (std::size_t k = count; k-- > 0;) {
+      const std::uint64_t near =
+          static_cast<std::uint64_t>(pages[base + k] - lo <= span) &
+          valid[base + k];
+      bits = (bits << 1) | near;
+    }
+    if (w == vword) bits &= ~vbit;
+    for (std::uint64_t flip = bits ^ vrow[w]; flip != 0; flip &= flip - 1) {
+      const std::size_t j =
+          base + static_cast<std::size_t>(std::countr_zero(flip));
+      ref[j * words + vword] ^= vbit;
+    }
+    vrow[w] = bits;
   }
   // The neighbor matrix is irreflexive (no entry references itself) and,
   // after the bidirectional wiring above, symmetric.
-  PLANARIA_ENSURE_MSG(kTableOccupancy,
-                      !ref_get(static_cast<std::size_t>(victim),
-                               static_cast<std::size_t>(victim)),
+  PLANARIA_ENSURE_MSG(kTableOccupancy, !ref_get(v, v),
                       "RPT entry must not reference itself");
   // The full O(N^2) sweep is too expensive for every allocation under
   // sanitizers; sample it instead. A corrupted Ref bit persists until one of
@@ -105,7 +150,7 @@ int Tlp::allocate(PageNumber page) {
       (stats_.allocations & 255u) != 0 || ref_matrix_consistent(),
       "RPT Ref matrix lost symmetry on allocation");
   ++stats_.allocations;
-  return victim;
+  return static_cast<int>(v);
 }
 
 bool Tlp::ref_matrix_consistent() const {
@@ -153,6 +198,7 @@ void Tlp::learn(const prefetch::DemandEvent& event) {
                      slot >= 0 && slot < config_.rpt_entries);
   bitmaps_[static_cast<std::size_t>(slot)].set(event.block_in_segment);
   last_use_[static_cast<std::size_t>(slot)] = ++tick_;
+  touch(static_cast<std::size_t>(slot));
 }
 
 bool Tlp::issue(const prefetch::DemandEvent& event,
@@ -305,6 +351,7 @@ void Tlp::load_state(snapshot::Reader& r) {
   stats_.issue_triggers = r.u64();
   stats_.transfers = r.u64();
   stats_.prefetches_issued = r.u64();
+  rebuild_recency();
 }
 
 }  // namespace planaria::core

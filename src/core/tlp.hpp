@@ -12,7 +12,11 @@
 // comparison ("larger than a threshold ... set as 1") but Figure 6 and the
 // worked 0x100/0x110 example are unambiguous that *near* pages reference each
 // other; we follow the figure (see DESIGN.md). The Ref matrix is maintained
-// incrementally on allocation/eviction, exactly as cheap hardware would.
+// incrementally on allocation/eviction, exactly as cheap hardware would: the
+// evicted page's column is retired through its own (symmetric) row and the
+// new page's column is set only in its neighbours' rows, so the rewiring
+// costs one distance pass plus O(neighbours) bit writes. Replacement is LRU
+// over an intrusive recency list, so picking the victim is O(1).
 //
 // Issuing: among referenced entries whose bitmap shares at least
 // `min_common_bits` set bits with the trigger page's bitmap (the example's
@@ -76,39 +80,40 @@ class Tlp {
   /// encoding because the Ref matrix is slot-addressed. load_state throws
   /// SnapshotError on an RPT no allocation sequence could produce: a page
   /// resident in two slots, an LRU stamp ahead of the tick, or a Ref bit that
-  /// disagrees with the page distances.
+  /// disagrees with the page distances. The recency list is not encoded; it
+  /// is rebuilt from the stamps.
   void save_state(snapshot::Writer& w) const;
   void load_state(snapshot::Reader& r);
 
  private:
   // The RPT is stored as parallel columns rather than an array of structs:
-  // allocate() scans every slot's valid flag / LRU stamp (victim selection)
-  // and page number (Ref wiring) on each allocation, and issue() walks valid
-  // flags and bitmaps. Splitting the fields keeps each of those scans inside
-  // a handful of contiguous cache lines and lets the compiler vectorize the
-  // min/compare loops; the snapshot encoding is per-slot logical fields, so
-  // the layout change is invisible to PLNSNAP1 streams.
+  // allocate() scans every slot's valid flag and page number (Ref wiring) on
+  // each allocation, and issue() walks valid flags and bitmaps. Splitting the
+  // fields keeps each of those scans inside a handful of contiguous cache
+  // lines; the snapshot encoding is per-slot logical fields, so the layout
+  // is invisible to PLNSNAP1 streams.
   std::size_t slot_count() const { return pages_.size(); }
+
+  // Recency list: an intrusive doubly linked list over the slots, head_ most
+  // recently used, tail_ the victim. prev_ links toward the head, next_
+  // toward the tail. Invalid slots sit at the tail end in ascending slot
+  // order, so the tail is always what the linear rule picks: the first
+  // invalid slot, else the lowest-index minimum last_use_. The list is
+  // derived from valid_/last_use_ and rebuilt by load_state.
+  static constexpr std::uint16_t kNil = 0xFFFF;
+  void touch(std::size_t slot);
+  void rebuild_recency();
 
   // The Ref matrix lives outside the entries in one flat bit matrix: row i
   // occupies ref_[i*ref_words_ .. (i+1)*ref_words_), one bit per slot packed
-  // 64 slots per word (slot j -> word j/64 bit j%64). Allocation rewires a
-  // whole column, which on a contiguous matrix is a strided walk through a
-  // couple of KB instead of a pointer chase into N separate heap rows. Bits
-  // >= rpt_entries stay zero. The snapshot encoding (8 slots per byte) is
-  // exactly these words' little-endian bytes, so the packed representation
-  // serializes byte-identically to the old per-entry vector<bool>.
+  // 64 slots per word (slot j -> word j/64 bit j%64). Allocation writes the
+  // victim's row whole and touches only the rows whose column bit changes,
+  // all inside one contiguous couple of KB. Bits >= rpt_entries stay zero.
+  // The snapshot encoding (8 slots per byte) is exactly these words'
+  // little-endian bytes, so the packed representation serializes
+  // byte-identically to the old per-entry vector<bool>.
   bool ref_get(std::size_t i, std::size_t j) const {
     return ((ref_[i * ref_words_ + j / 64] >> (j % 64)) & 1u) != 0;
-  }
-  void ref_put(std::size_t i, std::size_t j, bool v) {
-    const std::uint64_t bit = 1ull << (j % 64);
-    std::uint64_t& word = ref_[i * ref_words_ + j / 64];
-    if (v) {
-      word |= bit;
-    } else {
-      word &= ~bit;
-    }
   }
 
   int find_slot(PageNumber page) const;
@@ -126,6 +131,15 @@ class Tlp {
   std::vector<std::uint8_t> valid_;      ///< per-slot occupancy flag
   std::size_t ref_words_ = 1;        ///< 64-bit words per Ref row
   std::vector<std::uint64_t> ref_;   ///< flat N x ref_words_ bit matrix
+  std::vector<std::uint16_t> prev_;  ///< recency link toward head_
+  std::vector<std::uint16_t> next_;  ///< recency link toward tail_
+  std::uint16_t head_ = kNil;        ///< most recently used slot
+  std::uint16_t tail_ = kNil;        ///< LRU victim
+  // Every allocation erases one page from the index and inserts another. At
+  // the default 1/2 load the probe loops' exits mispredict often enough to
+  // cost about as much as the Ref row pass; 1/8 load (16 KiB at 128 entries)
+  // cuts that to about a quarter.
+  static constexpr std::size_t kPageIndexCellsPerEntry = 8;
   TagIndex page_index_;  ///< page -> RPT slot, shadowing the valid entries
   std::uint64_t tick_ = 0;
   TlpStats stats_;

@@ -160,6 +160,12 @@ TEST(Tlp, ConfigValidation) {
   config = TlpConfig{};
   config.min_common_bits = 17;
   EXPECT_THROW(Tlp{config}, std::invalid_argument);
+  // Recency links are 16-bit slot indices with one value reserved as null.
+  config = TlpConfig{};
+  config.rpt_entries = 65535;
+  EXPECT_NO_THROW(config.validate());
+  config.rpt_entries = 65536;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
 TEST(Tlp, LearnsBitmaps) {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "common/block_map.hpp"
 #include "common/set_table.hpp"
 #include "common/table.hpp"
+#include "core/tlp.hpp"
 #include "dram/channel.hpp"
 #include "dram/config.hpp"
 #include "fault/fault.hpp"
@@ -154,8 +156,9 @@ class RefLruTable {
 
 // ------------------------------------------------------ reference set-assoc
 
-// The original SetAssocTable: same set hash, but lookups scan the set's ways
-// instead of probing the TagIndex.
+// The original SetAssocTable: same set hash, with the key stored in each
+// way's entry (array of structs). The table under test keeps keys in a
+// separate tag column and lets invalid ways keep stale keys.
 class RefSetAssocTable {
  public:
   RefSetAssocTable(std::size_t sets, int ways)
@@ -627,6 +630,241 @@ TEST(DifferentialPollutionFilter, MatchesFifoPlusUnorderedSetAcrossWrap) {
   EXPECT_GT(ref.same_slot_overwrites(), 0u);
   EXPECT_LT(ref.queued_members(), kCap);
   EXPECT_GT(ref_pollution_misses, kCap);
+}
+
+// ------------------------------------------------------------- TLP RPT
+
+// The RPT as first written: linear page lookup, victim = first invalid slot
+// else the lowest-index minimum stamp (a full scan), and on every allocation
+// a full O(N) rewrite of the victim's Ref row and column from the page
+// distances. Tlp replaces the scan with a recency list and the rewrite with
+// neighbour-proportional bit flips; both must be invisible.
+class RefTlp {
+ public:
+  explicit RefTlp(const core::TlpConfig& config)
+      : config_(config),
+        n_(static_cast<std::size_t>(config.rpt_entries)),
+        pages_(n_, 0),
+        bitmaps_(n_),
+        last_use_(n_, 0),
+        valid_(n_, false),
+        ref_(n_, std::vector<bool>(n_, false)) {}
+
+  void learn(const prefetch::DemandEvent& event) {
+    int slot = find_slot(event.page);
+    if (slot < 0) slot = allocate(event.page);
+    const auto s = static_cast<std::size_t>(slot);
+    bitmaps_[s].set(event.block_in_segment);
+    last_use_[s] = ++tick_;
+  }
+
+  bool issue(const prefetch::DemandEvent& event,
+             std::vector<prefetch::PrefetchRequest>& out) {
+    ++stats_.issue_triggers;
+    const int slot = find_slot(event.page);
+    if (slot < 0) return false;
+    const SegmentBitmap self = bitmaps_[static_cast<std::size_t>(slot)];
+    int best = -1;
+    int best_common = config_.min_common_bits - 1;
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (!ref_[static_cast<std::size_t>(slot)][j] || !valid_[j]) continue;
+      const int common = self.common_with(bitmaps_[j]);
+      if (common > best_common) {
+        best_common = common;
+        best = static_cast<int>(j);
+      }
+    }
+    if (best < 0) return false;
+    const SegmentBitmap to_fetch =
+        bitmaps_[static_cast<std::size_t>(best)].minus(self);
+    if (to_fetch.empty()) return false;
+    ++stats_.transfers;
+    to_fetch.for_each_set([&](int block) {
+      out.push_back(prefetch::PrefetchRequest{
+          event.page * kBlocksPerSegment + static_cast<std::uint64_t>(block),
+          cache::FillSource::kPrefetchTlp});
+      ++stats_.prefetches_issued;
+    });
+    return true;
+  }
+
+  const SegmentBitmap* bitmap_of(PageNumber page) const {
+    const int slot = find_slot(page);
+    return slot < 0 ? nullptr : &bitmaps_[static_cast<std::size_t>(slot)];
+  }
+
+  const core::TlpStats& stats() const { return stats_; }
+
+  /// The TLP0 section layout Tlp::save_state writes.
+  void save_state(snapshot::Writer& w) const {
+    w.tag(snapshot::tag4("TLP0"));
+    w.u64(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      w.b(valid_[i]);
+      if (!valid_[i]) continue;
+      w.u64(pages_[i]);
+      w.u16(static_cast<std::uint16_t>(bitmaps_[i].raw()));
+      w.u64(last_use_[i]);
+      for (std::size_t b = 0; b < (n_ + 7) / 8; ++b) {
+        std::uint8_t byte = 0;
+        for (std::size_t k = 0; k < 8 && 8 * b + k < n_; ++k) {
+          if (ref_[i][8 * b + k]) byte |= static_cast<std::uint8_t>(1u << k);
+        }
+        w.u8(byte);
+      }
+    }
+    w.u64(tick_);
+    w.u64(stats_.allocations);
+    w.u64(stats_.issue_triggers);
+    w.u64(stats_.transfers);
+    w.u64(stats_.prefetches_issued);
+  }
+
+ private:
+  int find_slot(PageNumber page) const {
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (valid_[i] && pages_[i] == page) return static_cast<int>(i);
+    }
+    return -1;
+  }
+
+  int allocate(PageNumber page) {
+    std::size_t v = n_;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (!valid_[i]) {
+        v = i;
+        break;
+      }
+    }
+    if (v == n_) {
+      v = 0;
+      for (std::size_t i = 1; i < n_; ++i) {
+        if (last_use_[i] < last_use_[v]) v = i;
+      }
+    }
+    pages_[v] = page;
+    bitmaps_[v].reset();
+    valid_[v] = true;
+    for (std::size_t j = 0; j < n_; ++j) {
+      const std::uint64_t distance =
+          page > pages_[j] ? page - pages_[j] : pages_[j] - page;
+      const bool near =
+          valid_[j] && j != v && distance <= config_.distance_threshold;
+      ref_[v][j] = near;
+      ref_[j][v] = near;
+    }
+    ++stats_.allocations;
+    return static_cast<int>(v);
+  }
+
+  core::TlpConfig config_;
+  std::size_t n_;
+  std::vector<PageNumber> pages_;
+  std::vector<SegmentBitmap> bitmaps_;
+  std::vector<std::uint64_t> last_use_;
+  std::vector<bool> valid_;
+  std::vector<std::vector<bool>> ref_;
+  std::uint64_t tick_ = 0;
+  core::TlpStats stats_;
+};
+
+std::vector<std::uint8_t> tlp_bytes(const core::Tlp& t) {
+  snapshot::Writer w;
+  t.save_state(w);
+  return w.buffer();
+}
+
+std::vector<std::uint8_t> ref_tlp_bytes(const RefTlp& t) {
+  snapshot::Writer w;
+  t.save_state(w);
+  return w.buffer();
+}
+
+TEST(DifferentialTlp, MatchesFullScanReferenceAcrossGeometries) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // Cluster bases put pages at both ends of the u64 range and in its middle,
+  // so cross-cluster distances straddle every threshold below, including
+  // ones where page +- threshold leaves the range.
+  const std::uint64_t bases[] = {0, std::uint64_t{1} << 20,
+                                 std::uint64_t{1} << 63, kMax - 4096};
+  for (int entries : {1, 2, 63, 64, 65, 128, 200}) {
+    for (std::uint64_t threshold :
+         {std::uint64_t{1}, std::uint64_t{64}, std::uint64_t{1} << 63, kMax}) {
+      SCOPED_TRACE("rpt_entries " + std::to_string(entries) + " threshold " +
+                   std::to_string(threshold));
+      core::TlpConfig config;
+      config.rpt_entries = entries;
+      config.distance_threshold = threshold;
+      auto tlp = std::make_unique<core::Tlp>(config);
+      RefTlp reference(config);
+      std::mt19937_64 rng(static_cast<std::uint64_t>(entries) * 7919 +
+                          threshold % 104729);
+      // Offsets span ~4x the table, so clusters both hit and evict.
+      std::uniform_int_distribution<std::uint64_t> offset_dist(
+          0, 4 * static_cast<std::uint64_t>(entries) + 8);
+      std::uniform_int_distribution<int> cluster_dist(0, 3);
+      std::uniform_int_distribution<int> block_dist(0, kBlocksPerSegment - 1);
+      std::uniform_int_distribution<int> op_dist(0, 99);
+      PageNumber last_page = bases[1];
+      constexpr int kSteps = 3000;
+      for (int step = 0; step < kSteps; ++step) {
+        if (step == kSteps / 2) {
+          // Restore into a fresh Tlp: the recency list is rebuilt from the
+          // stamps and must pick the same victims from here on.
+          const auto bytes = tlp_bytes(*tlp);
+          auto restored = std::make_unique<core::Tlp>(config);
+          snapshot::Reader r(bytes);
+          restored->load_state(r);
+          r.require_end();
+          tlp = std::move(restored);
+          ASSERT_EQ(tlp_bytes(*tlp), bytes);
+        }
+        prefetch::DemandEvent e;
+        const int op = op_dist(rng);
+        e.page = op < 30 ? last_page
+                         : bases[cluster_dist(rng)] + offset_dist(rng);
+        e.block_in_segment = block_dist(rng);
+        last_page = e.page;
+        tlp->learn(e);
+        reference.learn(e);
+        if (op % 2 == 0) {
+          std::vector<prefetch::PrefetchRequest> got;
+          std::vector<prefetch::PrefetchRequest> want;
+          ASSERT_EQ(tlp->issue(e, got), reference.issue(e, want))
+              << "step " << step;
+          ASSERT_EQ(got.size(), want.size()) << "step " << step;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k].local_block, want[k].local_block)
+                << "step " << step;
+            ASSERT_EQ(got[k].source, want[k].source) << "step " << step;
+          }
+        }
+        const PageNumber probe =
+            bases[cluster_dist(rng)] + offset_dist(rng);
+        for (PageNumber page : {e.page, probe}) {
+          const SegmentBitmap* a = tlp->bitmap_of(page);
+          const SegmentBitmap* b = reference.bitmap_of(page);
+          ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
+          if (a != nullptr) {
+            ASSERT_EQ(a->raw(), b->raw()) << "step " << step;
+          }
+        }
+        const core::TlpStats& sa = tlp->stats();
+        const core::TlpStats& sb = reference.stats();
+        ASSERT_EQ(sa.allocations, sb.allocations) << "step " << step;
+        ASSERT_EQ(sa.issue_triggers, sb.issue_triggers) << "step " << step;
+        ASSERT_EQ(sa.transfers, sb.transfers) << "step " << step;
+        ASSERT_EQ(sa.prefetches_issued, sb.prefetches_issued)
+            << "step " << step;
+        if (step % 97 == 0) {
+          ASSERT_EQ(tlp_bytes(*tlp), ref_tlp_bytes(reference))
+              << "snapshot divergence at step " << step;
+        }
+      }
+      EXPECT_EQ(tlp_bytes(*tlp), ref_tlp_bytes(reference));
+      EXPECT_GT(tlp->stats().allocations, static_cast<std::uint64_t>(entries));
+    }
+  }
 }
 
 // ------------------------------------------------- DRAM advance equivalence

@@ -1082,6 +1082,167 @@ TEST(TlpSnapshotValidation, LastUseAheadOfTickIsRejected) {
                snapshot::SnapshotError);
 }
 
+// ------------------------------------------- crafted table sections
+//
+// LruTable and SetAssocTable sections are outside input too: a key resident
+// twice, a stamp ahead of the table tick, or (set-associative only) a key
+// stored outside the set its hash selects is something no run could have
+// saved, and must be refused in every build, not only under debug asserts.
+
+/// One valid slot of a hand-built table section.
+struct CraftedTableSlot {
+  std::uint64_t slot = 0;
+  std::uint64_t key = 0;
+  std::uint64_t last_use = 0;
+};
+
+constexpr std::size_t kCraftedPtSets = 2;
+constexpr int kCraftedPtWays = 2;
+
+core::SlpConfig crafted_slp_config() {
+  core::SlpConfig config;
+  config.ft_sets = 1;
+  config.ft_ways = 1;
+  config.at_sets = 1;
+  config.at_ways = 1;
+  config.pt_sets = static_cast<int>(kCraftedPtSets);
+  config.pt_ways = kCraftedPtWays;
+  return config;
+}
+
+/// The PT set `page` hashes to, read back from where an empty table of the
+/// crafted geometry stores it (way 0 of its set).
+std::size_t crafted_pt_set_of(PageNumber page) {
+  SetAssocTable<PageNumber, SegmentBitmap> probe(kCraftedPtSets,
+                                                 kCraftedPtWays);
+  probe.insert(page, SegmentBitmap(0x1));
+  snapshot::Writer w;
+  probe.save_state(w, [](snapshot::Writer& o, const SegmentBitmap& bm) {
+    o.u16(static_cast<std::uint16_t>(bm.raw()));
+  });
+  snapshot::Reader r(w.buffer());
+  r.u64();  // tick
+  r.u64();  // live count
+  return static_cast<std::size_t>(r.u64()) / kCraftedPtWays;
+}
+
+/// First page at or above `from` that hashes to PT set `set`.
+PageNumber crafted_pt_page_in_set(std::size_t set, PageNumber from) {
+  PageNumber page = from;
+  while (crafted_pt_set_of(page) != set) ++page;
+  return page;
+}
+
+/// An SLP0 section with empty FT and AT and the given PT slots.
+std::vector<std::uint8_t> craft_slp_stream(
+    const std::vector<CraftedTableSlot>& pt_slots, std::uint64_t pt_tick) {
+  snapshot::Writer w;
+  w.tag(snapshot::tag4("SLP0"));
+  for (int table = 0; table < 2; ++table) {  // FT, AT: tick 0, no entries
+    w.u64(0);
+    w.u64(0);
+  }
+  w.u64(pt_tick);
+  w.u64(pt_slots.size());
+  for (const CraftedTableSlot& s : pt_slots) {
+    w.u64(s.slot);
+    w.u64(s.key);
+    w.u64(s.last_use);
+    w.u16(0x00F0);
+  }
+  for (int i = 0; i < 8; ++i) w.u64(0);  // stats + sweep counter
+  return w.buffer();
+}
+
+void load_crafted_slp(const std::vector<std::uint8_t>& stream) {
+  core::Slp slp(crafted_slp_config());
+  snapshot::Reader r(stream);
+  slp.load_state(r);
+  r.require_end();
+}
+
+TEST(TableSnapshotValidation, WellFormedCraftedPtLoadsAndRoundTrips) {
+  const PageNumber in_set0 = crafted_pt_page_in_set(0, 100);
+  const PageNumber in_set1 = crafted_pt_page_in_set(1, 100);
+  const auto stream = craft_slp_stream(
+      {{0, in_set0, 1}, {2 * kCraftedPtWays - 1, in_set1, 2}}, 2);
+  core::Slp slp(crafted_slp_config());
+  snapshot::Reader r(stream);
+  slp.load_state(r);
+  r.require_end();
+  snapshot::Writer again;
+  slp.save_state(again);
+  EXPECT_EQ(again.buffer(), stream);
+}
+
+TEST(TableSnapshotValidation, PtKeyResidentTwiceIsRejected) {
+  const PageNumber page = crafted_pt_page_in_set(0, 100);
+  EXPECT_THROW(load_crafted_slp(craft_slp_stream(
+                   {{0, page, 1}, {1, page, 2}}, 2)),
+               snapshot::SnapshotError);
+}
+
+TEST(TableSnapshotValidation, PtLastUseAheadOfTickIsRejected) {
+  const PageNumber page = crafted_pt_page_in_set(0, 100);
+  EXPECT_THROW(load_crafted_slp(craft_slp_stream({{0, page, 3}}, 2)),
+               snapshot::SnapshotError);
+}
+
+TEST(TableSnapshotValidation, PtKeyOutsideItsSetIsRejected) {
+  // A set-1 page stored in set 0: the set-local lookup would never find it.
+  const PageNumber page = crafted_pt_page_in_set(1, 100);
+  EXPECT_THROW(load_crafted_slp(craft_slp_stream({{0, page, 1}}, 1)),
+               snapshot::SnapshotError);
+}
+
+/// An LruTable<u64, u64> section with the given slots (payload = key + 1).
+std::vector<std::uint8_t> craft_lru_stream(
+    const std::vector<CraftedTableSlot>& slots, std::uint64_t tick) {
+  snapshot::Writer w;
+  w.u64(tick);
+  w.u64(slots.size());
+  for (const CraftedTableSlot& s : slots) {
+    w.u64(s.slot);
+    w.u64(s.key);
+    w.u64(s.last_use);
+    w.u64(s.key + 1);
+  }
+  return w.buffer();
+}
+
+void load_crafted_lru(const std::vector<std::uint8_t>& stream) {
+  LruTable<std::uint64_t, std::uint64_t> table(4);
+  snapshot::Reader r(stream);
+  table.load_state(r, [](snapshot::Reader& i) { return i.u64(); });
+  r.require_end();
+}
+
+TEST(TableSnapshotValidation, LruKeyResidentTwiceIsRejected) {
+  EXPECT_THROW(load_crafted_lru(craft_lru_stream({{0, 7, 1}, {2, 7, 2}}, 2)),
+               snapshot::SnapshotError);
+}
+
+TEST(TableSnapshotValidation, LruLastUseAheadOfTickIsRejected) {
+  EXPECT_THROW(load_crafted_lru(craft_lru_stream({{0, 7, 1}, {1, 9, 4}}, 3)),
+               snapshot::SnapshotError);
+}
+
+TEST(TableSnapshotValidation, WellFormedCraftedLruLoadsAndEvictsOldest) {
+  const auto stream = craft_lru_stream({{0, 7, 2}, {1, 9, 1}, {3, 11, 3}}, 3);
+  LruTable<std::uint64_t, std::uint64_t> table(4);
+  snapshot::Reader r(stream);
+  table.load_state(r, [](snapshot::Reader& i) { return i.u64(); });
+  r.require_end();
+  ASSERT_NE(table.peek(9), nullptr);
+  EXPECT_EQ(*table.peek(9), 10u);
+  // Slot 2 is free, so the first insert fills it; the next evicts key 9,
+  // the minimum stamp.
+  EXPECT_FALSE(table.insert(13, 14).has_value());
+  const auto evicted = table.insert(15, 16);
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(evicted->key, 9u);
+}
+
 TEST(SnapshotTypeCoverage, LruTableRoundTripsWithExactRecency) {
   LruTable<std::uint64_t, std::uint64_t> table(8);
   for (std::uint64_t k = 0; k < 13; ++k) table.insert(k * 3, k + 100);

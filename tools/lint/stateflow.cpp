@@ -20,7 +20,7 @@
 //   * an ordered "serializing touch" is a whole-value use (w.u64(m_),
 //     m_ = r.u64()) or a member call (m_.save_state(w, ...)) in a statement
 //     that names the codec object (the method's Writer/Reader parameter) —
-//     derived-state rebuilds (clear(), rebuild_index()) and bare field
+//     derived-state rebuilds (clear(), rebuild_free()) and bare field
 //     accesses (w.u64(counters_.reads)) register as mentions but never as
 //     ordered touches, so field-granular codecs are checked at member
 //     granularity only;
