@@ -174,6 +174,60 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
+// Generation at planaria_long scale, for the three apps that workload runs:
+// the four component sources merged as they run into one 1M-record trace.
+void BM_GenerateAppTrace(benchmark::State& state, const char* app) {
+  constexpr std::uint64_t kRecords = 1000000;
+  const trace::AppProfile& profile = trace::app_by_name(app);
+  for (auto _ : state) {
+    auto trace = trace::generate_app_trace(profile, kRecords);
+    benchmark::DoNotOptimize(trace.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK_CAPTURE(BM_GenerateAppTrace, HoK, "HoK")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateAppTrace, Fort, "Fort")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateAppTrace, PM, "PM")->Unit(benchmark::kMillisecond);
+
+// merge_sorted over HoK's four materialized sub-streams at a 1M-record
+// budget: the same mix and pacing generate_app_trace merges.
+void BM_MergeSorted(benchmark::State& state) {
+  constexpr std::uint64_t kRecords = 1000000;
+  const trace::AppProfile& app = trace::app_by_name("HoK");
+  const Cycle horizon = kRecords * app.mean_gap;
+  const auto budget = [&](double weight) {
+    return static_cast<std::uint64_t>(static_cast<double>(kRecords) * weight);
+  };
+  const double b = app.burstiness;
+  Rng rng(app.seed);
+  const std::vector<std::vector<trace::TraceRecord>> streams = {
+      trace::generate_footprint(
+          app.footprint,
+          trace::Pacing{budget(app.weight_footprint), horizon, 0, 0.5, b}, rng),
+      trace::generate_neighbor(
+          app.neighbor,
+          trace::Pacing{budget(app.weight_neighbor), horizon, 0, 0.5, b}, rng),
+      trace::generate_stream(
+          app.stream,
+          trace::Pacing{budget(app.weight_stream), horizon, 6, 0.5, b}, rng),
+      trace::generate_irregular(
+          app.irregular,
+          trace::Pacing{budget(app.weight_irregular), horizon, 8, 0.5, b},
+          rng)};
+  std::int64_t records = 0;
+  for (const auto& stream : streams) {
+    records += static_cast<std::int64_t>(stream.size());
+  }
+  for (auto _ : state) {
+    auto merged = trace::merge_sorted(streams);
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          records);
+}
+BENCHMARK(BM_MergeSorted)->Unit(benchmark::kMillisecond);
+
 void BM_Crc32(benchmark::State& state) {
   constexpr std::size_t kBytes = std::size_t{16} << 20;
   std::vector<std::uint8_t> buf(kBytes);

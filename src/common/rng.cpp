@@ -1,6 +1,5 @@
 #include "common/rng.hpp"
 
-#include <bit>
 #include <cmath>
 
 namespace planaria {
@@ -24,52 +23,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  PLANARIA_ASSERT(bound > 0);
-  // Lemire's multiply-shift rejection method: unbiased and fast.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    const std::uint64_t t = -bound % bound;
-    while (l < t) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::next_range(std::int64_t lo, std::int64_t hi) {
-  PLANARIA_ASSERT(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::next_double() {
-  // 53 high bits -> uniform double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
-}
-
 int Rng::burst_length(double continue_p, int max_len) {
   PLANARIA_ASSERT(max_len >= 1);
   int len = 1;
@@ -78,21 +31,32 @@ int Rng::burst_length(double continue_p, int max_len) {
 }
 
 std::uint64_t Rng::next_zipf(std::uint64_t n, double s) {
+  return ZipfSampler(n, s)(*this);
+}
+
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : n_(n), log_form_(std::abs(s - 1.0) < 1e-9) {
   PLANARIA_ASSERT(n > 0);
-  if (n == 1) return 0;
   // Inverse-CDF over the continuous approximation of the generalized
   // harmonic number H(k) ~ (k^(1-s) - 1) / (1-s) for s != 1, ln(k) for s == 1.
-  const double u = next_double();
-  double k;
   const auto nd = static_cast<double>(n);
-  if (std::abs(s - 1.0) < 1e-9) {
-    k = std::exp(u * std::log(nd));
+  if (log_form_) {
+    log_n_ = std::log(nd);
   } else {
-    const double h = (std::pow(nd, 1.0 - s) - 1.0) / (1.0 - s);
-    k = std::pow(u * h * (1.0 - s) + 1.0, 1.0 / (1.0 - s));
+    h_ = (std::pow(nd, 1.0 - s) - 1.0) / (1.0 - s);
+    one_minus_s_ = 1.0 - s;
+    inv_exponent_ = 1.0 / (1.0 - s);
   }
+}
+
+std::uint64_t ZipfSampler::operator()(Rng& rng) const {
+  if (n_ == 1) return 0;
+  const double u = rng.next_double();
+  const double k = log_form_
+                       ? std::exp(u * log_n_)
+                       : std::pow(u * h_ * one_minus_s_ + 1.0, inv_exponent_);
   auto rank = static_cast<std::uint64_t>(k);
-  if (rank >= n) rank = n - 1;
+  if (rank >= n_) rank = n_ - 1;
   return rank;
 }
 

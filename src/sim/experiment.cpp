@@ -35,7 +35,8 @@ ExperimentRunner::ExperimentRunner(SimConfig config, std::uint64_t records,
   checkpoint_every_ = env.every;
 }
 
-const trace::TraceBatch& ExperimentRunner::trace_for(const std::string& app) {
+ExperimentRunner::TraceEntry& ExperimentRunner::trace_entry(
+    const std::string& app) {
   TraceEntry* entry = nullptr;
   {
     std::lock_guard<std::mutex> lock(traces_mutex_);
@@ -44,13 +45,104 @@ const trace::TraceBatch& ExperimentRunner::trace_for(const std::string& app) {
   std::call_once(entry->once, [&] {
     entry->batch = trace::TraceBatch(
         trace::generate_app_trace(trace::app_by_name(app), records_));
+    entry->fingerprint = trace_fingerprint(entry->batch);
   });
-  return entry->batch;
+  return *entry;
+}
+
+const trace::TraceBatch& ExperimentRunner::trace_for(const std::string& app) {
+  return trace_entry(app).batch;
 }
 
 void ExperimentRunner::clear_trace_cache() {
   std::lock_guard<std::mutex> lock(traces_mutex_);
   traces_.clear();
+}
+
+std::uint64_t ExperimentRunner::config_digest() const {
+  // Every knob a cell's SimResult depends on besides the trace. A field added
+  // to one of these configs belongs here too; otherwise changing it would
+  // reload cells simulated under its old value.
+  snapshot::Writer w;
+  const cache::CacheConfig& cache = config_.cache;
+  w.u64(cache.size_bytes);
+  w.i64(cache.ways);
+  w.i64(cache.block_bytes);
+  w.u8(static_cast<std::uint8_t>(cache.replacement));
+  w.u64(cache.seed);
+  const dram::TimingConfig& t = config_.dram.timing;
+  for (const int v : {t.tRAS, t.tRCD, t.tRRD, t.tRC, t.tRP, t.tCCD, t.tRTP,
+                      t.tWTR, t.tWR, t.tRTRS, t.tRFC, t.tFAW, t.tCKE, t.tXP,
+                      t.tCMD, t.burst_length, t.tCL, t.tCWL, t.tREFI,
+                      t.tRFCpb}) {
+    w.i64(v);
+  }
+  const dram::GeometryConfig& g = config_.dram.geometry;
+  for (const int v : {g.channels, g.ranks, g.banks, g.rows, g.blocks_per_row}) {
+    w.i64(v);
+  }
+  const dram::ControllerConfig& c = config_.dram.controller;
+  for (const int v : {c.read_queue_depth, c.write_queue_depth,
+                      c.write_drain_high, c.write_drain_low,
+                      c.max_postponed_refreshes, c.powerdown_idle_threshold}) {
+    w.i64(v);
+  }
+  w.b(c.per_bank_refresh);
+  const dram::PowerParams& p = config_.dram_power;
+  for (const double v : {p.e_activate_nj, p.e_read_nj, p.e_write_nj, p.e_io_nj,
+                         p.e_refresh_nj, p.p_background_mw, p.p_powerdown_mw,
+                         p.clock_ghz}) {
+    w.f64(v);
+  }
+  const SramPowerParams& sram = config_.sram_power;
+  for (const double v : {sram.e_sc_access_nj, sram.e_meta_probe_nj,
+                         sram.meta_probes_per_access, sram.leak_mw_per_mb,
+                         sram.clock_ghz}) {
+    w.f64(v);
+  }
+  const CpuModelParams& cpu = config_.cpu;
+  for (const double v : {cpu.instructions_per_access, cpu.base_cpi,
+                         cpu.stall_overlap, cpu.cpu_clock_ghz,
+                         cpu.mem_clock_ghz}) {
+    w.f64(v);
+  }
+  w.u64(config_.sc_hit_latency);
+  w.i64(config_.max_prefetches_per_trigger);
+  const fault::FaultPlan& fault = config_.fault;
+  w.u64(fault.seed);
+  for (const double rate : fault.rate) w.f64(rate);
+  w.u64(fault.dram_stall_cycles);
+  w.u64(fault.prefetch_delay_cycles);
+
+  const core::SlpConfig& slp = planaria_.slp;
+  for (const int v : {slp.ft_sets, slp.ft_ways, slp.at_sets, slp.at_ways,
+                      slp.pt_sets, slp.pt_ways, slp.promote_threshold}) {
+    w.i64(v);
+  }
+  w.u64(slp.at_timeout);
+  w.u64(slp.sweep_interval);
+  w.i64(planaria_.tlp.rpt_entries);
+  w.u64(planaria_.tlp.distance_threshold);
+  w.i64(planaria_.tlp.min_common_bits);
+  w.b(planaria_.enable_slp);
+  w.b(planaria_.enable_tlp);
+  for (const int v : {bop_.score_max, bop_.round_max, bop_.bad_score,
+                      bop_.rr_entries, bop_.degree}) {
+    w.i64(v);
+  }
+  for (const int v : {spp_.st_entries, spp_.pt_entries, spp_.deltas_per_entry,
+                      spp_.counter_max, spp_.max_lookahead, spp_.ghr_entries}) {
+    w.i64(v);
+  }
+  w.f64(spp_.fill_threshold);
+  w.f64(spp_.global_accuracy);
+
+  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a, 64-bit
+  for (const std::uint8_t byte : w.buffer()) {
+    h ^= byte;
+    h *= 0x100000001B3ull;
+  }
+  return h;
 }
 
 std::string ExperimentRunner::cell_path(const std::string& app,
@@ -59,14 +151,17 @@ std::string ExperimentRunner::cell_path(const std::string& app,
 }
 
 bool ExperimentRunner::try_load_cell(const std::string& app, const char* kind,
-                                     SimResult& out) const {
+                                     const CellKey& key, SimResult& out) const {
   std::error_code ec;
   if (!std::filesystem::exists(cell_path(app, kind), ec)) return false;
   try {
     const auto payload = snapshot::read_file(cell_path(app, kind));
     snapshot::Reader r(payload);
     r.expect_tag(snapshot::tag4("CELL"));
-    if (r.u64() != records_ || r.str() != app || r.str() != kind) return false;
+    if (r.u64() != records_ || r.str() != app || r.str() != kind ||
+        r.u64() != key.config_digest || r.u64() != key.trace_fingerprint) {
+      return false;  // written for another configuration or trace: rerun
+    }
     SimResult result;
     result.load_state(r);
     r.require_end();
@@ -79,12 +174,15 @@ bool ExperimentRunner::try_load_cell(const std::string& app, const char* kind,
 }
 
 void ExperimentRunner::store_cell(const std::string& app, const char* kind,
+                                  const CellKey& key,
                                   const SimResult& result) const {
   snapshot::Writer w;
   w.tag(snapshot::tag4("CELL"));
   w.u64(records_);
   w.str(app);
   w.str(kind);
+  w.u64(key.config_digest);
+  w.u64(key.trace_fingerprint);
   result.save_state(w);
   snapshot::write_file(cell_path(app, kind), w.buffer());
   // The cell is done; its mid-run snapshots are now dead weight.
@@ -144,6 +242,9 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
   // completion order. Failure slots are likewise per-cell (unique_ptr, one
   // writer each — never a shared vector push from pooled tasks) and compacted
   // in cell order after the join, so the report is deterministic too.
+  // Configs may change between sweeps (ablation benches), so the persisted
+  // cells' config key is taken per sweep.
+  const std::uint64_t config_key = checkpoint_dir_.empty() ? 0 : config_digest();
   std::vector<SimResult> results(apps.size() * kinds.size());
   std::vector<std::unique_ptr<FailureReport>> failed(results.size());
   const auto attempt_one = [&](std::size_t i) {
@@ -154,7 +255,10 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
     // verbatim (bit-identical by the snapshot round-trip guarantee) instead
     // of re-simulating; anything unreadable or mismatched falls through to a
     // fresh run.
-    if (!checkpoint_dir_.empty() && try_load_cell(app, kind_name, results[i])) {
+    const bool persist = !checkpoint_dir_.empty();
+    const CellKey key =
+        persist ? CellKey{config_key, trace_entry(app).fingerprint} : CellKey{};
+    if (persist && try_load_cell(app, kind_name, key, results[i])) {
       if (verbose) {
         std::fprintf(stderr, "  restored %s / %s from checkpoint\n",
                      app.c_str(), kind_name);
@@ -165,7 +269,7 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
       std::fprintf(stderr, "  running %s / %s...\n", app.c_str(), kind_name);
     }
     results[i] = run_cell(app, kinds[k], factories[k]);
-    if (!checkpoint_dir_.empty()) store_cell(app, kind_name, results[i]);
+    if (persist) store_cell(app, kind_name, key, results[i]);
   };
   if (failures == nullptr) {
     // Fast path: the first cell exception propagates exactly as before.

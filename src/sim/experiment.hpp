@@ -98,7 +98,9 @@ class ExperimentRunner {
   /// verbatim instead of re-simulating them, and a corrupt or mismatched cell
   /// file is simply rerun. Cells additionally checkpoint mid-run (each under
   /// its own label, so concurrent cells never collide) when
-  /// PLANARIA_CHECKPOINT_EVERY is also set. Empty disables everything.
+  /// PLANARIA_CHECKPOINT_EVERY is also set. Empty disables everything. A
+  /// cell file is reloaded only if it was written for the same record count,
+  /// configuration (SimConfig and the prefetcher configs) and trace.
   void set_checkpoint_dir(std::string dir) { checkpoint_dir_ = std::move(dir); }
   const std::string& checkpoint_dir() const { return checkpoint_dir_; }
 
@@ -108,15 +110,29 @@ class ExperimentRunner {
   struct TraceEntry {
     std::once_flag once;
     trace::TraceBatch batch;
+    std::uint64_t fingerprint = 0;  ///< sim::trace_fingerprint(batch)
   };
+
+  TraceEntry& trace_entry(const std::string& app);
 
   SimResult run_cell(const std::string& app, PrefetcherKind kind,
                      const PrefetcherFactory& factory);
 
+  /// What a persisted cell result is valid for, besides the record count,
+  /// app and kind its header already names: every configuration knob and
+  /// the cell's trace. A stored cell whose key differs is rerun.
+  struct CellKey {
+    std::uint64_t config_digest = 0;
+    std::uint64_t trace_fingerprint = 0;
+  };
+
+  /// FNV-1a digest of config_ and the planaria/BOP/SPP configurations.
+  std::uint64_t config_digest() const;
+
   std::string cell_path(const std::string& app, const char* kind) const;
   bool try_load_cell(const std::string& app, const char* kind,
-                     SimResult& out) const;
-  void store_cell(const std::string& app, const char* kind,
+                     const CellKey& key, SimResult& out) const;
+  void store_cell(const std::string& app, const char* kind, const CellKey& key,
                   const SimResult& result) const;
 
   SimConfig config_;

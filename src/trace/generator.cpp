@@ -1,11 +1,12 @@
 #include "trace/generator.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <variant>
 
 #include "common/bitmap.hpp"
-#include "trace/io.hpp"
+#include "trace/merge.hpp"
 
 namespace planaria::trace {
 
@@ -16,12 +17,14 @@ namespace {
 // with jitter so arrivals do not beat against DRAM refresh periods.
 class Pacer {
  public:
-  Pacer(const Pacing& pacing, Rng& rng)
-      : pacing_(pacing), rng_(rng),
+  explicit Pacer(const Pacing& pacing)
+      : pacing_(pacing),
         mean_gap_(pacing.records == 0
                       ? 1.0
                       : static_cast<double>(pacing.horizon) /
-                            static_cast<double>(pacing.records)) {}
+                            static_cast<double>(pacing.records)),
+        stretch_(pacing.burstiness > 0.0 ? 1.0 / (1.0 - pacing.burstiness)
+                                         : 1.0) {}
 
   Cycle now() const { return now_; }
 
@@ -33,16 +36,14 @@ class Pacer {
   /// frame-style burst) and the remainder stretch by 1/(1-b), preserving the
   /// long-run rate while creating the queue spikes where speculative traffic
   /// actually hurts.
-  void episode_gap(std::uint64_t n) {
-    if (pacing_.burstiness > 0.0 && rng_.chance(pacing_.burstiness)) {
+  void episode_gap(Rng& rng, std::uint64_t n) {
+    if (pacing_.burstiness > 0.0 && rng.chance(pacing_.burstiness)) {
       now_ += 2;
       return;
     }
-    const double stretch =
-        pacing_.burstiness > 0.0 ? 1.0 / (1.0 - pacing_.burstiness) : 1.0;
-    const double target = mean_gap_ * static_cast<double>(n) * stretch;
+    const double target = mean_gap_ * static_cast<double>(n) * stretch_;
     const double jitter =
-        1.0 + pacing_.gap_jitter * (2.0 * rng_.next_double() - 1.0);
+        1.0 + pacing_.gap_jitter * (2.0 * rng.next_double() - 1.0);
     double idle = target * jitter -
                   static_cast<double>(n) * static_cast<double>(pacing_.intra_gap);
     if (idle < 1.0) idle = 1.0;
@@ -50,9 +51,9 @@ class Pacer {
   }
 
  private:
-  const Pacing& pacing_;
-  Rng& rng_;
+  Pacing pacing_;
   double mean_gap_;
+  double stretch_;  ///< 1/(1-b) for burstiness b, else 1
   Cycle now_ = 0;
 };
 
@@ -89,10 +90,12 @@ struct Visit {
   bool done() const { return next >= count; }
 };
 
-Visit make_visit(PageNumber pn, const PageBitmap& footprint, Rng& rng,
-                 double order_entropy = 0.45) {
-  Visit v;
+/// Refills `v` with a fresh visit of page `pn`.
+void make_visit(Visit& v, PageNumber pn, const PageBitmap& footprint, Rng& rng,
+                double order_entropy = 0.45) {
   v.page = pn;
+  v.count = 0;
+  v.next = 0;
   // Emission order: the footprint's maximal runs of consecutive blocks are
   // kept in ascending order internally but the *runs* are shuffled. This is
   // the paper's Observation 1: the overall order is non-deterministic (delta
@@ -136,133 +139,191 @@ Visit make_visit(PageNumber pn, const PageBitmap& footprint, Rng& rng,
     std::swap(flat[i], flat[j]);
   }
   for (int i = 0; i < n; ++i) v.blocks[i] = flat[i];
-  return v;
 }
 
-/// Emits `budget` records by interleaving up to kConcurrentVisits snapshot
+// The four components as resumable pull sources: `next(rec)` produces the
+// component's next record, or returns false once its budget is spent. A
+// source makes exactly the RNG draws, in exactly the order, of the
+// materializing loop it replaced — including the draws that follow a record
+// (type pick, idle gap), which happen inside the pull that returns it — so
+// the last pull leaves the RNG where the loop left it.
+
+/// Emits a budget of records by interleaving up to kConcurrentVisits snapshot
 /// visits, the way a multi-core SoC's traffic actually reaches the memory
 /// bus: the aggregate record rate matches the pacing budget while each
 /// individual page's visit stretches over concurrency x mean-gap cycles —
-/// the latency-hiding window a snapshot prefetcher exploits.
-template <typename NextVisit>
-void interleave_visits(std::uint64_t budget, DeviceId device,
-                       double write_fraction, Rng& rng, Pacer& pacer,
-                       std::vector<TraceRecord>& out, NextVisit&& next_visit) {
-  constexpr int kConcurrentVisits = 8;
-  Visit active[kConcurrentVisits];
-  for (auto& v : active) v = next_visit();
-  const std::uint64_t target = out.size() + budget;
-  while (out.size() < target) {
-    auto& v = active[rng.next_below(kConcurrentVisits)];
-    if (v.done()) {
-      v = next_visit();
-      continue;
+/// the latency-hiding window a snapshot prefetcher exploits. The owning
+/// source supplies visits through `next_visit(Visit&)`.
+class VisitInterleaver {
+ public:
+  VisitInterleaver(const Pacing& pacing, DeviceId device,
+                   double write_fraction)
+      : pacer_(pacing), left_(pacing.records), device_(device),
+        write_fraction_(write_fraction) {}
+
+  /// Opens the first kConcurrentVisits visits (before any record is pulled).
+  template <typename NextVisit>
+  void prime(NextVisit&& next_visit) {
+    for (Visit& v : active_) next_visit(v);
+  }
+
+  template <typename NextVisit>
+  bool next(TraceRecord& rec, Rng& rng, NextVisit&& next_visit) {
+    if (left_ == 0) return false;
+    for (;;) {
+      Visit& v = active_[rng.next_below(kConcurrentVisits)];
+      if (v.done()) {
+        next_visit(v);
+        continue;
+      }
+      rec = TraceRecord{addr::compose(v.page, v.blocks[v.next++]),
+                        pacer_.now(), pick_type(rng, write_fraction_),
+                        device_};
+      pacer_.episode_gap(rng, 1);
+      --left_;
+      return true;
     }
-    out.push_back(TraceRecord{addr::compose(v.page, v.blocks[v.next++]),
-                              pacer.now(), pick_type(rng, write_fraction),
-                              device});
-    pacer.episode_gap(1);
   }
-}
 
-}  // namespace
+ private:
+  static constexpr int kConcurrentVisits = 8;
+  Visit active_[kConcurrentVisits];
+  Pacer pacer_;
+  std::uint64_t left_;
+  DeviceId device_;
+  double write_fraction_;
+};
 
-std::vector<TraceRecord> generate_footprint(const FootprintParams& params,
-                                            const Pacing& pacing, Rng& rng) {
-  if (params.hot_pages <= 0 || params.footprint_min < 1 ||
-      params.footprint_max > kBlocksPerPage ||
-      params.footprint_min > params.footprint_max) {
-    throw std::invalid_argument("generate_footprint: bad params");
+class FootprintSource {
+ public:
+  FootprintSource(const FootprintParams& params, const Pacing& pacing, Rng rng)
+      : params_(checked(params)), rng_(rng),
+        zipf_(static_cast<std::uint64_t>(params.hot_pages), params.zipf_s),
+        visits_(pacing, params.device, params.write_fraction) {
+    pages_.reserve(static_cast<std::size_t>(params_.hot_pages));
+    for (int i = 0; i < params_.hot_pages; ++i) {
+      // Related structures are allocated near each other: a fraction of
+      // pages are "twins" of an earlier page — close in address space with a
+      // nearly identical footprint. Twin distance is skewed toward small gaps
+      // (cubic in a uniform variate), which produces Fig. 5's rising
+      // learnable-neighbor curve; the rest are independent scattered pages.
+      if (i > 0 && rng_.chance(params_.twin_fraction)) {
+        const HotPage& base =
+            pages_[rng_.next_below(static_cast<std::uint64_t>(i))];
+        const double u = rng_.next_double();
+        const auto dist = static_cast<PageNumber>(
+            1 + (params_.twin_max_distance - 1) * u * u * u);
+        const PageNumber pn =
+            rng_.chance(0.5) ? base.pn + dist
+                             : (base.pn > dist ? base.pn - dist : base.pn + dist);
+        PageBitmap fp = base.footprint;
+        for (int f = 0; f < params_.twin_flip_bits; ++f) {
+          const int bit = static_cast<int>(rng_.next_below(kBlocksPerPage));
+          if (fp.test(bit) && fp.popcount() > params_.footprint_min) {
+            fp.clear(bit);
+          } else {
+            fp.set(bit);
+          }
+        }
+        pages_.push_back(HotPage{pn, fp});
+        continue;
+      }
+      const PageNumber pn =
+          params_.base_page + rng_.next_below(params_.page_span);
+      const int bits = static_cast<int>(
+          rng_.next_range(params_.footprint_min, params_.footprint_max));
+      pages_.push_back(HotPage{pn, random_footprint(rng_, bits)});
+    }
+    visits_.prime([this](Visit& v) { next_visit(v); });
   }
+
+  bool next(TraceRecord& rec) {
+    return visits_.next(rec, rng_, [this](Visit& v) { next_visit(v); });
+  }
+  const Rng& rng() const { return rng_; }
+
+ private:
   struct HotPage {
     PageNumber pn;
     PageBitmap footprint;
   };
-  std::vector<HotPage> pages;
-  pages.reserve(static_cast<std::size_t>(params.hot_pages));
-  for (int i = 0; i < params.hot_pages; ++i) {
-    // Related structures are allocated near each other: a fraction of pages
-    // are "twins" of an earlier page — close in address space with a nearly
-    // identical footprint. Twin distance is skewed toward small gaps (cubic
-    // in a uniform variate), which produces Fig. 5's rising learnable-
-    // neighbor curve; the rest are independent scattered pages.
-    if (i > 0 && rng.chance(params.twin_fraction)) {
-      const HotPage& base =
-          pages[rng.next_below(static_cast<std::uint64_t>(i))];
-      const double u = rng.next_double();
-      const auto dist = static_cast<PageNumber>(
-          1 + (params.twin_max_distance - 1) * u * u * u);
-      const PageNumber pn =
-          rng.chance(0.5) ? base.pn + dist
-                          : (base.pn > dist ? base.pn - dist : base.pn + dist);
-      PageBitmap fp = base.footprint;
-      for (int f = 0; f < params.twin_flip_bits; ++f) {
-        const int bit = static_cast<int>(rng.next_below(kBlocksPerPage));
-        if (fp.test(bit) && fp.popcount() > params.footprint_min) {
-          fp.clear(bit);
-        } else {
-          fp.set(bit);
-        }
-      }
-      pages.push_back(HotPage{pn, fp});
-      continue;
+
+  static const FootprintParams& checked(const FootprintParams& params) {
+    if (params.hot_pages <= 0 || params.footprint_min < 1 ||
+        params.footprint_max > kBlocksPerPage ||
+        params.footprint_min > params.footprint_max) {
+      throw std::invalid_argument("generate_footprint: bad params");
     }
-    const PageNumber pn =
-        params.base_page + rng.next_below(params.page_span);
-    const int bits = static_cast<int>(
-        rng.next_range(params.footprint_min, params.footprint_max));
-    pages.push_back(HotPage{pn, random_footprint(rng, bits)});
+    return params;
   }
 
-  std::vector<TraceRecord> out;
-  out.reserve(pacing.records);
-  Pacer pacer(pacing, rng);
-  interleave_visits(pacing.records, params.device, params.write_fraction, rng,
-                    pacer, out, [&] {
-    auto& page = pages[rng.next_zipf(pages.size(), params.zipf_s)];
+  void next_visit(Visit& v) {
+    HotPage& page = pages_[zipf_(rng_)];
     // Program-phase drift: occasionally move one block of the snapshot. The
     // constituent stays >90% identical visit-to-visit, matching Fig. 4.
-    if (rng.chance(params.mutate_p)) {
+    if (rng_.chance(params_.mutate_p)) {
       const int victim = page.footprint.first_set();
-      if (victim >= 0 && page.footprint.popcount() > params.footprint_min) {
+      if (victim >= 0 && page.footprint.popcount() > params_.footprint_min) {
         page.footprint.clear(victim);
       }
-      page.footprint.set(static_cast<int>(rng.next_below(kBlocksPerPage)));
+      page.footprint.set(static_cast<int>(rng_.next_below(kBlocksPerPage)));
     }
-    return make_visit(page.pn, page.footprint, rng, params.order_entropy);
-  });
-  return out;
-}
-
-std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
-                                           const Pacing& pacing, Rng& rng) {
-  if (params.clusters <= 0 || params.cluster_span <= 0 ||
-      params.base_footprint < 1 || params.base_footprint > kBlocksPerPage ||
-      params.perturb_bits < 0) {
-    throw std::invalid_argument("generate_neighbor: bad params");
+    make_visit(v, page.pn, page.footprint, rng_, params_.order_entropy);
   }
+
+  FootprintParams params_;
+  Rng rng_;
+  ZipfSampler zipf_;
+  std::vector<HotPage> pages_;
+  VisitInterleaver visits_;
+};
+
+class NeighborSource {
+ public:
+  NeighborSource(const NeighborParams& params, const Pacing& pacing, Rng rng)
+      : params_(checked(params)), rng_(rng),
+        visits_(pacing, params.device, params.write_fraction) {
+    clusters_.reserve(static_cast<std::size_t>(params_.clusters));
+    for (int c = 0; c < params_.clusters; ++c) {
+      clusters_.push_back(Cluster{
+          params_.base_page + static_cast<PageNumber>(c) * params_.cluster_stride,
+          random_footprint(rng_, params_.base_footprint),
+          {}});
+      clusters_.back().visited.reserve(
+          static_cast<std::size_t>(params_.cluster_span));
+    }
+    visits_.prime([this](Visit& v) { next_visit(v); });
+  }
+
+  bool next(TraceRecord& rec) {
+    return visits_.next(rec, rng_, [this](Visit& v) { next_visit(v); });
+  }
+  const Rng& rng() const { return rng_; }
+
+ private:
   struct Cluster {
     PageNumber origin;
     PageBitmap base;
     std::vector<int> visited;  ///< page offsets already seen in this cluster
   };
-  std::vector<Cluster> clusters;
-  clusters.reserve(static_cast<std::size_t>(params.clusters));
-  for (int c = 0; c < params.clusters; ++c) {
-    clusters.push_back(
-        Cluster{params.base_page + static_cast<PageNumber>(c) * params.cluster_stride,
-                random_footprint(rng, params.base_footprint),
-                {}});
+
+  static const NeighborParams& checked(const NeighborParams& params) {
+    if (params.clusters <= 0 || params.cluster_span <= 0 ||
+        params.base_footprint < 1 || params.base_footprint > kBlocksPerPage ||
+        params.perturb_bits < 0) {
+      throw std::invalid_argument("generate_neighbor: bad params");
+    }
+    return params;
   }
 
   // Per-page perturbation must be *stable* (the same page always deviates
   // from the cluster base in the same bits), so derive it from a hash of the
   // page number rather than fresh randomness.
-  const auto perturbed = [&](const Cluster& cl, int offset) {
+  PageBitmap perturbed(const Cluster& cl, int offset) const {
     PageBitmap bm = cl.base;
     std::uint64_t h = (cl.origin + static_cast<std::uint64_t>(offset)) *
                       0x9E3779B97F4A7C15ull;
-    for (int i = 0; i < params.perturb_bits; ++i) {
+    for (int i = 0; i < params_.perturb_bits; ++i) {
       h ^= h >> 29;
       h *= 0xBF58476D1CE4E5B9ull;
       const int bit = static_cast<int>(h % kBlocksPerPage);
@@ -274,106 +335,192 @@ std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
     }
     if (bm.empty()) bm.set(0);
     return bm;
-  };
+  }
 
-  std::vector<TraceRecord> out;
-  out.reserve(pacing.records);
-  Pacer pacer(pacing, rng);
-  std::size_t current = 0;
-  int stay_left = 0;
-  interleave_visits(pacing.records, params.device, params.write_fraction, rng,
-                    pacer, out, [&] {
-    if (stay_left == 0) {
-      current = rng.next_below(clusters.size());
-      stay_left = params.cluster_stay;
+  void next_visit(Visit& v) {
+    if (stay_left_ == 0) {
+      current_ = rng_.next_below(clusters_.size());
+      stay_left_ = params_.cluster_stay;
     }
-    --stay_left;
-    Cluster& cl = clusters[current];
+    --stay_left_;
+    Cluster& cl = clusters_[current_];
     int offset;
     const bool explore = cl.visited.empty() ||
                          (cl.visited.size() <
-                              static_cast<std::size_t>(params.cluster_span) &&
-                          rng.chance(params.new_page_rate));
+                              static_cast<std::size_t>(params_.cluster_span) &&
+                          rng_.chance(params_.new_page_rate));
     if (explore) {
-      offset = static_cast<int>(rng.next_below(
-          static_cast<std::uint64_t>(params.cluster_span)));
+      offset = static_cast<int>(rng_.next_below(
+          static_cast<std::uint64_t>(params_.cluster_span)));
       if (std::find(cl.visited.begin(), cl.visited.end(), offset) ==
           cl.visited.end()) {
         cl.visited.push_back(offset);
       }
     } else {
-      offset = cl.visited[rng.next_below(cl.visited.size())];
+      offset = cl.visited[rng_.next_below(cl.visited.size())];
     }
-    return make_visit(cl.origin + static_cast<PageNumber>(offset),
-                      perturbed(cl, offset), rng);
-  });
+    make_visit(v, cl.origin + static_cast<PageNumber>(offset),
+               perturbed(cl, offset), rng_);
+  }
+
+  NeighborParams params_;
+  Rng rng_;
+  std::vector<Cluster> clusters_;
+  std::size_t current_ = 0;
+  int stay_left_ = 0;
+  VisitInterleaver visits_;
+};
+
+class StreamSource {
+ public:
+  StreamSource(const StreamParams& params, const Pacing& pacing, Rng rng)
+      : params_(checked(params)), rng_(rng), pacer_(pacing),
+        left_(pacing.records) {
+    cursors_.reserve(static_cast<std::size_t>(params_.streams));
+    for (int s = 0; s < params_.streams; ++s) {
+      cursors_.push_back(
+          (params_.base_page + static_cast<PageNumber>(s) * params_.stream_stride)
+          << kPageShift);
+    }
+  }
+
+  /// One run = one episode: a random stream's cursor advances by `run`
+  /// records at the intra-burst pace, then the idle gap follows.
+  bool next(TraceRecord& rec) {
+    if (left_ == 0) return false;
+    if (run_left_ == 0) {
+      cursor_ = rng_.next_below(cursors_.size());
+      run_left_ = static_cast<std::uint64_t>(
+          rng_.next_range(params_.run_min, params_.run_max));
+      episode_ = 0;
+    }
+    Address& cursor = cursors_[cursor_];
+    rec = TraceRecord{cursor, pacer_.now(),
+                      pick_type(rng_, params_.write_fraction), params_.device};
+    cursor += static_cast<Address>(params_.block_stride) * kBlockBytes;
+    pacer_.step_intra();
+    --left_;
+    --run_left_;
+    ++episode_;
+    // A run cut short by the budget still closes its episode.
+    if (run_left_ == 0 || left_ == 0) {
+      pacer_.episode_gap(rng_, episode_);
+      run_left_ = 0;
+    }
+    return true;
+  }
+  const Rng& rng() const { return rng_; }
+
+ private:
+  static const StreamParams& checked(const StreamParams& params) {
+    if (params.streams <= 0 || params.run_min < 1 ||
+        params.run_min > params.run_max || params.block_stride == 0) {
+      throw std::invalid_argument("generate_stream: bad params");
+    }
+    return params;
+  }
+
+  StreamParams params_;
+  Rng rng_;
+  Pacer pacer_;
+  std::uint64_t left_;
+  std::vector<Address> cursors_;
+  std::size_t cursor_ = 0;        ///< stream of the current run
+  std::uint64_t run_left_ = 0;    ///< records left in the current run
+  std::uint64_t episode_ = 0;     ///< records emitted in the current run
+};
+
+class IrregularSource {
+ public:
+  IrregularSource(const IrregularParams& params, const Pacing& pacing, Rng rng)
+      : params_(checked(params)), rng_(rng), pacer_(pacing),
+        left_(pacing.records) {}
+
+  bool next(TraceRecord& rec) {
+    if (left_ == 0) return false;
+    if (blocks_left_ == 0) {
+      // A pointer-chase dereference drags a handful of scattered lines of
+      // one page through the SC, then moves on and never returns.
+      page_ = params_.base_page + rng_.next_below(params_.page_span);
+      blocks_left_ = static_cast<int>(
+          rng_.next_range(params_.blocks_min, params_.blocks_max));
+      touched_ = PageBitmap{};
+    }
+    int block;
+    do {
+      block = static_cast<int>(rng_.next_below(kBlocksPerPage));
+    } while (touched_.test(block));
+    touched_.set(block);
+    rec = TraceRecord{addr::compose(page_, block), pacer_.now(),
+                      pick_type(rng_, params_.write_fraction), params_.device};
+    pacer_.episode_gap(rng_, 1);
+    --left_;
+    --blocks_left_;
+    return true;
+  }
+  const Rng& rng() const { return rng_; }
+
+ private:
+  static const IrregularParams& checked(const IrregularParams& params) {
+    if (params.page_span == 0 || params.blocks_min < 1 ||
+        params.blocks_min > params.blocks_max ||
+        params.blocks_max > kBlocksPerPage) {
+      throw std::invalid_argument("generate_irregular: bad params");
+    }
+    return params;
+  }
+
+  IrregularParams params_;
+  Rng rng_;
+  Pacer pacer_;
+  std::uint64_t left_;
+  PageNumber page_ = 0;
+  int blocks_left_ = 0;  ///< blocks left in the current page visit
+  PageBitmap touched_;
+};
+
+/// Materializes one source: the public per-component generators. The
+/// source draws from a copy of the caller's RNG, handed back once the source
+/// is spent, so the caller's stream continues exactly where the generator's
+/// last draw left it.
+template <typename Source, typename Params>
+std::vector<TraceRecord> drain(const Params& params, const Pacing& pacing,
+                               Rng& rng) {
+  Source source(params, pacing, rng);
+  std::vector<TraceRecord> out;
+  out.reserve(pacing.records);
+  TraceRecord rec;
+  while (source.next(rec)) out.push_back(rec);
+  rng = source.rng();
   return out;
+}
+
+using AnySource =
+    std::variant<FootprintSource, NeighborSource, StreamSource, IrregularSource>;
+
+/// Records a source produces per refill of generate_app_trace's merge.
+constexpr std::size_t kChunk = 256;
+
+}  // namespace
+
+std::vector<TraceRecord> generate_footprint(const FootprintParams& params,
+                                            const Pacing& pacing, Rng& rng) {
+  return drain<FootprintSource>(params, pacing, rng);
+}
+
+std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
+                                           const Pacing& pacing, Rng& rng) {
+  return drain<NeighborSource>(params, pacing, rng);
 }
 
 std::vector<TraceRecord> generate_stream(const StreamParams& params,
                                          const Pacing& pacing, Rng& rng) {
-  if (params.streams <= 0 || params.run_min < 1 ||
-      params.run_min > params.run_max || params.block_stride == 0) {
-    throw std::invalid_argument("generate_stream: bad params");
-  }
-  std::vector<Address> cursors;
-  cursors.reserve(static_cast<std::size_t>(params.streams));
-  for (int s = 0; s < params.streams; ++s) {
-    cursors.push_back(
-        (params.base_page + static_cast<PageNumber>(s) * params.stream_stride)
-        << kPageShift);
-  }
-
-  std::vector<TraceRecord> out;
-  out.reserve(pacing.records);
-  Pacer pacer(pacing, rng);
-  while (out.size() < pacing.records) {
-    auto& cursor = cursors[rng.next_below(cursors.size())];
-    const int run =
-        static_cast<int>(rng.next_range(params.run_min, params.run_max));
-    const std::size_t before = out.size();
-    for (int i = 0; i < run && out.size() < pacing.records; ++i) {
-      out.push_back(TraceRecord{cursor, pacer.now(),
-                                pick_type(rng, params.write_fraction),
-                                params.device});
-      cursor += static_cast<Address>(params.block_stride) * kBlockBytes;
-      pacer.step_intra();
-    }
-    pacer.episode_gap(out.size() - before);
-  }
-  return out;
+  return drain<StreamSource>(params, pacing, rng);
 }
 
 std::vector<TraceRecord> generate_irregular(const IrregularParams& params,
                                             const Pacing& pacing, Rng& rng) {
-  if (params.page_span == 0 || params.blocks_min < 1 ||
-      params.blocks_min > params.blocks_max ||
-      params.blocks_max > kBlocksPerPage) {
-    throw std::invalid_argument("generate_irregular: bad params");
-  }
-  std::vector<TraceRecord> out;
-  out.reserve(pacing.records);
-  Pacer pacer(pacing, rng);
-  while (out.size() < pacing.records) {
-    // A pointer-chase dereference drags a handful of scattered lines of one
-    // page through the SC, then moves on and never returns.
-    const PageNumber pn = params.base_page + rng.next_below(params.page_span);
-    const int blocks = static_cast<int>(
-        rng.next_range(params.blocks_min, params.blocks_max));
-    PageBitmap touched;
-    for (int i = 0; i < blocks && out.size() < pacing.records; ++i) {
-      int block;
-      do {
-        block = static_cast<int>(rng.next_below(kBlocksPerPage));
-      } while (touched.test(block));
-      touched.set(block);
-      out.push_back(TraceRecord{addr::compose(pn, block), pacer.now(),
-                                pick_type(rng, params.write_fraction),
-                                params.device});
-      pacer.episode_gap(1);
-    }
-  }
-  return out;
+  return drain<IrregularSource>(params, pacing, rng);
 }
 
 std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
@@ -406,34 +553,55 @@ std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
   }
   budget[heaviest] += records - assigned;
 
-  Rng rng_fp(app.seed * 4 + 1);
-  Rng rng_nb(app.seed * 4 + 2);
-  Rng rng_st(app.seed * 4 + 3);
-  Rng rng_ir(app.seed * 4 + 4);
-
-  // Footprint/neighbor visits are emitted through the visit interleaver: the
-  // per-record pacing is entirely in episode_gap(1), so their intra_gap is 0.
-  // Streams arrive denser (DMA-style bursts).
-  std::vector<std::vector<TraceRecord>> streams;
+  // Each component draws from its own RNG seeded from app.seed, so sources
+  // can be pulled in any interleaving. Footprint/neighbor visits are emitted
+  // through the visit interleaver: the per-record pacing is entirely in
+  // episode_gap(1), so their intra_gap is 0. Streams arrive denser
+  // (DMA-style bursts). Source order is the merge's tie order.
+  std::vector<AnySource> sources;
+  sources.reserve(4);
   const double b = app.burstiness;
   if (app.weight_footprint > 0.0) {
-    streams.push_back(generate_footprint(
-        app.footprint, Pacing{budget[kFootprint], horizon, 0, 0.5, b}, rng_fp));
+    sources.emplace_back(std::in_place_type<FootprintSource>, app.footprint,
+                         Pacing{budget[kFootprint], horizon, 0, 0.5, b},
+                         Rng(app.seed * 4 + 1));
   }
   if (app.weight_neighbor > 0.0) {
-    streams.push_back(generate_neighbor(
-        app.neighbor, Pacing{budget[kNeighbor], horizon, 0, 0.5, b}, rng_nb));
+    sources.emplace_back(std::in_place_type<NeighborSource>, app.neighbor,
+                         Pacing{budget[kNeighbor], horizon, 0, 0.5, b},
+                         Rng(app.seed * 4 + 2));
   }
   if (app.weight_stream > 0.0) {
-    streams.push_back(generate_stream(
-        app.stream, Pacing{budget[kStream], horizon, 6, 0.5, b}, rng_st));
+    sources.emplace_back(std::in_place_type<StreamSource>, app.stream,
+                         Pacing{budget[kStream], horizon, 6, 0.5, b},
+                         Rng(app.seed * 4 + 3));
   }
   if (app.weight_irregular > 0.0) {
-    streams.push_back(generate_irregular(
-        app.irregular, Pacing{budget[kIrregular], horizon, 8, 0.5, b},
-        rng_ir));
+    sources.emplace_back(std::in_place_type<IrregularSource>, app.irregular,
+                         Pacing{budget[kIrregular], horizon, 8, 0.5, b},
+                         Rng(app.seed * 4 + 4));
   }
-  return merge_sorted(streams);
+
+  // Sources fill a small chunk per refill: the merge scans heads, and each
+  // source's generation loop runs with its state in registers.
+  std::vector<TraceRecord> chunks(sources.size() * kChunk);
+  std::vector<TraceRecord> out;
+  out.reserve(records);
+  detail::merge_sources(
+      sources.size(),
+      [&](std::size_t s) {
+        TraceRecord* chunk = chunks.data() + s * kChunk;
+        const std::size_t n = std::visit(
+            [chunk](auto& source) {
+              std::size_t filled = 0;
+              while (filled < kChunk && source.next(chunk[filled])) ++filled;
+              return filled;
+            },
+            sources[s]);
+        return std::span<const TraceRecord>(chunk, n);
+      },
+      out);
+  return out;
 }
 
 std::vector<std::vector<TraceRecord>> generate_app_traces(

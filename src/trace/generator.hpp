@@ -23,8 +23,9 @@
 //     aggressive prefetchers into wasted traffic.
 //
 // Each component produces an arrival-time-sorted stream of its own; an app
-// profile mixes them by weight and merges them into one bus trace, which
-// naturally interleaves agents the way a shared memory controller sees them.
+// profile mixes them by weight and merges them into one bus trace while they
+// run (DESIGN.md §18), which naturally interleaves agents the way a shared
+// memory controller sees them.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +106,8 @@ struct IrregularParams {
   DeviceId device = DeviceId::kDsp;
 };
 
+/// One component's stream on its own. Each call leaves `rng` exactly where
+/// the component's last draw left it, draws after its last record included.
 std::vector<TraceRecord> generate_footprint(const FootprintParams& params,
                                             const Pacing& pacing, Rng& rng);
 std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <queue>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -21,6 +21,7 @@
 #include "check/contract.hpp"
 #include "common/crc32.hpp"
 #include "io/vfs.hpp"
+#include "trace/merge.hpp"
 
 namespace planaria::trace {
 
@@ -466,41 +467,20 @@ std::vector<TraceRecord> read_csv(std::istream& is, RecoveryPolicy policy,
 
 std::vector<TraceRecord> merge_sorted(
     const std::vector<std::vector<TraceRecord>>& streams) {
-  // k-way merge by (arrival, stream index) keeps the merge stable.
-  struct Head {
-    Cycle arrival;
-    std::size_t stream;
-    std::size_t pos;
-    bool operator>(const Head& o) const {
-      return arrival != o.arrival ? arrival > o.arrival : stream > o.stream;
-    }
-  };
-  std::priority_queue<Head, std::vector<Head>, std::greater<>> heap;
   std::size_t total = 0;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    total += streams[s].size();
-    if (!streams[s].empty()) heap.push(Head{streams[s][0].arrival, s, 0});
-  }
+  for (const auto& stream : streams) total += stream.size();
   std::vector<TraceRecord> out;
   out.reserve(total);
-  while (!heap.empty()) {
-    const Head h = heap.top();
-    heap.pop();
-    out.push_back(streams[h.stream][h.pos]);
-    const std::size_t next = h.pos + 1;
-    if (next < streams[h.stream].size()) {
-      // The documented precondition ("inputs must each already be sorted")
-      // was never checked; an unsorted stream silently produced an unsorted
-      // merge that the simulator then rejected far from the cause. O(1) per
-      // record: each element is compared against its stream predecessor once,
-      // when it becomes the stream head. Under kRecover the merge proceeds
-      // best-effort, placing the record by its claimed arrival.
-      PLANARIA_REQUIRE_MSG(kTimingMonotonicity,
-                           streams[h.stream][next].arrival >= h.arrival,
-                           "merge_sorted input stream is not sorted by arrival");
-      heap.push(Head{streams[h.stream][next].arrival, h.stream, next});
-    }
-  }
+  // Each stream is one run; a second refill finds it spent.
+  std::vector<bool> taken(streams.size(), false);
+  detail::merge_sources(
+      streams.size(),
+      [&](std::size_t s) {
+        if (taken[s]) return std::span<const TraceRecord>();
+        taken[s] = true;
+        return std::span<const TraceRecord>(streams[s]);
+      },
+      out);
   return out;
 }
 

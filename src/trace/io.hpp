@@ -149,9 +149,10 @@ class MappedTraceBatch {
 /// Merges multiple per-device streams into one arrival-time-ordered trace.
 /// Records with equal arrival keep their relative input-stream order
 /// (stable). Inputs must each already be sorted by arrival; that precondition
-/// is now enforced with an O(1)-per-record timing-monotonicity contract that
-/// fires on the first out-of-order pair (under kRecover the merge proceeds
-/// best-effort, placing the offending record by its claimed arrival).
+/// is enforced with an O(1)-per-record timing-monotonicity contract that
+/// fires on every out-of-order pair (under kRecover the merge proceeds
+/// best-effort, placing the offending record by its claimed arrival). Same
+/// merge as generate_app_trace's (trace/merge.hpp).
 std::vector<TraceRecord> merge_sorted(
     const std::vector<std::vector<TraceRecord>>& streams);
 

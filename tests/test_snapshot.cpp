@@ -740,6 +740,44 @@ TEST_F(SnapshotFileTest, SweepCellsResumeFromPersistedResults) {
   EXPECT_TRUE(a.begin()->second.at("none") == c.at(a.begin()->first).at("none"));
 }
 
+// A persisted cell is only valid for the configuration it was simulated
+// under: an ablation that changes planaria_config(), or a non-default
+// SimConfig, must rerun the cells instead of reloading stale results.
+TEST_F(SnapshotFileTest, SweepCellsRerunWhenConfigChanges) {
+  const std::vector<sim::PrefetcherKind> kinds = {
+      sim::PrefetcherKind::kPlanaria};
+  sim::ExperimentRunner stock(sim::SimConfig{}, 4000, 1);
+  stock.set_checkpoint_dir(dir_.string());
+  const auto a = stock.sweep(kinds);
+
+  const auto expect_fresh = [&](sim::ExperimentRunner& resumed,
+                                sim::ExperimentRunner& fresh) {
+    resumed.set_checkpoint_dir(dir_.string());
+    const auto b = resumed.sweep(kinds);
+    const auto want = fresh.sweep(kinds);
+    std::size_t changed = 0;
+    for (const auto& [app, per_kind] : want) {
+      const sim::SimResult& r = per_kind.at("planaria");
+      EXPECT_TRUE(b.at(app).at("planaria") == r) << app;
+      changed += a.at(app).at("planaria") == r ? 0 : 1;
+    }
+    // The knob really moves results, so a stale reload would be caught.
+    EXPECT_GT(changed, 0u);
+  };
+
+  sim::ExperimentRunner tlp(sim::SimConfig{}, 4000, 1);
+  sim::ExperimentRunner tlp_fresh(sim::SimConfig{}, 4000, 1);
+  tlp.planaria_config().tlp.distance_threshold = 4;
+  tlp_fresh.planaria_config().tlp.distance_threshold = 4;
+  expect_fresh(tlp, tlp_fresh);
+
+  sim::SimConfig slow;
+  slow.sc_hit_latency = 48;
+  sim::ExperimentRunner sim_config(slow, 4000, 1);
+  sim::ExperimentRunner sim_config_fresh(slow, 4000, 1);
+  expect_fresh(sim_config, sim_config_fresh);
+}
+
 TEST_F(SnapshotFileTest, PoisonedSweepCellBacksOffThenReportsOthersLand) {
   // Poison exactly one cell's persistence: a directory squatting on the
   // store path's .tmp name makes every store_cell attempt for that cell

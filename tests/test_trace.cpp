@@ -2,10 +2,14 @@
 // the calibrated app registry.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <queue>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "check/contract.hpp"
 #include "common/bitmap.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
@@ -136,6 +140,99 @@ TEST(TraceMerge, HandlesEmptyStreams) {
   EXPECT_TRUE(merge_sorted({{}, {}}).empty());
   const auto merged = merge_sorted({{}, {make_record(0x0, 1)}, {}});
   EXPECT_EQ(merged.size(), 1u);
+}
+
+// Oracle: a priority-queue k-way merge over (arrival, stream) heads, an
+// independent formulation of merge_sorted's contract. The two must agree on
+// every record and on every timing-contract firing, sorted input or not.
+std::vector<TraceRecord> reference_merge(
+    const std::vector<std::vector<TraceRecord>>& streams) {
+  struct Head {
+    Cycle arrival;
+    std::size_t stream;
+    std::size_t pos;
+    bool operator>(const Head& o) const {
+      return arrival != o.arrival ? arrival > o.arrival : stream > o.stream;
+    }
+  };
+  std::priority_queue<Head, std::vector<Head>, std::greater<>> heap;
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    total += streams[s].size();
+    if (!streams[s].empty()) heap.push(Head{streams[s][0].arrival, s, 0});
+  }
+  std::vector<TraceRecord> out;
+  out.reserve(total);
+  while (!heap.empty()) {
+    const Head h = heap.top();
+    heap.pop();
+    out.push_back(streams[h.stream][h.pos]);
+    const std::size_t next = h.pos + 1;
+    if (next < streams[h.stream].size()) {
+      PLANARIA_REQUIRE_MSG(kTimingMonotonicity,
+                           streams[h.stream][next].arrival >= h.arrival,
+                           "merge_sorted input stream is not sorted by arrival");
+      heap.push(Head{streams[h.stream][next].arrival, h.stream, next});
+    }
+  }
+  return out;
+}
+
+/// 1-4 streams, some empty, with arrivals drawn from a narrow range so equal
+/// arrivals across (and within) streams are the common case. With `sorted`
+/// false, a few adjacent pairs per stream are swapped out of order.
+std::vector<std::vector<TraceRecord>> random_streams(Rng& rng, bool sorted) {
+  std::vector<std::vector<TraceRecord>> streams(rng.next_range(1, 4));
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    if (rng.chance(0.2)) continue;
+    Cycle t = rng.next_below(3);
+    const auto n = rng.next_range(1, 40);
+    for (std::int64_t i = 0; i < n; ++i) {
+      t += rng.next_below(3);  // steps of 0, 1 or 2 cycles
+      streams[s].push_back(make_record(
+          (s << 20) + static_cast<Address>(i) * kBlockBytes, t,
+          AccessType::kRead, static_cast<DeviceId>(s)));
+    }
+    if (!sorted) {
+      for (int k = 0; k < 3 && streams[s].size() > 1; ++k) {
+        const auto i = rng.next_below(streams[s].size() - 1);
+        std::swap(streams[s][i], streams[s][i + 1]);
+      }
+    }
+  }
+  return streams;
+}
+
+TEST(TraceMerge, MatchesPriorityQueueOracle) {
+  Rng rng(0x3E46E);
+  check::CountingScope scope;
+  std::uint64_t unsorted_fires = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const bool sorted = trial % 2 == 0;
+    const auto streams = random_streams(rng, sorted);
+    std::size_t total = 0;
+    for (const auto& s : streams) total += s.size();
+
+    check::reset_violations();
+    const auto expected = reference_merge(streams);
+    const auto expected_fires =
+        check::violation_count(check::Category::kTimingMonotonicity);
+    check::reset_violations();
+    const auto merged = merge_sorted(streams);
+    const auto fires =
+        check::violation_count(check::Category::kTimingMonotonicity);
+
+    ASSERT_EQ(merged.size(), total) << "trial " << trial;
+    ASSERT_EQ(merged, expected) << "trial " << trial;
+    ASSERT_EQ(fires, expected_fires) << "trial " << trial;
+    if (sorted) {
+      ASSERT_EQ(fires, 0u) << "trial " << trial;
+    } else {
+      unsorted_fires += fires;
+    }
+  }
+  EXPECT_GT(unsorted_fires, 100u);  // the unsorted half really is unsorted
+  check::reset_violations();
 }
 
 // --------------------------------------------------------------- generators
@@ -361,6 +458,147 @@ TEST(AppTrace, RejectsNegativeWeight) {
   AppProfile app = app_by_name("HoK");
   app.weight_stream = -0.1;
   EXPECT_THROW(generate_app_trace(app, 100), std::invalid_argument);
+}
+
+// -------------------------------------------------------- generator pins
+//
+// Byte pins on the generators' output. Nothing downstream pins generator
+// bytes (the golden snapshot replays its own fixed trace), so these are what
+// notice drift when the generators are restructured: every figure, every
+// sweep digest and every PLNSNAP1 snapshot of a generated trace depends on
+// these exact records. The sub-generator pins also cover the caller's RNG
+// state after each call, i.e. the draws a generator makes after its last
+// record (stream's final episode gap, the pacer's trailing draws).
+
+/// FNV-1a over each record's fields at fixed width, so the digest depends on
+/// values only, never on struct padding.
+class Fnv1a {
+ public:
+  void mix(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFFu;
+      h_ *= 0x100000001B3ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+std::uint64_t records_digest(const std::vector<TraceRecord>& records) {
+  Fnv1a h;
+  for (const TraceRecord& r : records) {
+    h.mix(r.address, 8);
+    h.mix(r.arrival, 8);
+    h.mix(static_cast<std::uint8_t>(r.type), 1);
+    h.mix(static_cast<std::uint8_t>(r.device), 1);
+  }
+  return h.value();
+}
+
+std::uint64_t state_digest(const Rng& rng) {
+  Fnv1a h;
+  for (const std::uint64_t word : rng.state()) h.mix(word, 8);
+  return h.value();
+}
+
+struct AppPin {
+  const char* app;
+  std::uint64_t at_20000;
+  std::uint64_t at_8191;
+};
+
+constexpr AppPin kAppPins[] = {
+    {"CFM", 0x792BED2B6473B2BEull, 0x5FFFF925445048C5ull},
+    {"HoK", 0x9B69FCE28C33F8ACull, 0x5DB53A8E33910EF6ull},
+    {"Id-V", 0x9CB85D6487806BCCull, 0xCBC772099B8394E6ull},
+    {"QSM", 0x3CB83B289816BB70ull, 0xC5BD01D64F5C3CAEull},
+    {"TikT", 0xF5B26CA367625B89ull, 0x515A35038392E6CFull},
+    {"Fort", 0x70FC4FB840B149C1ull, 0x677A378F090323D7ull},
+    {"HI3", 0xEDB7B5EEF5D7B1DDull, 0x9A1A5869D4165B2Dull},
+    {"KO", 0x0F138EB62D822A38ull, 0xE62773597388F017ull},
+    {"NBA2", 0xDE7E8CF1940CA8D4ull, 0x6A1D71CD86A1D346ull},
+    {"PM", 0xDF7FE45F97147AA4ull, 0x821A624E61CDE644ull},
+};
+
+TEST(GeneratorPins, AppTraceBytes) {
+  ASSERT_EQ(std::size(kAppPins), app_names().size());
+  for (const AppPin& pin : kAppPins) {
+    const AppProfile& app = app_by_name(pin.app);
+    EXPECT_EQ(records_digest(generate_app_trace(app, 20000)), pin.at_20000)
+        << pin.app << " at 20000";
+    EXPECT_EQ(records_digest(generate_app_trace(app, 8191)), pin.at_8191)
+        << pin.app << " at 8191";
+  }
+}
+
+// Profiles with zero-weight components merge fewer than four streams (and
+// move the remainder to a different heaviest stream).
+TEST(GeneratorPins, PartialMixBytes) {
+  AppProfile two = app_by_name("HoK");
+  two.weight_neighbor = 0.0;
+  two.weight_irregular = 0.0;
+  EXPECT_EQ(records_digest(generate_app_trace(two, 9999)), 0x930385EBAE1D9C1Full);
+  AppProfile one = app_by_name("TikT");
+  one.weight_footprint = one.weight_neighbor = one.weight_irregular = 0.0;
+  EXPECT_EQ(records_digest(generate_app_trace(one, 7777)), 0xDA497FC2D01FA443ull);
+}
+
+struct SubPin {
+  std::uint64_t records;
+  std::uint64_t state;
+};
+
+template <typename Params, typename Generate>
+void expect_sub_pins(const char* name, Generate generate, std::uint64_t seed,
+                     const SubPin& small, const SubPin& bursty) {
+  {
+    Rng rng(seed);
+    const auto out = generate(Params{}, small_pacing(4000), rng);
+    EXPECT_EQ(out.size(), 4000u) << name;
+    EXPECT_EQ(records_digest(out), small.records) << name << " small records";
+    EXPECT_EQ(state_digest(rng), small.state) << name << " small rng state";
+  }
+  {
+    // Intra-burst steps, bursty gaps and an odd count.
+    Rng rng(seed + 1000);
+    const auto out = generate(Params{}, Pacing{3001, 3001 * 20, 6, 0.5, 0.3}, rng);
+    EXPECT_EQ(out.size(), 3001u) << name;
+    EXPECT_EQ(records_digest(out), bursty.records) << name << " bursty records";
+    EXPECT_EQ(state_digest(rng), bursty.state) << name << " bursty rng state";
+  }
+}
+
+TEST(GeneratorPins, SubGeneratorBytesAndRngState) {
+  expect_sub_pins<FootprintParams>(
+      "footprint",
+      [](const FootprintParams& p, const Pacing& pc, Rng& r) {
+        return generate_footprint(p, pc, r);
+      },
+      101, {0x8EE09E902854129Eull, 0xA6EC52455E563BCEull},
+      {0xEB34277C3500F24Full, 0xACE03CAD6C60B48Dull});
+  expect_sub_pins<NeighborParams>(
+      "neighbor",
+      [](const NeighborParams& p, const Pacing& pc, Rng& r) {
+        return generate_neighbor(p, pc, r);
+      },
+      102, {0x7EC521D72BF5C07Full, 0x0D25CB179D09626Bull},
+      {0xCB0085EE8A0CFE6Cull, 0x2373B240E2EDE139ull});
+  expect_sub_pins<StreamParams>(
+      "stream",
+      [](const StreamParams& p, const Pacing& pc, Rng& r) {
+        return generate_stream(p, pc, r);
+      },
+      103, {0xDFEE282365097248ull, 0xE18118FCA62EA0E9ull},
+      {0xEB25485AFFBD39C9ull, 0x6ABC5FB47CEB4BA0ull});
+  expect_sub_pins<IrregularParams>(
+      "irregular",
+      [](const IrregularParams& p, const Pacing& pc, Rng& r) {
+        return generate_irregular(p, pc, r);
+      },
+      104, {0x35920AD98470F6DDull, 0x89E8FCDC9E16A91Cull},
+      {0x02B4356D134ECADAull, 0x5546EF72851A22A0ull});
 }
 
 // ------------------------------------------------------------------ registry
