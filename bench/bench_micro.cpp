@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "common/crc32.hpp"
@@ -15,6 +16,8 @@
 #include "dram/channel.hpp"
 #include "prefetch/bop.hpp"
 #include "prefetch/spp.hpp"
+#include "sim/simulator.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
 #include "trace/io.hpp"
@@ -261,6 +264,47 @@ void BM_PltbWriteMap(benchmark::State& state) {
                           static_cast<std::int64_t>(kRecords));
 }
 BENCHMARK(BM_PltbWriteMap)->Unit(benchmark::kMillisecond);
+
+// The snapshot codec over a warmed Planaria cell: 200k HoK records through
+// the full simulator leave ~2.4 MB of SLP/TLP tables, cache and DRAM state,
+// the payload every checkpoint and serve checkpoint tick encodes.
+std::unique_ptr<sim::Simulator> warmed_planaria_cell() {
+  auto s = std::make_unique<sim::Simulator>(
+      sim::SimConfig{},
+      sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria");
+  s->run_sharded(trace::TraceBatch(sample_trace(200000)), nullptr);
+  return s;
+}
+
+void BM_SnapshotEncode(benchmark::State& state) {
+  const auto cell = warmed_planaria_cell();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    snapshot::Writer w;
+    cell->save_state(w);
+    bytes = w.buffer().size();
+    benchmark::DoNotOptimize(w.buffer().data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotDecode(benchmark::State& state) {
+  snapshot::Writer w;
+  warmed_planaria_cell()->save_state(w);
+  sim::Simulator restored(
+      sim::SimConfig{},
+      sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria");
+  for (auto _ : state) {
+    snapshot::Reader r(w.buffer());
+    restored.load_state(r);
+    benchmark::DoNotOptimize(r.position());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(w.buffer().size()));
+}
+BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

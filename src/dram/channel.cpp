@@ -321,20 +321,10 @@ void DramChannel::issue(std::vector<Queued>& queue, const Candidate& cand) {
       }
       counters_.busy_data_cycles += burst;
       completions_.push_back(c);
-      const std::uint64_t done_block = q.req.local_block;
-      const bool from_write_q = &queue == &write_q_;
+      // A block is queued for writing at most once (submit coalesces, and
+      // load_state rejects duplicates), so the burst retires its membership.
+      if (&queue == &write_q_) write_blocks_.erase(q.req.local_block);
       queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(cand.index));
-      if (from_write_q) {
-        // Keep the shadow exact even if a restored queue held duplicate
-        // blocks: membership stays while any twin remains queued.
-        write_blocks_.erase(done_block);
-        for (const Queued& e : write_q_) {
-          if (e.req.local_block == done_block) {
-            write_blocks_.insert(done_block, 1);
-            break;
-          }
-        }
-      }
       break;
     }
   }
@@ -656,13 +646,14 @@ void DramChannel::load_state(snapshot::Reader& r) {
   };
   load_queue(read_q_);
   load_queue(write_q_);
-  // Rebuild the derived write-queue membership shadow (first occurrence wins,
-  // mirroring the pre-index forwarding scan on a crafted duplicate).
+  // Rebuild the derived write-queue membership shadow. submit() coalesces
+  // writes to a queued block, so no run can save one queued twice.
   write_blocks_.clear();
   for (const Queued& e : write_q_) {
-    if (!write_blocks_.contains(e.req.local_block)) {
-      write_blocks_.insert(e.req.local_block, 1);
+    if (write_blocks_.contains(e.req.local_block)) {
+      throw snapshot::SnapshotError("DRAM write queue holds a block twice");
     }
+    write_blocks_.insert(e.req.local_block, 1);
   }
   const std::uint64_t completion_count = r.u64();
   completions_.clear();
@@ -697,10 +688,20 @@ void DramChannel::load_state(snapshot::Reader& r) {
   last_burst_rank_ = static_cast<int>(r.i64());
   last_burst_end_ = r.u64();
   refresh_due_ = r.u64();
-  refresh_bank_rr_ = static_cast<int>(r.i64());
+  const std::int64_t refresh_cursor = r.i64();
+  if (refresh_cursor < 0 ||
+      static_cast<std::uint64_t>(refresh_cursor) >= banks_.size()) {
+    throw snapshot::SnapshotError("DRAM refresh cursor outside ranks x banks");
+  }
+  refresh_bank_rr_ = static_cast<int>(refresh_cursor);
   last_cmd_time_ = r.u64();
   ever_issued_ = r.b();
-  postponed_refreshes_ = static_cast<int>(r.i64());
+  // advance() performs owed refreshes until fewer than the cap remain.
+  const std::int64_t postponed = r.i64();
+  if (postponed < 0 || postponed > config_.controller.max_postponed_refreshes) {
+    throw snapshot::SnapshotError("DRAM postponed refresh count out of range");
+  }
+  postponed_refreshes_ = static_cast<int>(postponed);
   draining_writes_ = r.b();
   order_counter_ = r.u64();
   counters_.activates = r.u64();

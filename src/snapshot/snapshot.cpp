@@ -1,6 +1,6 @@
 #include "snapshot/snapshot.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 
 #include "io/vfs.hpp"
@@ -14,20 +14,9 @@ constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 4;
 
 }  // namespace
 
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-std::uint64_t Reader::get(int bytes) {
-  if (size_ - pos_ < static_cast<std::size_t>(bytes)) {
-    throw SnapshotError("truncated payload (wanted " + std::to_string(bytes) +
-                        " bytes, " + std::to_string(size_ - pos_) + " left)");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += static_cast<std::size_t>(bytes);
-  return v;
+void Reader::truncated(std::size_t wanted) const {
+  throw SnapshotError("truncated payload (wanted " + std::to_string(wanted) +
+                      " bytes, " + std::to_string(size_ - pos_) + " left)");
 }
 
 bool Reader::b() {
@@ -35,8 +24,6 @@ bool Reader::b() {
   if (v > 1) throw SnapshotError("bool field holds " + std::to_string(v));
   return v == 1;
 }
-
-double Reader::f64() { return std::bit_cast<double>(u64()); }
 
 std::string Reader::str() {
   const std::uint32_t n = u32();
@@ -62,15 +49,16 @@ void Reader::require_end() const {
   }
 }
 
+void Writer::grow() {
+  buf_.reserve(std::max<std::size_t>(256, 2 * buf_.capacity()));
+}
+
 void Writer::end_section(std::size_t token) {
   if (token < 8 || token > buf_.size()) {
     throw SnapshotError("end_section token does not match a begin_section");
   }
   const std::uint64_t len = buf_.size() - token;
-  for (int i = 0; i < 8; ++i) {
-    buf_[token - 8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(len >> (8 * i));
-  }
+  std::memcpy(buf_.data() + token - 8, &len, sizeof(len));
 }
 
 std::uint64_t Reader::enter_section(std::uint32_t expected) {

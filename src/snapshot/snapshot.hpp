@@ -1,11 +1,14 @@
 // Versioned, CRC32-protected binary snapshot format (checkpoint/restore).
 //
 // A snapshot is a flat little-endian byte stream assembled by a Writer and
-// decoded by a Reader. Every multi-byte integer is serialized byte-by-byte
-// (no memcpy of structs), so the format is independent of host endianness,
-// struct padding and ABI — a snapshot taken on one platform restores on any
-// other. Doubles travel as their IEEE-754 bit patterns, which is what makes
-// restored results *bit*-identical rather than merely close.
+// decoded by a Reader. Every field is one fixed-width integer stored at its
+// exact byte width (never a memcpy of a struct), so the format is
+// independent of struct padding and ABI. The codec moves each field with one
+// word-sized memcpy, which equals the little-endian byte order only on a
+// little-endian host — a static_assert below pins that, so a snapshot taken
+// on one supported platform restores on any other. Doubles travel as their
+// IEEE-754 bit patterns, which is what makes restored results *bit*-identical
+// rather than merely close.
 //
 // On disk the payload is wrapped in an envelope:
 //
@@ -34,7 +37,9 @@
 // checkpointed run falls back to cold start); there is no in-place migration.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,6 +47,9 @@
 #include "common/crc32.hpp"
 
 namespace planaria::snapshot {
+
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot codec stores fields with host-order memcpy");
 
 /// Raised on any malformed snapshot: truncated buffer, CRC mismatch, bad
 /// magic/version, tag desynchronization, or impossible decoded values.
@@ -71,13 +79,13 @@ using common::crc32;
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { put(v, 2); }
-  void u32(std::uint32_t v) { put(v, 4); }
-  void u64(std::uint64_t v) { put(v, 8); }
-  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v), 8); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
   void b(bool v) { u8(v ? 1 : 0); }
   /// IEEE-754 bit pattern; round-trips every value including NaN payloads.
-  void f64(double v);
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
@@ -104,11 +112,18 @@ class Writer {
   const std::vector<std::uint8_t>& buffer() const { return buf_; }
 
  private:
-  void put(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  /// One resize plus one word store per field, instead of one push_back
+  /// per byte. Growth (geometric) stays out of line: that keeps the inline
+  /// path short, and keeps GCC 12's -Wstringop-overflow false positive on an
+  /// inlined vector reallocation from firing.
+  template <class T>
+  void put(T v) {
+    const std::size_t at = buf_.size();
+    if (buf_.capacity() - at < sizeof(T)) grow();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
   }
+  void grow();
   std::vector<std::uint8_t> buf_;
 };
 
@@ -121,13 +136,13 @@ class Reader {
   explicit Reader(const std::vector<std::uint8_t>& buf)
       : Reader(buf.data(), buf.size()) {}
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
-  std::uint64_t u64() { return get(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(get(8)); }
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  std::int64_t i64() { return get<std::int64_t>(); }
   bool b();
-  double f64();
+  double f64() { return std::bit_cast<double>(get<std::uint64_t>()); }
   std::string str();
 
   /// Consumes a tag and requires it to equal `expected` — the payload-level
@@ -161,7 +176,16 @@ class Reader {
   void require_end() const;
 
  private:
-  std::uint64_t get(int bytes);
+  /// Inline fast path: one bounds check, one word load.
+  template <class T>
+  T get() {
+    if (size_ - pos_ < sizeof(T)) truncated(sizeof(T));
+    T v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+  [[noreturn]] void truncated(std::size_t wanted) const;
 
   const std::uint8_t* data_;
   std::size_t size_;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/huge_pages.hpp"
 #include "trace/record.hpp"
 
 namespace planaria::trace {
@@ -26,6 +27,7 @@ class TraceBatch {
   TraceBatch() = default;
   explicit TraceBatch(const std::vector<TraceRecord>& records) {
     reserve(records.size());
+    advise_huge_pages();
     for (const TraceRecord& rec : records) push_back(rec);
   }
 
@@ -36,6 +38,8 @@ class TraceBatch {
                                  const Cycle* arrivals,
                                  const std::uint8_t* meta, std::size_t n) {
     TraceBatch out;
+    out.reserve(n);
+    out.advise_huge_pages();
     out.addresses_.assign(addresses, addresses + n);
     out.arrivals_.assign(arrivals, arrivals + n);
     out.meta_.assign(meta, meta + n);
@@ -96,6 +100,18 @@ class TraceBatch {
   friend bool operator==(const TraceBatch&, const TraceBatch&) = default;
 
  private:
+  /// First-touch advice on freshly reserved, still unwritten columns. Only
+  /// the two whole-trace constructors call it: reserve() also sizes the
+  /// simulator's per-channel shards on every run_sharded call, and those
+  /// keep and reuse their capacity.
+  void advise_huge_pages() const {
+    common::advise_huge_pages(addresses_.data(),
+                              addresses_.capacity() * sizeof(Address));
+    common::advise_huge_pages(arrivals_.data(),
+                              arrivals_.capacity() * sizeof(Cycle));
+    common::advise_huge_pages(meta_.data(), meta_.capacity());
+  }
+
   std::vector<Address> addresses_;
   std::vector<Cycle> arrivals_;
   std::vector<std::uint8_t> meta_;

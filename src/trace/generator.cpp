@@ -6,6 +6,7 @@
 #include <variant>
 
 #include "common/bitmap.hpp"
+#include "common/huge_pages.hpp"
 #include "trace/merge.hpp"
 
 namespace planaria::trace {
@@ -587,6 +588,7 @@ std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
   std::vector<TraceRecord> chunks(sources.size() * kChunk);
   std::vector<TraceRecord> out;
   out.reserve(records);
+  common::advise_huge_pages(out.data(), out.capacity() * sizeof(TraceRecord));
   detail::merge_sources(
       sources.size(),
       [&](std::size_t s) {

@@ -9,6 +9,7 @@
 
 #include "common/bitmap.hpp"
 #include "common/crc32.hpp"
+#include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "common/set_table.hpp"
 #include "common/stats.hpp"
@@ -407,27 +408,110 @@ TEST(Crc32, KnownAnswers) {
   EXPECT_EQ(common::Crc32().value(), 0u);
 }
 
+/// Both CRC paths, called directly so a host with PCLMULQDQ still exercises
+/// the portable one. Each advances a raw (pre-final-XOR) register.
+struct CrcPath {
+  const char* name;
+  std::uint32_t (*run)(std::uint32_t, const std::uint8_t*, std::size_t);
+};
+
+std::vector<CrcPath> crc_paths() {
+  std::vector<CrcPath> paths = {{"portable", common::detail::crc32_portable}};
+  if (common::detail::crc32_folded_available()) {
+    paths.push_back({"folded", common::detail::crc32_folded});
+  }
+  return paths;
+}
+
+std::uint32_t crc_via(const CrcPath& path, const char* p, std::size_t len) {
+  return path.run(0xFFFFFFFFu, reinterpret_cast<const std::uint8_t*>(p), len) ^
+         0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // 16 offsets put the first byte at every alignment a 16-byte load can
+  // see; lengths 0..4160 cross the 64-byte fold threshold, many four-lane
+  // iterations, and every 0..15-byte tail after the fold. The reference is
+  // advanced one byte per length, so the oracle stays linear.
+  constexpr std::size_t kMaxLen = 4160;
+  const std::vector<char> buf = random_bytes(kMaxLen + 16, 0x5EED);
+  for (const CrcPath& path : crc_paths()) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const char* p = buf.data() + offset;
+      std::uint32_t reference = 0xFFFFFFFFu;
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(crc_via(path, p, len), reference ^ 0xFFFFFFFFu)
+            << path.name << " offset " << offset << " length " << len;
+        if (len < kMaxLen) reference = reference_crc32_step(reference, p[len]);
+      }
+    }
+  }
+  // The public entry point agrees with the oracle too, whichever path it
+  // picked on this CPU.
+  for (std::size_t len = 0; len <= kMaxLen; len += 7) {
+    ASSERT_EQ(common::crc32(buf.data() + 3, len),
+              reference_crc32(buf.data() + 3, len))
+        << "length " << len;
+  }
+}
+
+TEST(Crc32, LargeBuffersMatchBitwiseReference) {
+  // 1 MiB, and 17 MB (a PLTB-sized column set) at an odd length and offset.
+  const std::vector<char> buf = random_bytes(17'000'003 + 5, 0xB16);
+  for (const std::size_t len : {std::size_t{1} << 20, std::size_t{17'000'003}}) {
+    const char* p = buf.data() + 5;
+    const std::uint32_t reference = reference_crc32(p, len);
+    for (const CrcPath& path : crc_paths()) {
+      EXPECT_EQ(crc_via(path, p, len), reference)
+          << path.name << " length " << len;
+    }
+    EXPECT_EQ(common::crc32(p, len), reference) << "length " << len;
+  }
+}
+
 TEST(Crc32, IncrementalUpdateAtEverySplitEqualsOneShot) {
+  // Every two-piece split of 300 bytes, through the public entry point and
+  // through each path directly: pieces on either side of 64 bytes, so one
+  // piece folds while the next falls back to slice-by-8, and the register
+  // must carry across the boundary exactly.
   const std::vector<char> buf = random_bytes(300, 0xC3C3);
-  const std::uint32_t whole = common::crc32(buf.data(), buf.size());
+  const std::uint32_t whole = reference_crc32(buf.data(), buf.size());
+  const auto* p = reinterpret_cast<const std::uint8_t*>(buf.data());
   for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
     const std::uint32_t split = common::Crc32()
                                     .update(buf.data(), cut)
                                     .update(buf.data() + cut, buf.size() - cut)
                                     .value();
     EXPECT_EQ(split, whole) << "split at " << cut;
+    for (const CrcPath& path : crc_paths()) {
+      const std::uint32_t reg = path.run(
+          path.run(0xFFFFFFFFu, p, cut), p + cut, buf.size() - cut);
+      EXPECT_EQ(reg ^ 0xFFFFFFFFu, whole) << path.name << " split at " << cut;
+    }
   }
 }
 
-TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  // Offsets 0..7 into the buffer put the first byte at every alignment the
-  // 8-byte folding loop can see; lengths 0..1024 cover every tail length.
-  const std::vector<char> buf = random_bytes(1024 + 8, 0x5EED);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 1024; ++len) {
-      const char* p = buf.data() + offset;
-      ASSERT_EQ(common::crc32(p, len), reference_crc32(p, len))
-          << "offset " << offset << " length " << len;
+// ------------------------------------------------------------ huge pages
+
+TEST(HugePageAdvice, IsAdviceOnlyAtEverySizeAndAlignment) {
+  // Null, empty, under-threshold and unaligned multi-megabyte ranges: the
+  // call must neither fault nor change a byte, before or after first write.
+  common::advise_huge_pages(nullptr, 0);
+  common::advise_huge_pages(nullptr, common::kHugePageAdviceMinBytes);
+  for (const std::size_t bytes :
+       {std::size_t{4096}, common::kHugePageAdviceMinBytes - 1,
+        common::kHugePageAdviceMinBytes, (std::size_t{9} << 20) + 123}) {
+    std::vector<std::uint8_t> buf;
+    buf.reserve(bytes + 7);
+    common::advise_huge_pages(buf.data() + 7, bytes);  // before first write
+    buf.resize(bytes + 7);
+    for (std::size_t i = 0; i < buf.size(); i += 4093) {
+      buf[i] = static_cast<std::uint8_t>(i);
+    }
+    common::advise_huge_pages(buf.data(), buf.size());  // after: still advice
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      const auto want = i % 4093 == 0 ? static_cast<std::uint8_t>(i) : 0;
+      ASSERT_EQ(buf[i], want) << "size " << bytes << " byte " << i;
     }
   }
 }

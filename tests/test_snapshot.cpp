@@ -18,6 +18,7 @@
 //     PLANARIA_WRITE_GOLDEN=1 (see SnapshotGolden below).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -139,6 +140,120 @@ TEST(SnapshotCodec, ReaderRejectsMalformedInput) {
 
 // Length-framed sections (serve's server envelope uses these to skip or
 // validate per-session payloads without decoding them).
+
+/// Byte-at-a-time little-endian reference encoder: the format's byte order
+/// spelled out one shift per byte, sharing no code with Writer.
+void reference_put(std::vector<std::uint8_t>& out, std::uint64_t v,
+                   std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+/// One fixed-width Writer/Reader field: its width, the value's bit pattern,
+/// and how to write and read it back as that pattern.
+struct CodecField {
+  const char* name;
+  std::size_t width;
+  std::uint64_t bits;
+  void (*write)(snapshot::Writer&, std::uint64_t);
+  std::uint64_t (*read)(snapshot::Reader&);
+};
+
+std::vector<CodecField> codec_fields() {
+  using W = snapshot::Writer;
+  using R = snapshot::Reader;
+  return {
+      {"u8", 1, 0xA5,
+       [](W& w, std::uint64_t v) { w.u8(static_cast<std::uint8_t>(v)); },
+       [](R& r) -> std::uint64_t { return r.u8(); }},
+      {"b", 1, 1, [](W& w, std::uint64_t v) { w.b(v != 0); },
+       [](R& r) -> std::uint64_t { return r.b() ? 1 : 0; }},
+      {"u16", 2, 0xBEEF,
+       [](W& w, std::uint64_t v) { w.u16(static_cast<std::uint16_t>(v)); },
+       [](R& r) -> std::uint64_t { return r.u16(); }},
+      {"u32", 4, 0xDEADBEEF,
+       [](W& w, std::uint64_t v) { w.u32(static_cast<std::uint32_t>(v)); },
+       [](R& r) -> std::uint64_t { return r.u32(); }},
+      {"tag", 4, snapshot::tag4("CDEC"),
+       [](W& w, std::uint64_t v) { w.tag(static_cast<std::uint32_t>(v)); },
+       [](R& r) -> std::uint64_t {
+         r.expect_tag(snapshot::tag4("CDEC"));
+         return snapshot::tag4("CDEC");
+       }},
+      {"u64", 8, 0xF1E2D3C4B5A69788ull,
+       [](W& w, std::uint64_t v) { w.u64(v); },
+       [](R& r) -> std::uint64_t { return r.u64(); }},
+      {"i64", 8, static_cast<std::uint64_t>(std::int64_t{-0x123456789AB}),
+       [](W& w, std::uint64_t v) { w.i64(static_cast<std::int64_t>(v)); },
+       [](R& r) -> std::uint64_t {
+         return static_cast<std::uint64_t>(r.i64());
+       }},
+      {"f64", 8, std::bit_cast<std::uint64_t>(-1.0 / 3.0),
+       [](W& w, std::uint64_t v) { w.f64(std::bit_cast<double>(v)); },
+       [](R& r) -> std::uint64_t { return std::bit_cast<std::uint64_t>(r.f64()); }},
+  };
+}
+
+TEST(SnapshotCodec, WordStoresMatchByteAtATimeEncodingAtEveryOffset) {
+  // Each field lands after 0..16 prefix bytes, so its store starts at every
+  // alignment; the bytes must be exactly the little-endian reference.
+  for (const CodecField& field : codec_fields()) {
+    for (std::size_t offset = 0; offset <= 16; ++offset) {
+      snapshot::Writer w;
+      std::vector<std::uint8_t> expected;
+      for (std::size_t i = 0; i < offset; ++i) {
+        w.u8(static_cast<std::uint8_t>(i + 1));
+        expected.push_back(static_cast<std::uint8_t>(i + 1));
+      }
+      field.write(w, field.bits);
+      reference_put(expected, field.bits, field.width);
+      ASSERT_EQ(w.buffer(), expected) << field.name << " offset " << offset;
+
+      snapshot::Reader r(w.buffer());
+      r.skip(offset);
+      EXPECT_EQ(field.read(r), field.bits) << field.name << " offset " << offset;
+      r.require_end();
+
+      // One byte short: the bounds check must still refuse the read.
+      snapshot::Reader short_read(w.buffer().data(), w.buffer().size() - 1);
+      short_read.skip(offset);
+      EXPECT_THROW(field.read(short_read), snapshot::SnapshotError)
+          << field.name << " offset " << offset;
+      EXPECT_EQ(short_read.position(), offset) << field.name;
+    }
+  }
+}
+
+TEST(SnapshotCodec, LongMixedStreamMatchesReferenceAcrossGrowth) {
+  // Thousands of mixed fields push the buffer through many capacity
+  // doublings; a section length is backpatched in the middle.
+  const std::vector<CodecField> fields = codec_fields();
+  Rng rng(0xC0DEC);
+  snapshot::Writer w;
+  std::vector<std::uint8_t> expected;
+  std::size_t token = 0;
+  std::size_t section_start = 0;
+  for (int i = 0; i < 20000; ++i) {
+    if (i == 5000) {
+      token = w.begin_section(snapshot::tag4("MIXD"));
+      reference_put(expected, snapshot::tag4("MIXD"), 4);
+      reference_put(expected, 0, 8);
+      section_start = expected.size();
+    }
+    if (i == 15000) {
+      w.end_section(token);
+      const std::uint64_t len = expected.size() - section_start;
+      for (std::size_t b = 0; b < 8; ++b) {
+        expected[section_start - 8 + b] = static_cast<std::uint8_t>(len >> (8 * b));
+      }
+    }
+    const CodecField& field = fields[rng.next() % fields.size()];
+    field.write(w, field.bits);
+    reference_put(expected, field.bits, field.width);
+  }
+  EXPECT_EQ(w.buffer(), expected);
+}
 
 TEST(SnapshotCodec, SectionsRoundTripSkipAndNest) {
   snapshot::Writer w;
@@ -1368,6 +1483,119 @@ TEST(SnapshotTypeCoverage, DramChannelRoundTripsMidFlight) {
     EXPECT_EQ(a[i].tag, b[i].tag);
     EXPECT_EQ(a[i].finish, b[i].finish);
   }
+}
+
+/// A hand-built DRM0 section in DramChannel::save_state's layout: banks
+/// closed, no reads or completions queued, and the given write-queue blocks,
+/// refresh cursor and postponed-refresh count.
+struct CraftedDram {
+  std::vector<std::uint64_t> write_blocks = {3, 900};
+  std::int64_t refresh_cursor = 0;
+  std::int64_t postponed = 0;
+};
+
+dram::DramConfig crafted_dram_config() {
+  dram::DramConfig config;
+  config.controller.per_bank_refresh = true;  // the cursor indexes banks
+  return config;
+}
+
+std::vector<std::uint8_t> craft_dram_stream(const dram::DramConfig& config,
+                                            const CraftedDram& c) {
+  const auto ranks = static_cast<std::uint64_t>(config.geometry.ranks);
+  const auto banks = static_cast<std::uint64_t>(config.geometry.banks);
+  snapshot::Writer w;
+  w.tag(snapshot::tag4("DRM0"));
+  w.u64(ranks * banks);
+  for (std::uint64_t i = 0; i < ranks * banks; ++i) {
+    w.b(false);
+    w.u32(0);
+    for (int t = 0; t < 3; ++t) w.u64(0);
+  }
+  w.u64(0);  // read queue
+  w.u64(c.write_blocks.size());
+  std::uint64_t order = 0;
+  for (const std::uint64_t block : c.write_blocks) {
+    w.u64(block);
+    w.u64(10);     // arrival
+    w.b(true);     // is_write
+    w.b(false);    // is_prefetch
+    w.u64(block);  // tag
+    w.u64(++order);
+    w.b(false);    // needed_act
+  }
+  w.u64(0);  // completions
+  for (int i = 0; i < 4; ++i) w.u64(20);  // now, next cmd/read/write ok
+  w.u64(ranks);
+  for (std::uint64_t i = 0; i < ranks; ++i) {
+    w.u64(0);  // no ACTs in the tFAW window
+    w.u64(0);
+    w.b(false);
+  }
+  w.i64(-1);  // last burst rank
+  w.u64(0);   // last burst end
+  w.u64(100);  // refresh due
+  w.i64(c.refresh_cursor);
+  w.u64(0);  // last command time
+  w.b(false);
+  w.i64(c.postponed);
+  w.b(false);  // draining writes
+  w.u64(order);
+  for (int i = 0; i < 17; ++i) w.u64(0);  // counters
+  return w.buffer();
+}
+
+void load_crafted_dram(const CraftedDram& c) {
+  const dram::DramConfig config = crafted_dram_config();
+  dram::DramChannel channel(config);
+  const auto stream = craft_dram_stream(config, c);
+  snapshot::Reader r(stream);
+  channel.load_state(r);
+  r.require_end();
+}
+
+TEST(DramSnapshotValidation, WellFormedCraftedChannelLoadsAndRoundTrips) {
+  // The last bank as cursor and a full postponement budget are both states
+  // a run can save.
+  const dram::DramConfig config = crafted_dram_config();
+  CraftedDram c;
+  c.refresh_cursor = config.geometry.ranks * config.geometry.banks - 1;
+  c.postponed = config.controller.max_postponed_refreshes;
+  const auto stream = craft_dram_stream(config, c);
+  dram::DramChannel channel(config);
+  snapshot::Reader r(stream);
+  channel.load_state(r);
+  r.require_end();
+  snapshot::Writer again;
+  channel.save_state(again);
+  EXPECT_EQ(again.buffer(), stream);
+  channel.drain();
+  EXPECT_EQ(channel.take_completions().size(), c.write_blocks.size());
+}
+
+TEST(DramSnapshotValidation, RefreshCursorOutsideTheBanksIsRejected) {
+  const dram::DramConfig config = crafted_dram_config();
+  CraftedDram c;
+  c.refresh_cursor = config.geometry.ranks * config.geometry.banks;
+  EXPECT_THROW(load_crafted_dram(c), snapshot::SnapshotError);
+  c.refresh_cursor = -1;
+  EXPECT_THROW(load_crafted_dram(c), snapshot::SnapshotError);
+}
+
+TEST(DramSnapshotValidation, PostponedRefreshCountOutOfRangeIsRejected) {
+  CraftedDram c;
+  c.postponed = crafted_dram_config().controller.max_postponed_refreshes + 1;
+  EXPECT_THROW(load_crafted_dram(c), snapshot::SnapshotError);
+  c.postponed = std::int64_t{1} << 40;
+  EXPECT_THROW(load_crafted_dram(c), snapshot::SnapshotError);
+  c.postponed = -1;
+  EXPECT_THROW(load_crafted_dram(c), snapshot::SnapshotError);
+}
+
+TEST(DramSnapshotValidation, WriteBlockQueuedTwiceIsRejected) {
+  CraftedDram c;
+  c.write_blocks = {3, 900, 3};
+  EXPECT_THROW(load_crafted_dram(c), snapshot::SnapshotError);
 }
 
 TEST(SnapshotGolden, CommittedSnapshotStillDecodes) {
