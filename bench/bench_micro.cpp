@@ -16,6 +16,7 @@
 #include "dram/channel.hpp"
 #include "prefetch/bop.hpp"
 #include "prefetch/spp.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/simulator.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/apps.hpp"
@@ -26,7 +27,7 @@ namespace {
 
 using namespace planaria;
 
-std::vector<trace::TraceRecord> sample_trace(std::uint64_t n) {
+trace::TraceBatch sample_trace(std::uint64_t n) {
   trace::AppProfile app = trace::app_by_name("HoK");
   return trace::generate_app_trace(app, n);
 }
@@ -50,7 +51,7 @@ void BM_PlanariaOnDemand(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    pf.on_demand(event_for(trace[i]), out);
+    pf.on_demand(event_for(trace.record(i)), out);
     benchmark::DoNotOptimize(out.data());
     i = (i + 1) % trace.size();
   }
@@ -120,7 +121,7 @@ void BM_BopOnDemand(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    auto e = event_for(trace[i]);
+    auto e = event_for(trace.record(i));
     pf.on_fill(e.local_block, false, e.now);
     pf.on_demand(e, out);
     benchmark::DoNotOptimize(out.data());
@@ -137,7 +138,7 @@ void BM_SppOnDemand(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    pf.on_demand(event_for(trace[i]), out);
+    pf.on_demand(event_for(trace.record(i)), out);
     benchmark::DoNotOptimize(out.data());
     i = (i + 1) % trace.size();
   }
@@ -171,7 +172,7 @@ BENCHMARK(BM_DramChannelReads);
 void BM_TraceGeneration(benchmark::State& state) {
   for (auto _ : state) {
     auto trace = sample_trace(50000);
-    benchmark::DoNotOptimize(trace.data());
+    benchmark::DoNotOptimize(trace.addresses());
   }
   state.SetItemsProcessed(state.iterations() * 50000);
 }
@@ -184,7 +185,7 @@ void BM_GenerateAppTrace(benchmark::State& state, const char* app) {
   const trace::AppProfile& profile = trace::app_by_name(app);
   for (auto _ : state) {
     auto trace = trace::generate_app_trace(profile, kRecords);
-    benchmark::DoNotOptimize(trace.data());
+    benchmark::DoNotOptimize(trace.addresses());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kRecords));
@@ -204,7 +205,7 @@ void BM_MergeSorted(benchmark::State& state) {
   };
   const double b = app.burstiness;
   Rng rng(app.seed);
-  const std::vector<std::vector<trace::TraceRecord>> streams = {
+  const std::vector<trace::TraceBatch> streams = {
       trace::generate_footprint(
           app.footprint,
           trace::Pacing{budget(app.weight_footprint), horizon, 0, 0.5, b}, rng),
@@ -224,12 +225,28 @@ void BM_MergeSorted(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto merged = trace::merge_sorted(streams);
-    benchmark::DoNotOptimize(merged.data());
+    benchmark::DoNotOptimize(merged.addresses());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           records);
 }
 BENCHMARK(BM_MergeSorted)->Unit(benchmark::kMillisecond);
+
+// Serve's admission path for one session (SessionServer::materialize):
+// generate a 16000-record trace, then fingerprint it. At this size the
+// per-source set-up (the footprint source's hot-page table and friends)
+// weighs as much as the records themselves.
+void BM_MaterializeSession(benchmark::State& state) {
+  constexpr std::uint64_t kRecords = 16000;
+  const trace::AppProfile& app = trace::app_by_name("HoK");
+  for (auto _ : state) {
+    const trace::TraceBatch batch = trace::generate_app_trace(app, kRecords);
+    benchmark::DoNotOptimize(sim::trace_fingerprint(batch));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_MaterializeSession)->Unit(benchmark::kMicrosecond);
 
 void BM_Crc32(benchmark::State& state) {
   constexpr std::size_t kBytes = std::size_t{16} << 20;
@@ -249,7 +266,7 @@ BENCHMARK(BM_Crc32);
 // check) and the bulk copy back into an owning batch.
 void BM_PltbWriteMap(benchmark::State& state) {
   constexpr std::uint64_t kRecords = 1000000;
-  const trace::TraceBatch batch(sample_trace(kRecords));
+  const trace::TraceBatch batch = sample_trace(kRecords);
   const std::string path =
       (std::filesystem::temp_directory_path() / "planaria-bench-micro.pltb")
           .string();
@@ -272,7 +289,7 @@ std::unique_ptr<sim::Simulator> warmed_planaria_cell() {
   auto s = std::make_unique<sim::Simulator>(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria");
-  s->run_sharded(trace::TraceBatch(sample_trace(200000)), nullptr);
+  s->run_sharded(sample_trace(200000), nullptr);
   return s;
 }
 

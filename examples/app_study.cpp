@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
                 app.description.c_str());
 
     sim::ExperimentRunner runner(sim::SimConfig{}, records);
-    // The trace analyses walk records; convert the cached batch once.
-    const auto trace = runner.trace_for(app_name).to_records();
+    const trace::TraceBatch& trace = runner.trace_for(app_name);
 
     // --- Observation 1: footprint stability (Fig. 3/4 methodology) ---
     const auto overlap = analysis::overlap_rate(trace);

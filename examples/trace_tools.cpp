@@ -27,7 +27,7 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::vector<trace::TraceRecord> load(const std::string& path) {
+trace::TraceBatch load(const std::string& path) {
   if (ends_with(path, ".csv")) {
     std::ifstream is(path);
     if (!is) throw std::runtime_error("cannot open " + path);
@@ -39,7 +39,7 @@ std::vector<trace::TraceRecord> load(const std::string& path) {
   return trace::read_binary_file(path);
 }
 
-void store(const std::string& path, const std::vector<trace::TraceRecord>& records) {
+void store(const std::string& path, const trace::TraceBatch& records) {
   if (ends_with(path, ".csv")) {
     std::ofstream os(path);
     if (!os) throw std::runtime_error("cannot open " + path);
@@ -93,7 +93,8 @@ int cmd_stats(int argc, char** argv) {
   }
   std::uint64_t writes = 0;
   std::uint64_t per_device[static_cast<int>(DeviceId::kCount)] = {};
-  for (const auto& r : records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const trace::TraceRecord r = records.record(i);
     writes += r.type == AccessType::kWrite ? 1 : 0;
     ++per_device[static_cast<int>(r.device)];
   }
@@ -102,7 +103,8 @@ int cmd_stats(int argc, char** argv) {
   for (const auto& [pn, bm] : bitmaps) blocks_per_page += bm.popcount();
   blocks_per_page /= static_cast<double>(bitmaps.size());
 
-  const Cycle span = records.back().arrival - records.front().arrival;
+  const Cycle span =
+      records.arrivals()[records.size() - 1] - records.arrivals()[0];
   std::printf("records:          %zu\n", records.size());
   std::printf("span:             %llu cycles (%.2f ms @1.6GHz)\n",
               static_cast<unsigned long long>(span),
@@ -139,8 +141,7 @@ int cmd_sim(int argc, char** argv) {
   const auto records = load(argv[2]);
   const auto kind = sim::prefetcher_kind_from_name(argv[3]);
   const auto result = sim::Simulator::run(
-      sim::SimConfig{}, sim::make_prefetcher_factory(kind), argv[3],
-      trace::TraceBatch(records));
+      sim::SimConfig{}, sim::make_prefetcher_factory(kind), argv[3], records);
   std::printf("%s: amat=%.1f cycles, hit=%.1f%%, accuracy=%.1f%%, "
               "coverage=%.1f%%, power=%.1f mW\n",
               result.prefetcher.c_str(), result.amat_cycles,

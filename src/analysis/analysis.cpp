@@ -35,10 +35,11 @@ const StreamSummary* GroupedSummary::find(const std::string& key) const {
   return it == groups.end() ? nullptr : &it->second;
 }
 
-std::vector<FootprintSample> footprint_snapshot(
-    const std::vector<trace::TraceRecord>& records, PageNumber page) {
+std::vector<FootprintSample> footprint_snapshot(const trace::TraceBatch& trace,
+                                                PageNumber page) {
   std::vector<FootprintSample> out;
-  for (const auto& r : records) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const trace::TraceRecord r = trace.record(i);
     if (addr::page_number(r.address) == page) {
       out.push_back(FootprintSample{r.arrival, addr::block_in_page(r.address)});
     }
@@ -46,10 +47,11 @@ std::vector<FootprintSample> footprint_snapshot(
   return out;
 }
 
-bool hottest_page(const std::vector<trace::TraceRecord>& records,
-                  PageNumber& page_out) {
+bool hottest_page(const trace::TraceBatch& trace, PageNumber& page_out) {
   std::unordered_map<PageNumber, std::uint64_t> counts;
-  for (const auto& r : records) ++counts[addr::page_number(r.address)];
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ++counts[addr::page_number(trace.addresses()[i])];
+  }
   if (counts.empty()) return false;
   PageNumber best = 0;
   std::uint64_t best_count = 0;
@@ -63,13 +65,13 @@ bool hottest_page(const std::vector<trace::TraceRecord>& records,
   return true;
 }
 
-OverlapResult overlap_rate(const std::vector<trace::TraceRecord>& records,
+OverlapResult overlap_rate(const trace::TraceBatch& trace,
                            std::uint64_t window) {
   // Group the per-page access sequences (block order preserved).
   std::unordered_map<PageNumber, std::vector<int>> sequences;
-  for (const auto& r : records) {
-    sequences[addr::page_number(r.address)].push_back(
-        addr::block_in_page(r.address));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const Address a = trace.addresses()[i];
+    sequences[addr::page_number(a)].push_back(addr::block_in_page(a));
   }
 
   OverlapResult result;
@@ -108,19 +110,19 @@ OverlapResult overlap_rate(const std::vector<trace::TraceRecord>& records,
   return result;
 }
 
-std::map<PageNumber, PageBitmap> page_bitmaps(
-    const std::vector<trace::TraceRecord>& records) {
+std::map<PageNumber, PageBitmap> page_bitmaps(const trace::TraceBatch& trace) {
   std::map<PageNumber, PageBitmap> bitmaps;
-  for (const auto& r : records) {
-    bitmaps[addr::page_number(r.address)].set(addr::block_in_page(r.address));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const Address a = trace.addresses()[i];
+    bitmaps[addr::page_number(a)].set(addr::block_in_page(a));
   }
   return bitmaps;
 }
 
 std::vector<double> learnable_neighbor_fraction(
-    const std::vector<trace::TraceRecord>& records,
+    const trace::TraceBatch& trace,
     const std::vector<std::uint64_t>& distance_thresholds, int max_bit_diff) {
-  const auto bitmaps = page_bitmaps(records);
+  const auto bitmaps = page_bitmaps(trace);
   // Flatten to sorted arrays for windowed neighbor scans.
   std::vector<PageNumber> pages;
   std::vector<PageBitmap> bms;

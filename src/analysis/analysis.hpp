@@ -20,7 +20,7 @@
 
 #include "common/bitmap.hpp"
 #include "common/types.hpp"
-#include "trace/record.hpp"
+#include "trace/batch.hpp"
 
 namespace planaria::analysis {
 
@@ -66,13 +66,12 @@ struct FootprintSample {
 };
 
 /// Access scatter for `page`; empty if the page never appears.
-std::vector<FootprintSample> footprint_snapshot(
-    const std::vector<trace::TraceRecord>& records, PageNumber page);
+std::vector<FootprintSample> footprint_snapshot(const trace::TraceBatch& trace,
+                                                PageNumber page);
 
 /// The page with the most accesses (a good Fig. 2 subject). Returns false if
 /// the trace is empty.
-bool hottest_page(const std::vector<trace::TraceRecord>& records,
-                  PageNumber& page_out);
+bool hottest_page(const trace::TraceBatch& trace, PageNumber& page_out);
 
 struct OverlapResult {
   double average_overlap = 0.0;  ///< mean over all windows of all pages
@@ -84,18 +83,17 @@ struct OverlapResult {
 /// window for each page; the paper sizes it from the page's typical accessed
 /// block count, so `window == 0` means "per page, use that page's distinct
 /// block count".
-OverlapResult overlap_rate(const std::vector<trace::TraceRecord>& records,
+OverlapResult overlap_rate(const trace::TraceBatch& trace,
                            std::uint64_t window = 0);
 
 /// Final access bitmap (64 blocks) of every page in the trace.
-std::map<PageNumber, PageBitmap> page_bitmaps(
-    const std::vector<trace::TraceRecord>& records);
+std::map<PageNumber, PageBitmap> page_bitmaps(const trace::TraceBatch& trace);
 
 /// Fraction of pages with at least one learnable neighbor for each distance
 /// threshold in `distance_thresholds` (bit-difference floor `max_bit_diff`,
 /// paper default 4).
 std::vector<double> learnable_neighbor_fraction(
-    const std::vector<trace::TraceRecord>& records,
+    const trace::TraceBatch& trace,
     const std::vector<std::uint64_t>& distance_thresholds,
     int max_bit_diff = 4);
 

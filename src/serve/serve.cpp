@@ -133,9 +133,7 @@ const std::vector<SessionOutcome>& SessionServer::outcomes() const {
 void SessionServer::materialize(Session& s) const {
   trace::AppProfile profile = trace::app_by_name(s.spec.app);
   profile.seed ^= mix64(s.spec.user_seed);
-  const auto records =
-      trace::generate_app_trace(profile, config_.records_per_session);
-  s.batch = trace::TraceBatch(records);
+  s.batch = trace::generate_app_trace(profile, config_.records_per_session);
   s.fingerprint = sim::trace_fingerprint(s.batch);
 }
 

@@ -43,8 +43,7 @@ ExperimentRunner::TraceEntry& ExperimentRunner::trace_entry(
     entry = &traces_[app];
   }
   std::call_once(entry->once, [&] {
-    entry->batch = trace::TraceBatch(
-        trace::generate_app_trace(trace::app_by_name(app), records_));
+    entry->batch = trace::generate_app_trace(trace::app_by_name(app), records_);
     entry->fingerprint = trace_fingerprint(entry->batch);
   });
   return *entry;

@@ -55,10 +55,9 @@ class ExperimentRunner {
       std::uint64_t records = records_from_env(400000),
       std::size_t threads = common::ThreadPool::threads_from_env(1));
 
-  /// Generated (and cached) bus trace for one paper app, in the columnar form
-  /// the simulator consumes. Thread-safe: concurrent sweep cells block on one
-  /// std::call_once generation instead of racing to generate their own
-  /// copies. Record-oriented consumers convert once with to_records().
+  /// Generated (and cached) bus trace for one paper app. Thread-safe:
+  /// concurrent sweep cells block on one std::call_once generation instead
+  /// of racing to generate their own copies.
   const trace::TraceBatch& trace_for(const std::string& app);
 
   /// One cell of the grid (channel-sharded across the pool when one exists).

@@ -130,11 +130,13 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   if (image.size() - kHeaderBytes != length) {
     throw SnapshotError(path + ": payload length field disagrees with file size");
   }
-  std::vector<std::uint8_t> payload(image.begin() + kHeaderBytes, image.end());
-  if (crc32(payload.data(), payload.size()) != expected_crc) {
+  if (crc32(image.data() + kHeaderBytes, length) != expected_crc) {
     throw SnapshotError(path + ": CRC mismatch");
   }
-  return payload;
+  // Drop the header in place: the image becomes the payload without a second
+  // allocation.
+  image.erase(image.begin(), image.begin() + kHeaderBytes);
+  return image;
 }
 
 }  // namespace planaria::snapshot

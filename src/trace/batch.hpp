@@ -1,13 +1,13 @@
-// Structure-of-arrays trace storage (the hot-path spine).
+// Structure-of-arrays trace storage: the one in-memory form of a trace.
 //
 // The simulator's inner loops touch exactly three things per record: the
 // address (channel routing + cache/prefetcher coordinates), the arrival cycle
-// (DRAM clock advance) and the access metadata (read/write + device). The
-// AoS TraceRecord keeps those in one padded 24-byte struct, so a sweep cell
-// streaming a trace drags a third of each cache line as padding. TraceBatch
-// stores the same records as three parallel columns — u64 addresses, u64
-// arrivals, one packed meta byte — cutting the bytes-per-record the spine
-// streams from 24 to 17 and letting each column prefetch independently.
+// (DRAM clock advance) and the access metadata (read/write + device). A
+// TraceRecord row pads those to 24 bytes; TraceBatch stores them as three
+// parallel columns — u64 addresses, u64 arrivals, one packed meta byte — at
+// 17 bytes per record, each column prefetching independently. The generator,
+// every reader and every analysis build or take batches; TraceRecord is only
+// the value of one row (record(i), push_back).
 //
 // Meta packing: bit 0 = access type (1 = write), bits 1..7 = device id. Both
 // enums are validated on unpack by construction (pack_meta is the only
@@ -25,10 +25,19 @@ namespace planaria::trace {
 class TraceBatch {
  public:
   TraceBatch() = default;
-  explicit TraceBatch(const std::vector<TraceRecord>& records) {
-    reserve(records.size());
-    advise_huge_pages();
-    for (const TraceRecord& rec : records) push_back(rec);
+
+  /// An empty batch with room for `n` records, its columns advised for huge
+  /// pages before the first write: the start of every whole-trace builder.
+  /// reserve() alone does not advise, because it also sizes the simulator's
+  /// per-channel shards on every run_sharded call, and those keep and reuse
+  /// their capacity.
+  static TraceBatch with_capacity(std::size_t n) {
+    TraceBatch out;
+    out.reserve(n);
+    common::advise_huge_pages(out.addresses_.data(), n * sizeof(Address));
+    common::advise_huge_pages(out.arrivals_.data(), n * sizeof(Cycle));
+    common::advise_huge_pages(out.meta_.data(), n);
+    return out;
   }
 
   /// Bulk copy of `n` records held as three columns (one memcpy-class copy
@@ -37,9 +46,7 @@ class TraceBatch {
   static TraceBatch from_columns(const Address* addresses,
                                  const Cycle* arrivals,
                                  const std::uint8_t* meta, std::size_t n) {
-    TraceBatch out;
-    out.reserve(n);
-    out.advise_huge_pages();
+    TraceBatch out = with_capacity(n);
     out.addresses_.assign(addresses, addresses + n);
     out.arrivals_.assign(arrivals, arrivals + n);
     out.meta_.assign(meta, meta + n);
@@ -89,29 +96,9 @@ class TraceBatch {
                        meta_device(meta_[i])};
   }
 
-  /// AoS round-trip, for interchange with the record-based APIs.
-  std::vector<TraceRecord> to_records() const {
-    std::vector<TraceRecord> out;
-    out.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) out.push_back(record(i));
-    return out;
-  }
-
   friend bool operator==(const TraceBatch&, const TraceBatch&) = default;
 
  private:
-  /// First-touch advice on freshly reserved, still unwritten columns. Only
-  /// the two whole-trace constructors call it: reserve() also sizes the
-  /// simulator's per-channel shards on every run_sharded call, and those
-  /// keep and reuse their capacity.
-  void advise_huge_pages() const {
-    common::advise_huge_pages(addresses_.data(),
-                              addresses_.capacity() * sizeof(Address));
-    common::advise_huge_pages(arrivals_.data(),
-                              arrivals_.capacity() * sizeof(Cycle));
-    common::advise_huge_pages(meta_.data(), meta_.capacity());
-  }
-
   std::vector<Address> addresses_;
   std::vector<Cycle> arrivals_;
   std::vector<std::uint8_t> meta_;

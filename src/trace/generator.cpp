@@ -6,7 +6,6 @@
 #include <variant>
 
 #include "common/bitmap.hpp"
-#include "common/huge_pages.hpp"
 #include "trace/merge.hpp"
 
 namespace planaria::trace {
@@ -485,10 +484,9 @@ class IrregularSource {
 /// is spent, so the caller's stream continues exactly where the generator's
 /// last draw left it.
 template <typename Source, typename Params>
-std::vector<TraceRecord> drain(const Params& params, const Pacing& pacing,
-                               Rng& rng) {
+TraceBatch drain(const Params& params, const Pacing& pacing, Rng& rng) {
   Source source(params, pacing, rng);
-  std::vector<TraceRecord> out;
+  TraceBatch out;
   out.reserve(pacing.records);
   TraceRecord rec;
   while (source.next(rec)) out.push_back(rec);
@@ -499,33 +497,29 @@ std::vector<TraceRecord> drain(const Params& params, const Pacing& pacing,
 using AnySource =
     std::variant<FootprintSource, NeighborSource, StreamSource, IrregularSource>;
 
-/// Records a source produces per refill of generate_app_trace's merge.
-constexpr std::size_t kChunk = 256;
-
 }  // namespace
 
-std::vector<TraceRecord> generate_footprint(const FootprintParams& params,
-                                            const Pacing& pacing, Rng& rng) {
+TraceBatch generate_footprint(const FootprintParams& params,
+                              const Pacing& pacing, Rng& rng) {
   return drain<FootprintSource>(params, pacing, rng);
 }
 
-std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
-                                           const Pacing& pacing, Rng& rng) {
+TraceBatch generate_neighbor(const NeighborParams& params,
+                             const Pacing& pacing, Rng& rng) {
   return drain<NeighborSource>(params, pacing, rng);
 }
 
-std::vector<TraceRecord> generate_stream(const StreamParams& params,
-                                         const Pacing& pacing, Rng& rng) {
+TraceBatch generate_stream(const StreamParams& params,
+                           const Pacing& pacing, Rng& rng) {
   return drain<StreamSource>(params, pacing, rng);
 }
 
-std::vector<TraceRecord> generate_irregular(const IrregularParams& params,
-                                            const Pacing& pacing, Rng& rng) {
+TraceBatch generate_irregular(const IrregularParams& params,
+                              const Pacing& pacing, Rng& rng) {
   return drain<IrregularSource>(params, pacing, rng);
 }
 
-std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
-                                            std::uint64_t records) {
+TraceBatch generate_app_trace(const AppProfile& app, std::uint64_t records) {
   if (records == 0) throw std::invalid_argument("generate_app_trace: 0 records");
   const double wsum = app.weight_footprint + app.weight_neighbor +
                       app.weight_stream + app.weight_irregular;
@@ -583,33 +577,30 @@ std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
                          Rng(app.seed * 4 + 4));
   }
 
-  // Sources fill a small chunk per refill: the merge scans heads, and each
-  // source's generation loop runs with its state in registers.
-  std::vector<TraceRecord> chunks(sources.size() * kChunk);
-  std::vector<TraceRecord> out;
-  out.reserve(records);
-  common::advise_huge_pages(out.data(), out.capacity() * sizeof(TraceRecord));
+  // Sources fill a small chunk per refill, merged straight into the columns.
+  std::vector<detail::MergeChunk> chunks(sources.size());
+  TraceBatch out = TraceBatch::with_capacity(records);
   detail::merge_sources(
       sources.size(),
       [&](std::size_t s) {
-        TraceRecord* chunk = chunks.data() + s * kChunk;
+        detail::MergeChunk& chunk = chunks[s];
         const std::size_t n = std::visit(
-            [chunk](auto& source) {
-              std::size_t filled = 0;
-              while (filled < kChunk && source.next(chunk[filled])) ++filled;
-              return filled;
+            [&chunk](auto& source) {
+              std::size_t count = 0;
+              while (count < chunk.size() && source.next(chunk[count])) ++count;
+              return count;
             },
             sources[s]);
-        return std::span<const TraceRecord>(chunk, n);
+        return std::span<const TraceRecord>(chunk.data(), n);
       },
       out);
   return out;
 }
 
-std::vector<std::vector<TraceRecord>> generate_app_traces(
-    const std::vector<AppProfile>& apps, std::uint64_t records,
-    common::ThreadPool* pool) {
-  std::vector<std::vector<TraceRecord>> out(apps.size());
+std::vector<TraceBatch> generate_app_traces(const std::vector<AppProfile>& apps,
+                                            std::uint64_t records,
+                                            common::ThreadPool* pool) {
+  std::vector<TraceBatch> out(apps.size());
   const auto generate = [&](std::size_t i) {
     out[i] = generate_app_trace(apps[i], records);
   };

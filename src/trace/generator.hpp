@@ -35,7 +35,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
-#include "trace/record.hpp"
+#include "trace/batch.hpp"
 
 namespace planaria::trace {
 
@@ -108,14 +108,14 @@ struct IrregularParams {
 
 /// One component's stream on its own. Each call leaves `rng` exactly where
 /// the component's last draw left it, draws after its last record included.
-std::vector<TraceRecord> generate_footprint(const FootprintParams& params,
-                                            const Pacing& pacing, Rng& rng);
-std::vector<TraceRecord> generate_neighbor(const NeighborParams& params,
-                                           const Pacing& pacing, Rng& rng);
-std::vector<TraceRecord> generate_stream(const StreamParams& params,
-                                         const Pacing& pacing, Rng& rng);
-std::vector<TraceRecord> generate_irregular(const IrregularParams& params,
-                                            const Pacing& pacing, Rng& rng);
+TraceBatch generate_footprint(const FootprintParams& params,
+                              const Pacing& pacing, Rng& rng);
+TraceBatch generate_neighbor(const NeighborParams& params,
+                             const Pacing& pacing, Rng& rng);
+TraceBatch generate_stream(const StreamParams& params, const Pacing& pacing,
+                           Rng& rng);
+TraceBatch generate_irregular(const IrregularParams& params,
+                              const Pacing& pacing, Rng& rng);
 
 /// A full application profile: component weights plus the per-component
 /// parameters and overall intensity. See apps.hpp for the ten calibrated
@@ -140,15 +140,14 @@ struct AppProfile {
 /// `app`. Throws std::invalid_argument on zero records, a negative weight or
 /// a non-positive weight sum. Pure: all RNG state is derived locally from
 /// app.seed, so concurrent calls are safe and output depends only on
-/// (app, records).
-std::vector<TraceRecord> generate_app_trace(const AppProfile& app,
-                                            std::uint64_t records);
+/// (app, records). The merge writes straight into the returned columns.
+TraceBatch generate_app_trace(const AppProfile& app, std::uint64_t records);
 
 /// Generates one trace per profile, in profile order, fanning the
 /// per-profile generation out over `pool` when one is supplied (each profile
 /// seeds its own RNGs, so the result is identical at any thread count).
-std::vector<std::vector<TraceRecord>> generate_app_traces(
-    const std::vector<AppProfile>& apps, std::uint64_t records,
-    common::ThreadPool* pool = nullptr);
+std::vector<TraceBatch> generate_app_traces(const std::vector<AppProfile>& apps,
+                                            std::uint64_t records,
+                                            common::ThreadPool* pool = nullptr);
 
 }  // namespace planaria::trace

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace planaria::trace {
 
@@ -28,13 +31,28 @@ void defect(RecoveryPolicy policy, TraceReadReport& report,
   }
 }
 
+/// Stable sort by arrival, through a sorted index; an already sorted capture
+/// (the usual case) costs one is_sorted pass.
+void sort_by_arrival(TraceBatch& batch) {
+  const Cycle* t = batch.arrivals();
+  if (std::is_sorted(t, t + batch.size())) return;
+  std::vector<std::size_t> order(batch.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [t](std::size_t a, std::size_t b) { return t[a] < t[b]; });
+  TraceBatch sorted;
+  sorted.reserve(batch.size());
+  for (const std::size_t i : order) sorted.push_back(batch.record(i));
+  batch = std::move(sorted);
+}
+
 }  // namespace
 
-std::vector<TraceRecord> read_dramsim2(std::istream& is, RecoveryPolicy policy,
-                                       TraceReadReport* report) {
+TraceBatch read_dramsim2(std::istream& is, RecoveryPolicy policy,
+                         TraceReadReport* report) {
   TraceReadReport local;
   TraceReadReport& rep = report != nullptr ? *report : local;
-  std::vector<TraceRecord> out;
+  TraceBatch out;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -75,25 +93,22 @@ std::vector<TraceRecord> read_dramsim2(std::istream& is, RecoveryPolicy policy,
   }
   // DRAMSim2 traces are cycle-ordered by construction, but tolerate captures
   // that interleave channels by re-sorting stably.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.arrival < b.arrival;
-                   });
+  sort_by_arrival(out);
   rep.records = out.size();
   return out;
 }
 
-std::vector<TraceRecord> read_dramsim2_file(const std::string& path,
-                                            RecoveryPolicy policy,
-                                            TraceReadReport* report) {
+TraceBatch read_dramsim2_file(const std::string& path, RecoveryPolicy policy,
+                              TraceReadReport* report) {
   // lint: suppress(io-raw-stream) read-only offline import of a foreign text format; durability is owned by the write side
   std::ifstream is(path);
   if (!is) throw std::runtime_error("trace import: cannot open " + path);
   return read_dramsim2(is, policy, report);
 }
 
-void write_dramsim2(std::ostream& os, const std::vector<TraceRecord>& records) {
-  for (const auto& r : records) {
+void write_dramsim2(std::ostream& os, const TraceBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const TraceRecord r = batch.record(i);
     os << "0x" << std::hex << r.address << std::dec << ' '
        << (r.type == AccessType::kRead ? "P_MEM_RD" : "P_MEM_WR") << ' '
        << r.arrival << '\n';
@@ -101,12 +116,11 @@ void write_dramsim2(std::ostream& os, const std::vector<TraceRecord>& records) {
   if (!os) throw std::runtime_error("trace import: dramsim2 write failed");
 }
 
-std::vector<TraceRecord> read_champsim_csv(std::istream& is,
-                                           RecoveryPolicy policy,
-                                           TraceReadReport* report) {
+TraceBatch read_champsim_csv(std::istream& is, RecoveryPolicy policy,
+                             TraceReadReport* report) {
   TraceReadReport local;
   TraceReadReport& rep = report != nullptr ? *report : local;
-  std::vector<TraceRecord> out;
+  TraceBatch out;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -141,10 +155,7 @@ std::vector<TraceRecord> read_champsim_csv(std::istream& is,
     r.device = DeviceId::kCpuBig;
     out.push_back(r);
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.arrival < b.arrival;
-                   });
+  sort_by_arrival(out);
   rep.records = out.size();
   return out;
 }

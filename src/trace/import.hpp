@@ -18,10 +18,9 @@
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
+#include "trace/batch.hpp"
 #include "trace/io.hpp"
-#include "trace/record.hpp"
 
 namespace planaria::trace {
 
@@ -29,22 +28,22 @@ namespace planaria::trace {
 /// transaction types and malformed lines raise std::runtime_error with the
 /// line number; under kRecover they are skipped and counted into `report`,
 /// up to kDefaultErrorBudget (see trace/io.hpp).
-std::vector<TraceRecord> read_dramsim2(
-    std::istream& is, RecoveryPolicy policy = RecoveryPolicy::kThrow,
-    TraceReadReport* report = nullptr);
-std::vector<TraceRecord> read_dramsim2_file(
-    const std::string& path, RecoveryPolicy policy = RecoveryPolicy::kThrow,
-    TraceReadReport* report = nullptr);
+TraceBatch read_dramsim2(std::istream& is,
+                         RecoveryPolicy policy = RecoveryPolicy::kThrow,
+                         TraceReadReport* report = nullptr);
+TraceBatch read_dramsim2_file(const std::string& path,
+                              RecoveryPolicy policy = RecoveryPolicy::kThrow,
+                              TraceReadReport* report = nullptr);
 
 /// Writes the DRAMSim2 `.trc` format, allowing generated mobile workloads to
 /// be replayed on a stock DRAMSim2 build for cross-validation.
-void write_dramsim2(std::ostream& os, const std::vector<TraceRecord>& records);
+void write_dramsim2(std::ostream& os, const TraceBatch& batch);
 
 /// Parses `address,is_write,cycle` CSV (ChampSim LLC export convention).
 /// A header line is optional and detected automatically. Same per-line
 /// skip-and-count semantics under kRecover as read_dramsim2.
-std::vector<TraceRecord> read_champsim_csv(
-    std::istream& is, RecoveryPolicy policy = RecoveryPolicy::kThrow,
-    TraceReadReport* report = nullptr);
+TraceBatch read_champsim_csv(std::istream& is,
+                             RecoveryPolicy policy = RecoveryPolicy::kThrow,
+                             TraceReadReport* report = nullptr);
 
 }  // namespace planaria::trace

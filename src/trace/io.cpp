@@ -82,10 +82,11 @@ void TraceReadReport::note(std::string message) {
   }
 }
 
-void write_binary(std::ostream& os, const std::vector<TraceRecord>& records) {
-  BinaryHeader h{kTraceMagic, kTraceVersion, 0, records.size()};
+void write_binary(std::ostream& os, const TraceBatch& batch) {
+  BinaryHeader h{kTraceMagic, kTraceVersion, 0, batch.size()};
   os.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  for (const auto& r : records) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const TraceRecord r = batch.record(i);
     BinaryRecord b{};
     b.address = r.address;
     b.arrival = r.arrival;
@@ -96,13 +97,12 @@ void write_binary(std::ostream& os, const std::vector<TraceRecord>& records) {
   if (!os) fail("write failed");
 }
 
-void write_binary_file(const std::string& path,
-                       const std::vector<TraceRecord>& records) {
+void write_binary_file(const std::string& path, const TraceBatch& batch) {
   // Serialize through the stream encoder, land the bytes through the io VFS
   // so the container gets the durable tmp/fsync/rename discipline and the
   // storage-fault drills cover this write site too.
   std::ostringstream os(std::ios::binary);
-  write_binary(os, records);
+  write_binary(os, batch);
   const std::string image = os.str();
   try {
     io::write_file_durable(path, {io::ByteSpan{image.data(), image.size()}});
@@ -111,8 +111,8 @@ void write_binary_file(const std::string& path,
   }
 }
 
-std::vector<TraceRecord> read_binary(std::istream& is, RecoveryPolicy policy,
-                                     TraceReadReport* report) {
+TraceBatch read_binary(std::istream& is, RecoveryPolicy policy,
+                       TraceReadReport* report) {
   TraceReadReport local;
   TraceReadReport& rep = report != nullptr ? *report : local;
 
@@ -149,7 +149,7 @@ std::vector<TraceRecord> read_binary(std::istream& is, RecoveryPolicy policy,
     }
   }
 
-  std::vector<TraceRecord> out;
+  TraceBatch out;
   // For a non-seekable stream the count could not be validated; cap the
   // upfront reservation and let the vector grow against real data instead.
   constexpr std::uint64_t kBlindReserveCap = 1u << 20;
@@ -183,9 +183,8 @@ std::vector<TraceRecord> read_binary(std::istream& is, RecoveryPolicy policy,
   return out;
 }
 
-std::vector<TraceRecord> read_binary_file(const std::string& path,
-                                          RecoveryPolicy policy,
-                                          TraceReadReport* report) {
+TraceBatch read_binary_file(const std::string& path, RecoveryPolicy policy,
+                            TraceReadReport* report) {
   // lint: suppress(io-raw-stream) read-only trace ingest; every batch is CRC-guarded below, so rot is detected without the VFS read shim
   std::ifstream is(path, std::ios::binary);
   if (!is) fail("cannot open for read: " + path);
@@ -387,9 +386,10 @@ TraceBatch MappedTraceBatch::to_batch() const {
   return TraceBatch::from_columns(addresses_, arrivals_, meta_, count_);
 }
 
-void write_csv(std::ostream& os, const std::vector<TraceRecord>& records) {
+void write_csv(std::ostream& os, const TraceBatch& batch) {
   os << "address,arrival,type,device\n";
-  for (const auto& r : records) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const TraceRecord r = batch.record(i);
     os << "0x" << std::hex << r.address << std::dec << ',' << r.arrival << ','
        << (r.type == AccessType::kRead ? 'R' : 'W') << ','
        << device_name(r.device) << '\n';
@@ -397,11 +397,11 @@ void write_csv(std::ostream& os, const std::vector<TraceRecord>& records) {
   if (!os) fail("csv write failed");
 }
 
-std::vector<TraceRecord> read_csv(std::istream& is, RecoveryPolicy policy,
-                                  TraceReadReport* report) {
+TraceBatch read_csv(std::istream& is, RecoveryPolicy policy,
+                    TraceReadReport* report) {
   TraceReadReport local;
   TraceReadReport& rep = report != nullptr ? *report : local;
-  std::vector<TraceRecord> out;
+  TraceBatch out;
   std::string line;
   if (!std::getline(is, line)) {
     if (policy == RecoveryPolicy::kThrow) fail("empty csv");
@@ -465,20 +465,22 @@ std::vector<TraceRecord> read_csv(std::istream& is, RecoveryPolicy policy,
   return out;
 }
 
-std::vector<TraceRecord> merge_sorted(
-    const std::vector<std::vector<TraceRecord>>& streams) {
+TraceBatch merge_sorted(const std::vector<TraceBatch>& streams) {
   std::size_t total = 0;
   for (const auto& stream : streams) total += stream.size();
-  std::vector<TraceRecord> out;
-  out.reserve(total);
-  // Each stream is one run; a second refill finds it spent.
-  std::vector<bool> taken(streams.size(), false);
+  TraceBatch out = TraceBatch::with_capacity(total);
+  // Each stream is unpacked into rows one chunk per refill.
+  std::vector<detail::MergeChunk> chunks(streams.size());
+  std::vector<std::size_t> next(streams.size(), 0);
   detail::merge_sources(
       streams.size(),
       [&](std::size_t s) {
-        if (taken[s]) return std::span<const TraceRecord>();
-        taken[s] = true;
-        return std::span<const TraceRecord>(streams[s]);
+        const std::size_t n =
+            std::min(detail::kMergeChunk, streams[s].size() - next[s]);
+        for (TraceRecord& row : std::span(chunks[s].data(), n)) {
+          row = streams[s].record(next[s]++);
+        }
+        return std::span<const TraceRecord>(chunks[s].data(), n);
       },
       out);
   return out;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "trace/batch.hpp"
-#include "trace/record.hpp"
 
 namespace planaria::trace {
 
@@ -65,10 +64,9 @@ struct TraceReadReport {
   void note(std::string message);
 };
 
-/// Writes `records` in binary format. Throws std::runtime_error on IO failure.
-void write_binary(std::ostream& os, const std::vector<TraceRecord>& records);
-void write_binary_file(const std::string& path,
-                       const std::vector<TraceRecord>& records);
+/// Writes `batch` in binary format. Throws std::runtime_error on IO failure.
+void write_binary(std::ostream& os, const TraceBatch& batch);
+void write_binary_file(const std::string& path, const TraceBatch& batch);
 
 /// Reads a binary trace. kThrow: std::runtime_error on malformed input (bad
 /// magic, version mismatch, header count exceeding the stream's bytes,
@@ -76,21 +74,21 @@ void write_binary_file(const std::string& path,
 /// prefix of a truncated stream and skips records with bad enum bytes; a bad
 /// magic or version still throws — a file this reader cannot even identify
 /// has no salvageable prefix.
-std::vector<TraceRecord> read_binary(std::istream& is,
-                                     RecoveryPolicy policy = RecoveryPolicy::kThrow,
-                                     TraceReadReport* report = nullptr);
-std::vector<TraceRecord> read_binary_file(const std::string& path,
-                                          RecoveryPolicy policy = RecoveryPolicy::kThrow,
-                                          TraceReadReport* report = nullptr);
+TraceBatch read_binary(std::istream& is,
+                       RecoveryPolicy policy = RecoveryPolicy::kThrow,
+                       TraceReadReport* report = nullptr);
+TraceBatch read_binary_file(const std::string& path,
+                            RecoveryPolicy policy = RecoveryPolicy::kThrow,
+                            TraceReadReport* report = nullptr);
 
 /// CSV: one "address,arrival,type,device" row per record, with a header row.
 /// type is R|W; device is the device_name() string. Windows line endings are
 /// accepted. kRecover skips malformed rows (within the error budget) instead
 /// of throwing.
-void write_csv(std::ostream& os, const std::vector<TraceRecord>& records);
-std::vector<TraceRecord> read_csv(std::istream& is,
-                                  RecoveryPolicy policy = RecoveryPolicy::kThrow,
-                                  TraceReadReport* report = nullptr);
+void write_csv(std::ostream& os, const TraceBatch& batch);
+TraceBatch read_csv(std::istream& is,
+                    RecoveryPolicy policy = RecoveryPolicy::kThrow,
+                    TraceReadReport* report = nullptr);
 
 /// Columnar (SoA) trace container format, designed to be mapped rather than
 /// parsed: a 32-byte header {magic "PLTB", u16 version, u16 flags, u64 record
@@ -153,7 +151,6 @@ class MappedTraceBatch {
 /// fires on every out-of-order pair (under kRecover the merge proceeds
 /// best-effort, placing the offending record by its claimed arrival). Same
 /// merge as generate_app_trace's (trace/merge.hpp).
-std::vector<TraceRecord> merge_sorted(
-    const std::vector<std::vector<TraceRecord>>& streams);
+TraceBatch merge_sorted(const std::vector<TraceBatch>& streams);
 
 }  // namespace planaria::trace

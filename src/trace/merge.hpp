@@ -1,18 +1,25 @@
 // The one k-way merge of arrival-sorted record sources.
 //
-// merge_sorted merges materialized vectors with it; generate_app_trace merges
+// merge_sorted merges materialized batches with it; generate_app_trace merges
 // its four generator sources while they run, a chunk at a time, so no
-// sub-stream is ever materialized.
+// sub-stream is ever materialized. Either way the merge appends straight into
+// the output batch's columns.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
 
 #include "check/contract.hpp"
-#include "trace/record.hpp"
+#include "trace/batch.hpp"
 
 namespace planaria::trace::detail {
+
+/// One source's refill buffer: a small run of rows, so the merge scans heads
+/// and each source's loop runs with its state in registers.
+inline constexpr std::size_t kMergeChunk = 256;
+using MergeChunk = std::array<TraceRecord, kMergeChunk>;
 
 /// Appends the records of `k` sources to `out` in (arrival, source index)
 /// order. `refill(s)` returns source s's next run of records as a span that
@@ -24,8 +31,7 @@ namespace planaria::trace::detail {
 /// record); under a non-throwing contract mode an out-of-order record is
 /// placed by its claimed arrival and every record is still emitted.
 template <typename Refill>
-void merge_sources(std::size_t k, Refill&& refill,
-                   std::vector<TraceRecord>& out) {
+void merge_sources(std::size_t k, Refill&& refill, TraceBatch& out) {
   struct Head {
     Cycle arrival;  // == cur->arrival
     const TraceRecord* cur;

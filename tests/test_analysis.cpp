@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analysis.hpp"
+#include "batch_of.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
 
 namespace planaria::analysis {
 namespace {
 
+using test_util::batch_of;
 using trace::TraceRecord;
 
 TraceRecord at(PageNumber page, int block, Cycle t) {
@@ -18,8 +20,8 @@ TraceRecord at(PageNumber page, int block, Cycle t) {
 // ---------------------------------------------------------------- footprint
 
 TEST(Footprint, ExtractsOnlyRequestedPage) {
-  const std::vector<TraceRecord> records = {at(1, 0, 10), at(2, 5, 20),
-                                            at(1, 7, 30)};
+  const trace::TraceBatch records =
+      batch_of({at(1, 0, 10), at(2, 5, 20), at(1, 7, 30)});
   const auto samples = footprint_snapshot(records, 1);
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(samples[0].block, 0);
@@ -28,13 +30,13 @@ TEST(Footprint, ExtractsOnlyRequestedPage) {
 }
 
 TEST(Footprint, MissingPageGivesEmpty) {
-  const std::vector<TraceRecord> records = {at(1, 0, 10)};
+  const trace::TraceBatch records = batch_of({at(1, 0, 10)});
   EXPECT_TRUE(footprint_snapshot(records, 99).empty());
 }
 
 TEST(Footprint, HottestPageByAccessCount) {
-  std::vector<TraceRecord> records = {at(1, 0, 1), at(2, 0, 2), at(2, 1, 3),
-                                      at(2, 2, 4), at(3, 0, 5)};
+  const trace::TraceBatch records = batch_of(
+      {at(1, 0, 1), at(2, 0, 2), at(2, 1, 3), at(2, 2, 4), at(3, 0, 5)});
   PageNumber page = 0;
   ASSERT_TRUE(hottest_page(records, page));
   EXPECT_EQ(page, 2u);
@@ -49,7 +51,7 @@ TEST(Footprint, HottestPageEmptyTrace) {
 
 TEST(Overlap, IdenticalWindowsGiveFullOverlap) {
   // Page with blocks {0,1,2} accessed twice in the same pattern.
-  std::vector<TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   for (int rep = 0; rep < 2; ++rep) {
     for (int b : {0, 1, 2}) records.push_back(at(5, b, ++t));
@@ -61,7 +63,7 @@ TEST(Overlap, IdenticalWindowsGiveFullOverlap) {
 }
 
 TEST(Overlap, DisjointWindowsGiveZeroOverlap) {
-  std::vector<TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   // Window size = distinct blocks = 6; first 6 accesses {0..5}, next six
   // {6..11}: wait — distinct count includes all 12. Use explicit window.
@@ -73,7 +75,7 @@ TEST(Overlap, DisjointWindowsGiveZeroOverlap) {
 }
 
 TEST(Overlap, PartialOverlapComputed) {
-  std::vector<TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   for (int b : {0, 1, 2, 3}) records.push_back(at(5, b, ++t));
   for (int b : {2, 3, 4, 5}) records.push_back(at(5, b, ++t));
@@ -82,7 +84,7 @@ TEST(Overlap, PartialOverlapComputed) {
 }
 
 TEST(Overlap, PagesWithOneWindowAreSkipped) {
-  std::vector<TraceRecord> records = {at(5, 0, 1), at(5, 1, 2)};
+  const trace::TraceBatch records = batch_of({at(5, 0, 1), at(5, 1, 2)});
   const auto result = overlap_rate(records);
   EXPECT_EQ(result.pages_analyzed, 0u);
   EXPECT_EQ(result.windows_compared, 0u);
@@ -101,8 +103,8 @@ TEST(Overlap, SyntheticAppsExceedPaperFloor) {
 // -------------------------------------------------------------- page bitmaps
 
 TEST(PageBitmaps, AccumulateAcrossTrace) {
-  const std::vector<TraceRecord> records = {at(1, 0, 1), at(1, 5, 2),
-                                            at(2, 63, 3)};
+  const trace::TraceBatch records =
+      batch_of({at(1, 0, 1), at(1, 5, 2), at(2, 63, 3)});
   const auto bitmaps = page_bitmaps(records);
   ASSERT_EQ(bitmaps.size(), 2u);
   EXPECT_EQ(bitmaps.at(1).popcount(), 2);
@@ -112,7 +114,7 @@ TEST(PageBitmaps, AccumulateAcrossTrace) {
 // --------------------------------------------------------- neighbor fraction
 
 TEST(Neighbors, IdenticalAdjacentPagesAreLearnable) {
-  std::vector<TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   for (PageNumber p : {100ull, 101ull}) {
     for (int b : {0, 1, 2, 3, 4}) records.push_back(at(p, b, ++t));
@@ -123,7 +125,7 @@ TEST(Neighbors, IdenticalAdjacentPagesAreLearnable) {
 }
 
 TEST(Neighbors, DistantPagesAreNot) {
-  std::vector<TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   for (PageNumber p : {100ull, 500ull}) {
     for (int b : {0, 1, 2, 3, 4}) records.push_back(at(p, b, ++t));
@@ -134,7 +136,7 @@ TEST(Neighbors, DistantPagesAreNot) {
 }
 
 TEST(Neighbors, DissimilarBitmapsAreNot) {
-  std::vector<TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   for (int b : {0, 1, 2, 3, 4}) records.push_back(at(100, b, ++t));
   for (int b : {20, 21, 22, 23, 24}) records.push_back(at(101, b, ++t));
@@ -144,7 +146,7 @@ TEST(Neighbors, DissimilarBitmapsAreNot) {
 }
 
 TEST(Neighbors, BitDiffThresholdIsInclusive) {
-  std::vector<TraceRecord> records;
+  trace::TraceBatch records;
   Cycle t = 0;
   // Pages share {0..3}; each has two private blocks => Hamming distance 4.
   for (int b : {0, 1, 2, 3, 8, 9}) records.push_back(at(100, b, ++t));

@@ -153,8 +153,7 @@ TEST(FaultInjector, RecordCountsApplyNotRolls) {
 // End-to-end through the simulator
 
 trace::TraceBatch test_trace(std::uint64_t records) {
-  return trace::TraceBatch(
-      trace::generate_app_trace(trace::paper_apps().front(), records));
+  return trace::generate_app_trace(trace::paper_apps().front(), records);
 }
 
 sim::SimResult run_kind(const sim::SimConfig& config,

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "batch_of.hpp"
 #include "trace/import.hpp"
 
 namespace planaria::trace {
@@ -16,10 +17,10 @@ TEST(DramSim2Import, ParsesReadsAndWrites) {
       "0x7f0000002040 P_MEM_WR 250\n");
   const auto records = read_dramsim2(ss);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].address, 0x7f0000001000u);
-  EXPECT_EQ(records[0].type, AccessType::kRead);
-  EXPECT_EQ(records[0].arrival, 100u);
-  EXPECT_EQ(records[1].type, AccessType::kWrite);
+  EXPECT_EQ(records.addresses()[0], 0x7f0000001000u);
+  EXPECT_EQ(records.record(0).type, AccessType::kRead);
+  EXPECT_EQ(records.arrivals()[0], 100u);
+  EXPECT_EQ(records.record(1).type, AccessType::kWrite);
 }
 
 TEST(DramSim2Import, SkipsCommentsAndBlankLines) {
@@ -37,8 +38,8 @@ TEST(DramSim2Import, AcceptsFetchAndBoff) {
       "0x2000 BOFF 2\n");
   const auto records = read_dramsim2(ss);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].type, AccessType::kRead);
-  EXPECT_EQ(records[1].type, AccessType::kRead);
+  EXPECT_EQ(records.record(0).type, AccessType::kRead);
+  EXPECT_EQ(records.record(1).type, AccessType::kRead);
 }
 
 TEST(DramSim2Import, RejectsUnknownType) {
@@ -62,14 +63,14 @@ TEST(DramSim2Import, SortsOutOfOrderArrivals) {
       "0x2000 P_MEM_RD 10\n");
   const auto records = read_dramsim2(ss);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_LE(records[0].arrival, records[1].arrival);
+  EXPECT_LE(records.arrivals()[0], records.arrivals()[1]);
 }
 
 TEST(DramSim2Import, RoundTripsThroughWriter) {
-  std::vector<TraceRecord> records = {
+  const TraceBatch records = test_util::batch_of({
       {0x1000, 10, AccessType::kRead, DeviceId::kCpuBig},
       {0x2040, 20, AccessType::kWrite, DeviceId::kCpuBig},
-  };
+  });
   std::stringstream ss;
   write_dramsim2(ss, records);
   EXPECT_EQ(read_dramsim2(ss), records);
@@ -79,7 +80,7 @@ TEST(DramSim2Import, AlignsAddressesToBlocks) {
   std::stringstream ss("0x1033 P_MEM_RD 1\n");
   const auto records = read_dramsim2(ss);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].address, 0x1000u);
+  EXPECT_EQ(records.addresses()[0], 0x1000u);
 }
 
 TEST(DramSim2Import, MissingFileThrows) {
@@ -94,10 +95,10 @@ TEST(ChampSimImport, ParsesCsvRows) {
       "8256,1,200\n");
   const auto records = read_champsim_csv(ss);
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].address, 0x1000u);
-  EXPECT_EQ(records[0].type, AccessType::kRead);
-  EXPECT_EQ(records[1].address, addr::block_align(8256));
-  EXPECT_EQ(records[1].type, AccessType::kWrite);
+  EXPECT_EQ(records.addresses()[0], 0x1000u);
+  EXPECT_EQ(records.record(0).type, AccessType::kRead);
+  EXPECT_EQ(records.addresses()[1], addr::block_align(8256));
+  EXPECT_EQ(records.record(1).type, AccessType::kWrite);
 }
 
 TEST(ChampSimImport, SkipsHeaderAndComments) {
@@ -123,7 +124,7 @@ TEST(ChampSimImport, SortsByArrival) {
       "0x40,0,90\n"
       "0x80,0,10\n");
   const auto records = read_champsim_csv(ss);
-  EXPECT_LE(records[0].arrival, records[1].arrival);
+  EXPECT_LE(records.arrivals()[0], records.arrivals()[1]);
 }
 
 }  // namespace

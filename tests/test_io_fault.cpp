@@ -211,8 +211,7 @@ TEST_F(IoFaultTest, AppendLineDegradesToFalseUnderEveryFaultClass) {
 // ---------------------------------------------------------------------------
 
 trace::TraceBatch storm_trace(std::uint64_t records) {
-  return trace::TraceBatch(
-      trace::generate_app_trace(trace::paper_apps().front(), records));
+  return trace::generate_app_trace(trace::paper_apps().front(), records);
 }
 
 TEST_F(IoFaultTest, CheckpointedRunSurvivesEveryWriteSideFaultClass) {

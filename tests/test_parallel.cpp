@@ -180,8 +180,7 @@ void expect_bit_identical(const sim::SimResult& a, const sim::SimResult& b,
 }
 
 trace::TraceBatch test_trace(std::uint64_t records) {
-  return trace::TraceBatch(
-      trace::generate_app_trace(trace::paper_apps().front(), records));
+  return trace::generate_app_trace(trace::paper_apps().front(), records);
 }
 
 TEST(ParallelSimulation, ShardedRunMatchesStepLoopForAllKinds) {

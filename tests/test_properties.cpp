@@ -256,7 +256,8 @@ TEST_P(AppProperty, TracesAreWellFormed) {
   const auto records = trace::generate_app_trace(app, 30000);
   ASSERT_GE(records.size(), 29000u);
   Cycle prev = 0;
-  for (const auto& r : records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const trace::TraceRecord r = records.record(i);
     ASSERT_GE(r.arrival, prev) << "arrivals must be non-decreasing";
     prev = r.arrival;
     ASSERT_EQ(r.address % kBlockBytes, 0u) << "addresses block-aligned";
@@ -267,7 +268,8 @@ TEST_P(AppProperty, TracesAreWellFormed) {
 TEST_P(AppProperty, TracePacingMatchesMeanGap) {
   const auto& app = trace::app_by_name(GetParam());
   const auto records = trace::generate_app_trace(app, 30000);
-  const double span = static_cast<double>(records.back().arrival);
+  const double span =
+      static_cast<double>(records.arrivals()[records.size() - 1]);
   const double mean_gap = span / static_cast<double>(records.size());
   // The generator must land within 2x of the profile's intensity target —
   // the DRAM contention calibration depends on it.
@@ -280,8 +282,8 @@ TEST_P(AppProperty, FootprintRegionsAreDisjoint) {
   // The four component address regions must not collide, or analysis would
   // conflate pattern classes.
   const auto records = trace::generate_app_trace(app, 30000);
-  for (const auto& r : records) {
-    const auto pn = addr::page_number(r.address);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto pn = addr::page_number(records.addresses()[i]);
     int owners = 0;
     // Twins can step slightly below base_page; allow the span slack.
     if (pn >= app.footprint.base_page - 64 &&

@@ -2,6 +2,7 @@
 // merging, AMAT/IPC/power accounting, and the experiment runner.
 #include <gtest/gtest.h>
 
+#include "batch_of.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "trace/apps.hpp"
@@ -38,7 +39,7 @@ TEST(Simulator, EmptyTraceProducesZeroResult) {
 TEST(Simulator, SingleReadCostsScPlusDram) {
   const auto config = small_config();
   const auto r = Simulator::run(config, null_factory(), "none",
-                                trace::TraceBatch({rec(0x10000, 100)}));
+                                test_util::batch_of({rec(0x10000, 100)}));
   EXPECT_EQ(r.demand_reads, 1u);
   EXPECT_EQ(r.sc_hit_rate, 0.0);
   // Cold miss: SC latency + ACT + CAS + burst.
@@ -53,7 +54,7 @@ TEST(Simulator, RepeatAccessHitsAfterFill) {
   const auto config = small_config();
   const auto r = Simulator::run(
       config, null_factory(), "none",
-      trace::TraceBatch({rec(0x10000, 100), rec(0x10000, 5000)}));
+      test_util::batch_of({rec(0x10000, 100), rec(0x10000, 5000)}));
   EXPECT_EQ(r.demand_reads, 2u);
   EXPECT_NEAR(r.sc_hit_rate, 0.5, 1e-9);
 }
@@ -63,7 +64,7 @@ TEST(Simulator, MergedDemandsShareOneFill) {
   // flight: one DRAM read, two resolved demands.
   const auto r = Simulator::run(
       small_config(), null_factory(), "none",
-      trace::TraceBatch({rec(0x10000, 100), rec(0x10000, 110)}));
+      test_util::batch_of({rec(0x10000, 100), rec(0x10000, 110)}));
   EXPECT_EQ(r.demand_reads, 2u);
   EXPECT_EQ(r.dram_reads, 1u);
 }
@@ -71,7 +72,7 @@ TEST(Simulator, MergedDemandsShareOneFill) {
 TEST(Simulator, WritesGoToDramOnMiss) {
   const auto r = Simulator::run(
       small_config(), null_factory(), "none",
-      trace::TraceBatch({rec(0x10000, 100, AccessType::kWrite)}));
+      test_util::batch_of({rec(0x10000, 100, AccessType::kWrite)}));
   EXPECT_EQ(r.demand_writes, 1u);
   EXPECT_EQ(r.dram_writes, 1u);
   EXPECT_EQ(r.dram_reads, 0u);

@@ -352,6 +352,23 @@ TEST_F(SnapshotFileTest, EnvelopeRoundTripsAndIsAtomic) {
   EXPECT_EQ(snapshot::read_file(path("a.snap")), payload2);
 }
 
+// The reader drops the header from the file image in place; the payload it
+// hands back must be exact at the edges: empty, one byte, and one past a
+// MiB so the CRC runs its folded bulk path and its tail.
+TEST_F(SnapshotFileTest, EnvelopeRoundTripsEmptyTinyAndLargePayloads) {
+  std::vector<std::uint8_t> large((std::size_t{1} << 20) + 13);
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  for (const std::vector<std::uint8_t>& payload :
+       {std::vector<std::uint8_t>{}, std::vector<std::uint8_t>{0xA5}, large}) {
+    snapshot::write_file(path("edge.snap"), payload);
+    EXPECT_EQ(fs::file_size(path("edge.snap")), 24 + payload.size());
+    EXPECT_EQ(snapshot::read_file(path("edge.snap")), payload)
+        << payload.size() << "-byte payload";
+  }
+}
+
 TEST_F(SnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
   EXPECT_THROW(snapshot::read_file(path("nonexistent.snap")),
                snapshot::SnapshotError);
@@ -403,8 +420,7 @@ TEST_F(SnapshotFileTest, RejectsMissingTruncatedAndCorruptFiles) {
 // ---------------------------------------------------------------------------
 
 trace::TraceBatch test_trace(std::uint64_t records) {
-  return trace::TraceBatch(
-      trace::generate_app_trace(trace::paper_apps().front(), records));
+  return trace::generate_app_trace(trace::paper_apps().front(), records);
 }
 
 /// Simulator with real mid-run state: tables populated, requests in flight,

@@ -2,21 +2,34 @@
 // the calibrated app registry.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <queue>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "batch_of.hpp"
 #include "check/contract.hpp"
 #include "common/bitmap.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
+#include "trace/import.hpp"
 #include "trace/io.hpp"
 
 namespace planaria::trace {
 namespace {
+
+using test_util::batch_of;
+
+// perfbench copy-constructs its batches from the generator's result
+// (`const auto records = generate_app_trace(...)`, then `TraceBatch(records)`),
+// so a batch must stay copyable.
+static_assert(std::is_copy_constructible_v<TraceBatch>);
 
 TraceRecord make_record(Address a, Cycle t, AccessType type = AccessType::kRead,
                         DeviceId d = DeviceId::kGpu) {
@@ -26,11 +39,11 @@ TraceRecord make_record(Address a, Cycle t, AccessType type = AccessType::kRead,
 // ----------------------------------------------------------------- binary IO
 
 TEST(TraceIo, BinaryRoundTrip) {
-  std::vector<TraceRecord> records = {
+  const TraceBatch records = batch_of({
       make_record(0x1000, 10),
       make_record(0x2040, 20, AccessType::kWrite, DeviceId::kDsp),
       make_record(0xFFFF'FFFF'F000, 30, AccessType::kRead, DeviceId::kCpuLittle),
-  };
+  });
   std::stringstream ss;
   write_binary(ss, records);
   const auto back = read_binary(ss);
@@ -50,8 +63,8 @@ TEST(TraceIo, BinaryRejectsBadMagic) {
 }
 
 TEST(TraceIo, BinaryRejectsTruncatedPayload) {
-  std::vector<TraceRecord> records = {make_record(0x1000, 1),
-                                      make_record(0x2000, 2)};
+  const TraceBatch records =
+      batch_of({make_record(0x1000, 1), make_record(0x2000, 2)});
   std::stringstream ss;
   write_binary(ss, records);
   std::string data = ss.str();
@@ -62,16 +75,16 @@ TEST(TraceIo, BinaryRejectsTruncatedPayload) {
 
 TEST(TraceIo, BinaryAlignsAddressesToBlocks) {
   std::stringstream ss;
-  write_binary(ss, {TraceRecord{0x1234'5678, 1, AccessType::kRead,
-                                DeviceId::kCpuBig}});
+  write_binary(ss, batch_of({TraceRecord{0x1234'5678, 1, AccessType::kRead,
+                                         DeviceId::kCpuBig}}));
   const auto back = read_binary(ss);
   ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].address % kBlockBytes, 0u);
+  EXPECT_EQ(back.addresses()[0] % kBlockBytes, 0u);
 }
 
 TEST(TraceIo, FileRoundTrip) {
   const std::string path = "/tmp/planaria_test_trace.bin";
-  std::vector<TraceRecord> records = {make_record(0x40, 5)};
+  const TraceBatch records = batch_of({make_record(0x40, 5)});
   write_binary_file(path, records);
   EXPECT_EQ(read_binary_file(path), records);
   std::remove(path.c_str());
@@ -87,10 +100,10 @@ TEST(TraceIo, FileOpenFailureThrows) {
 // -------------------------------------------------------------------- csv IO
 
 TEST(TraceIo, CsvRoundTrip) {
-  std::vector<TraceRecord> records = {
+  const TraceBatch records = batch_of({
       make_record(0x1000, 10),
       make_record(0x20C0, 25, AccessType::kWrite, DeviceId::kNpu),
-  };
+  });
   std::stringstream ss;
   write_csv(ss, records);
   EXPECT_EQ(read_csv(ss), records);
@@ -114,39 +127,56 @@ TEST(TraceIo, CsvSkipsBlankLines) {
 // --------------------------------------------------------------------- merge
 
 TEST(TraceMerge, MergesByArrival) {
-  std::vector<std::vector<TraceRecord>> streams = {
-      {make_record(0x0, 1), make_record(0x40, 5)},
-      {make_record(0x80, 2), make_record(0xC0, 4)},
+  const std::vector<TraceBatch> streams = {
+      batch_of({make_record(0x0, 1), make_record(0x40, 5)}),
+      batch_of({make_record(0x80, 2), make_record(0xC0, 4)}),
   };
   const auto merged = merge_sorted(streams);
   ASSERT_EQ(merged.size(), 4u);
   for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_GE(merged[i].arrival, merged[i - 1].arrival);
+    EXPECT_GE(merged.arrivals()[i], merged.arrivals()[i - 1]);
   }
 }
 
 TEST(TraceMerge, StableOnTies) {
-  std::vector<std::vector<TraceRecord>> streams = {
-      {make_record(0x0, 7)},
-      {make_record(0x40, 7)},
+  const std::vector<TraceBatch> streams = {
+      batch_of({make_record(0x0, 7)}),
+      batch_of({make_record(0x40, 7)}),
   };
   const auto merged = merge_sorted(streams);
   ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].address, 0x0u);  // stream 0 wins ties
+  EXPECT_EQ(merged.addresses()[0], 0x0u);  // stream 0 wins ties
+}
+
+// Longer than one merge chunk, so each stream is refilled several times.
+TEST(TraceMerge, SpansManyRefills) {
+  std::vector<TraceBatch> streams(3);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    for (Cycle t = 0; t < 1000; ++t) {
+      streams[s].push_back(make_record((s << 20) + t * kBlockBytes, t));
+    }
+  }
+  const auto merged = merge_sorted(streams);
+  ASSERT_EQ(merged.size(), 3000u);
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    const std::size_t s = i % 3;
+    const Cycle t = i / 3;
+    ASSERT_EQ(merged.record(i), streams[s].record(t)) << "row " << i;
+  }
 }
 
 TEST(TraceMerge, HandlesEmptyStreams) {
   EXPECT_TRUE(merge_sorted({}).empty());
-  EXPECT_TRUE(merge_sorted({{}, {}}).empty());
-  const auto merged = merge_sorted({{}, {make_record(0x0, 1)}, {}});
+  EXPECT_TRUE(merge_sorted({TraceBatch{}, TraceBatch{}}).empty());
+  const auto merged =
+      merge_sorted({TraceBatch{}, batch_of({make_record(0x0, 1)}), TraceBatch{}});
   EXPECT_EQ(merged.size(), 1u);
 }
 
 // Oracle: a priority-queue k-way merge over (arrival, stream) heads, an
 // independent formulation of merge_sorted's contract. The two must agree on
 // every record and on every timing-contract firing, sorted input or not.
-std::vector<TraceRecord> reference_merge(
-    const std::vector<std::vector<TraceRecord>>& streams) {
+TraceBatch reference_merge(const std::vector<TraceBatch>& streams) {
   struct Head {
     Cycle arrival;
     std::size_t stream;
@@ -159,20 +189,21 @@ std::vector<TraceRecord> reference_merge(
   std::size_t total = 0;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     total += streams[s].size();
-    if (!streams[s].empty()) heap.push(Head{streams[s][0].arrival, s, 0});
+    if (!streams[s].empty()) heap.push(Head{streams[s].arrivals()[0], s, 0});
   }
-  std::vector<TraceRecord> out;
+  TraceBatch out;
   out.reserve(total);
   while (!heap.empty()) {
     const Head h = heap.top();
     heap.pop();
-    out.push_back(streams[h.stream][h.pos]);
+    const TraceBatch& stream = streams[h.stream];
+    out.push_back(stream.record(h.pos));
     const std::size_t next = h.pos + 1;
-    if (next < streams[h.stream].size()) {
+    if (next < stream.size()) {
       PLANARIA_REQUIRE_MSG(kTimingMonotonicity,
-                           streams[h.stream][next].arrival >= h.arrival,
+                           stream.arrivals()[next] >= h.arrival,
                            "merge_sorted input stream is not sorted by arrival");
-      heap.push(Head{streams[h.stream][next].arrival, h.stream, next});
+      heap.push(Head{stream.arrivals()[next], h.stream, next});
     }
   }
   return out;
@@ -181,24 +212,26 @@ std::vector<TraceRecord> reference_merge(
 /// 1-4 streams, some empty, with arrivals drawn from a narrow range so equal
 /// arrivals across (and within) streams are the common case. With `sorted`
 /// false, a few adjacent pairs per stream are swapped out of order.
-std::vector<std::vector<TraceRecord>> random_streams(Rng& rng, bool sorted) {
-  std::vector<std::vector<TraceRecord>> streams(rng.next_range(1, 4));
+std::vector<TraceBatch> random_streams(Rng& rng, bool sorted) {
+  std::vector<TraceBatch> streams(rng.next_range(1, 4));
   for (std::size_t s = 0; s < streams.size(); ++s) {
     if (rng.chance(0.2)) continue;
     Cycle t = rng.next_below(3);
     const auto n = rng.next_range(1, 40);
+    std::vector<TraceRecord> rows;
     for (std::int64_t i = 0; i < n; ++i) {
       t += rng.next_below(3);  // steps of 0, 1 or 2 cycles
-      streams[s].push_back(make_record(
+      rows.push_back(make_record(
           (s << 20) + static_cast<Address>(i) * kBlockBytes, t,
           AccessType::kRead, static_cast<DeviceId>(s)));
     }
     if (!sorted) {
-      for (int k = 0; k < 3 && streams[s].size() > 1; ++k) {
-        const auto i = rng.next_below(streams[s].size() - 1);
-        std::swap(streams[s][i], streams[s][i + 1]);
+      for (int k = 0; k < 3 && rows.size() > 1; ++k) {
+        const auto i = rng.next_below(rows.size() - 1);
+        std::swap(rows[i], rows[i + 1]);
       }
     }
+    for (const TraceRecord& row : rows) streams[s].push_back(row);
   }
   return streams;
 }
@@ -251,7 +284,7 @@ TEST(FootprintGenerator, ArrivalsAreMonotone) {
   Rng rng(2);
   const auto out = generate_footprint(FootprintParams{}, small_pacing(3000), rng);
   for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GE(out[i].arrival, out[i - 1].arrival);
+    EXPECT_GE(out.arrivals()[i], out.arrivals()[i - 1]);
   }
 }
 
@@ -262,7 +295,8 @@ TEST(FootprintGenerator, RespectsPageRegion) {
   params.twin_fraction = 0.0;  // twins may step slightly outside the span
   Rng rng(3);
   const auto out = generate_footprint(params, small_pacing(2000), rng);
-  for (const auto& r : out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const TraceRecord r = out.record(i);
     const auto pn = addr::page_number(r.address);
     EXPECT_GE(pn, params.base_page);
     EXPECT_LT(pn, params.base_page + params.page_span);
@@ -279,7 +313,8 @@ TEST(FootprintGenerator, FootprintsAreStableAcrossVisits) {
   Rng rng(4);
   const auto out = generate_footprint(params, small_pacing(4000), rng);
   std::unordered_map<PageNumber, PageBitmap> bitmaps;
-  for (const auto& r : out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const TraceRecord r = out.record(i);
     bitmaps[addr::page_number(r.address)].set(addr::block_in_page(r.address));
   }
   for (const auto& [pn, bm] : bitmaps) {
@@ -305,7 +340,8 @@ TEST(NeighborGenerator, PagesStayInClusters) {
   params.clusters = 4;
   Rng rng(6);
   const auto out = generate_neighbor(params, small_pacing(3000), rng);
-  for (const auto& r : out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const TraceRecord r = out.record(i);
     const auto pn = addr::page_number(r.address);
     bool in_cluster = false;
     for (int c = 0; c < params.clusters; ++c) {
@@ -330,7 +366,8 @@ TEST(NeighborGenerator, PerPagePerturbationIsStable) {
   // Collect the union bitmap per page; visiting the same page twice must not
   // grow the set beyond one visit's footprint.
   std::unordered_map<PageNumber, PageBitmap> bitmaps;
-  for (const auto& r : out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const TraceRecord r = out.record(i);
     bitmaps[addr::page_number(r.address)].set(addr::block_in_page(r.address));
   }
   for (const auto& [pn, bm] : bitmaps) {
@@ -355,7 +392,7 @@ TEST(StreamGenerator, EmitsSequentialRuns) {
   const auto out = generate_stream(params, small_pacing(64), rng);
   ASSERT_EQ(out.size(), 64u);
   for (std::size_t i = 1; i < 32; ++i) {
-    EXPECT_EQ(out[i].address, out[i - 1].address + kBlockBytes);
+    EXPECT_EQ(out.addresses()[i], out.addresses()[i - 1] + kBlockBytes);
   }
 }
 
@@ -372,7 +409,8 @@ TEST(IrregularGenerator, TouchesFewBlocksPerPage) {
   Rng rng(11);
   const auto out = generate_irregular(params, small_pacing(5000), rng);
   std::unordered_map<PageNumber, PageBitmap> bitmaps;
-  for (const auto& r : out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const TraceRecord r = out.record(i);
     bitmaps[addr::page_number(r.address)].set(addr::block_in_page(r.address));
   }
   // A single visit touches blocks_min..blocks_max scattered blocks; rare
@@ -397,7 +435,7 @@ TEST(AppTrace, GeneratesMergedSortedTrace) {
   const auto out = generate_app_trace(app, 20000);
   EXPECT_EQ(out.size(), 20000u);
   for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GE(out[i].arrival, out[i - 1].arrival);
+    EXPECT_GE(out.arrivals()[i], out.arrivals()[i - 1]);
   }
 }
 
@@ -431,14 +469,18 @@ TEST(AppTrace, DifferentSeedsDiffer) {
 TEST(AppTrace, MixesMultipleDevices) {
   const auto out = generate_app_trace(app_by_name("HoK"), 20000);
   std::unordered_set<int> devices;
-  for (const auto& r : out) devices.insert(static_cast<int>(r.device));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    devices.insert(static_cast<int>(out.record(i).device));
+  }
   EXPECT_GE(devices.size(), 3u);
 }
 
 TEST(AppTrace, MixesReadsAndWrites) {
   const auto out = generate_app_trace(app_by_name("HoK"), 20000);
   std::uint64_t writes = 0;
-  for (const auto& r : out) writes += r.type == AccessType::kWrite ? 1 : 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    writes += out.record(i).type == AccessType::kWrite ? 1 : 0;
+  }
   EXPECT_GT(writes, out.size() / 20);
   EXPECT_LT(writes, out.size() / 2);
 }
@@ -486,9 +528,10 @@ class Fnv1a {
   std::uint64_t h_ = 0xCBF29CE484222325ull;
 };
 
-std::uint64_t records_digest(const std::vector<TraceRecord>& records) {
+std::uint64_t records_digest(const TraceBatch& batch) {
   Fnv1a h;
-  for (const TraceRecord& r : records) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const TraceRecord r = batch.record(i);
     h.mix(r.address, 8);
     h.mix(r.arrival, 8);
     h.mix(static_cast<std::uint8_t>(r.type), 1);
@@ -599,6 +642,143 @@ TEST(GeneratorPins, SubGeneratorBytesAndRngState) {
       },
       104, {0x35920AD98470F6DDull, 0x89E8FCDC9E16A91Cull},
       {0x02B4356D134ECADAull, 0x5546EF72851A22A0ull});
+}
+
+// ------------------------------------------------------------ reader pins
+//
+// Each reader parses a fixed in-test corpus under kRecover: unaligned
+// addresses, both access types, every device, arrivals with ties and out of
+// order, plus the defects that reader skips. The pins are the digests those
+// corpora gave when every reader still returned rows and the rows were
+// copied into a batch, so they hold each reader's output to the same bytes.
+
+TraceRecord corpus_row(std::uint64_t i) {
+  return TraceRecord{0x7F00'0000'0000ull + i * 0x10001, (i * 7) % 23,
+                     i % 3 == 1 ? AccessType::kWrite : AccessType::kRead,
+                     static_cast<DeviceId>(
+                         i % static_cast<std::uint64_t>(DeviceId::kCount))};
+}
+constexpr std::uint64_t kCorpusRows = 48;
+
+template <typename T>
+void put_le(std::string& out, T value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+std::string printf_line(const char* fmt, auto... args) {
+  char buf[128];
+  const int n = std::snprintf(buf, sizeof(buf), fmt, args...);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+struct ReaderPin {
+  std::uint64_t digest;
+  std::uint64_t records;
+  std::uint64_t errors;
+};
+
+void expect_pin(const TraceBatch& batch, const TraceReadReport& report,
+                const ReaderPin& pin) {
+  EXPECT_EQ(records_digest(batch), pin.digest);
+  EXPECT_EQ(batch.size(), pin.records);
+  EXPECT_EQ(report.records, pin.records);
+  EXPECT_EQ(report.errors, pin.errors);
+}
+
+TEST(ReaderPins, Pltr) {
+  // A bad type byte at row 5, a bad device byte at row 9, and a header that
+  // claims one record more than the 10 stray trailing bytes complete.
+  std::string image;
+  put_le(image, kTraceMagic);
+  put_le(image, kTraceVersion);
+  put_le(image, std::uint16_t{0});
+  put_le(image, kCorpusRows + 1);
+  for (std::uint64_t i = 0; i < kCorpusRows; ++i) {
+    const TraceRecord r = corpus_row(i);
+    put_le(image, r.address);
+    put_le(image, r.arrival);
+    put_le(image, static_cast<std::uint8_t>(i == 5 ? 2 : int(r.type)));
+    put_le(image, static_cast<std::uint8_t>(i == 9 ? 0x7F : int(r.device)));
+    image.append(6, '\0');
+  }
+  image.append(10, '\x5A');
+  std::istringstream is(image);
+  TraceReadReport report;
+  const TraceBatch batch = read_binary(is, RecoveryPolicy::kRecover, &report);
+  EXPECT_TRUE(report.truncated);
+  expect_pin(batch, report, {0x3794FADC698A3AF5ull, 46, 3});
+}
+
+TEST(ReaderPins, Csv) {
+  // CRLF on even rows, blank lines, and one unparsable arrival.
+  std::string text = "address,arrival,type,device\r\n";
+  for (std::uint64_t i = 0; i < kCorpusRows; ++i) {
+    const TraceRecord r = corpus_row(i);
+    text += printf_line("0x%llx,%llu,%c,%s%s",
+                        static_cast<unsigned long long>(r.address),
+                        static_cast<unsigned long long>(r.arrival),
+                        r.type == AccessType::kWrite ? 'W' : 'R',
+                        device_name(r.device), i % 2 == 0 ? "\r\n" : "\n");
+    if (i == 10) text += "\n";
+    if (i == 20) text += "0x40,zz,R,gpu\n";
+  }
+  std::istringstream is(text);
+  TraceReadReport report;
+  const TraceBatch batch = read_csv(is, RecoveryPolicy::kRecover, &report);
+  expect_pin(batch, report, {0x4E280A7BB3A43BAEull, 48, 1});
+}
+
+TEST(ReaderPins, Pltb) {
+  TraceBatch rows;
+  for (std::uint64_t i = 0; i < kCorpusRows; ++i) rows.push_back(corpus_row(i));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "planaria_reader_pin.pltb")
+          .string();
+  write_batch_file(path, rows);
+  const TraceBatch batch = MappedTraceBatch(path).to_batch();
+  std::filesystem::remove(path);
+  TraceReadReport report;  // the mapped reader throws on any defect
+  report.records = batch.size();
+  expect_pin(batch, report, {0x59C48BDC84E2867Eull, 48, 0});
+}
+
+TEST(ReaderPins, DramSim2) {
+  // Comments, blank lines, every transaction type and one unknown type; the
+  // reader sorts the out-of-order cycles stably.
+  std::string text = "; dramsim2 corpus\n\n";
+  const char* const kReads[] = {"P_MEM_RD", "P_FETCH", "BOFF"};
+  for (std::uint64_t i = 0; i < kCorpusRows; ++i) {
+    const TraceRecord r = corpus_row(i);
+    const char* type =
+        r.type == AccessType::kWrite ? "P_MEM_WR" : kReads[(i / 3) % 3];
+    text += printf_line("0x%llx %s %llu\n",
+                        static_cast<unsigned long long>(r.address), type,
+                        static_cast<unsigned long long>(r.arrival));
+    if (i == 30) text += "0x40 P_BOGUS 5\n";
+  }
+  std::istringstream is(text);
+  TraceReadReport report;
+  const TraceBatch batch = read_dramsim2(is, RecoveryPolicy::kRecover, &report);
+  expect_pin(batch, report, {0xD3D4B6C31914DD0Eull, 48, 1});
+}
+
+TEST(ReaderPins, ChampSimCsv) {
+  // A header row, CRLF endings, '#' comments and one short row; the reader
+  // sorts the out-of-order cycles stably.
+  std::string text = "address,is_write,cycle\r\n# champsim corpus\n";
+  for (std::uint64_t i = 0; i < kCorpusRows; ++i) {
+    const TraceRecord r = corpus_row(i);
+    text += printf_line("0x%llx,%d,%llu\r\n",
+                        static_cast<unsigned long long>(r.address),
+                        r.type == AccessType::kWrite ? 1 : 0,
+                        static_cast<unsigned long long>(r.arrival));
+    if (i == 40) text += "0x40,1\n";
+  }
+  std::istringstream is(text);
+  TraceReadReport report;
+  const TraceBatch batch =
+      read_champsim_csv(is, RecoveryPolicy::kRecover, &report);
+  expect_pin(batch, report, {0xD3D4B6C31914DD0Eull, 48, 1});
 }
 
 // ------------------------------------------------------------------ registry

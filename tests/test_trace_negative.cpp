@@ -34,8 +34,8 @@ using trace::TraceBatch;
 using trace::TraceReadReport;
 using trace::TraceRecord;
 
-std::vector<TraceRecord> sample_records(std::size_t n) {
-  std::vector<TraceRecord> out;
+TraceBatch sample_records(std::size_t n) {
+  TraceBatch out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     TraceRecord r;
@@ -138,7 +138,7 @@ TEST(BinaryNegative, TruncatedPayloadSalvagesCompletePrefix) {
   EXPECT_EQ(report.records, 3u);
   const auto reference = sample_records(4);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].arrival, reference[i].arrival);
+    EXPECT_EQ(out.arrivals()[i], reference.arrivals()[i]);
   }
 }
 
@@ -211,8 +211,8 @@ TEST(CsvNegative, WindowsLineEndingsParseClean) {
   // file must now parse identically to its LF twin, even under kThrow.
   const auto out = trace::read_csv(is, RecoveryPolicy::kThrow);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].arrival, 5u);
-  EXPECT_EQ(out[1].type, AccessType::kWrite);
+  EXPECT_EQ(out.arrivals()[0], 5u);
+  EXPECT_EQ(out.record(1).type, AccessType::kWrite);
 }
 
 TEST(CsvNegative, OverlongLineRejected) {
@@ -316,7 +316,7 @@ TEST(ImportNegative, ChampsimWindowsLineEndingsParseClean) {
   std::istringstream is("address,is_write,cycle\r\n0x1000,0,5\r\n0x2000,1,10\r\n");
   const auto out = trace::read_champsim_csv(is, RecoveryPolicy::kThrow);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1].type, AccessType::kWrite);
+  EXPECT_EQ(out.record(1).type, AccessType::kWrite);
 }
 
 TEST(ImportNegative, EmptyStreamsYieldEmptyTraces) {
@@ -331,10 +331,12 @@ TEST(ImportNegative, EmptyStreamsYieldEmptyTraces) {
 // merge_sorted precondition (previously unchecked)
 
 TEST(MergeSortedNegative, UnsortedInputFiresTimingContract) {
-  std::vector<std::vector<TraceRecord>> streams(2);
+  std::vector<TraceBatch> streams(2);
   streams[0] = sample_records(3);  // sorted: arrivals 0, 10, 20
-  streams[1] = sample_records(3);
-  std::swap(streams[1][0], streams[1][2]);  // 20, 10, 0: out of order
+  const TraceBatch rows = sample_records(3);
+  for (std::size_t i = 3; i-- > 0;) {
+    streams[1].push_back(rows.record(i));  // 20, 10, 0: out of order
+  }
 
   check::CountingScope scope;
   check::reset_violations();
@@ -346,7 +348,7 @@ TEST(MergeSortedNegative, UnsortedInputFiresTimingContract) {
 }
 
 TEST(MergeSortedNegative, SortedInputStaysSilent) {
-  std::vector<std::vector<TraceRecord>> streams(2);
+  std::vector<TraceBatch> streams(2);
   streams[0] = sample_records(4);
   streams[1] = sample_records(4);
 
@@ -356,7 +358,7 @@ TEST(MergeSortedNegative, SortedInputStaysSilent) {
   EXPECT_EQ(check::total_violations(), 0u);
   ASSERT_EQ(merged.size(), 8u);
   for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_GE(merged[i].arrival, merged[i - 1].arrival);
+    EXPECT_GE(merged.arrivals()[i], merged.arrivals()[i - 1]);
   }
   check::reset_violations();
 }

@@ -252,18 +252,6 @@ std::vector<trace::AppProfile> audit_profiles(std::uint64_t seed) {
   return {trace::paper_apps().front(), fuzz};
 }
 
-/// Generates one trace per profile (on `pool` when supplied) in the columnar
-/// form the simulator consumes.
-std::vector<trace::TraceBatch> audit_traces(
-    const std::vector<trace::AppProfile>& profiles, std::uint64_t records,
-    planaria::common::ThreadPool* pool) {
-  std::vector<trace::TraceBatch> out;
-  for (const auto& t : trace::generate_app_traces(profiles, records, pool)) {
-    out.emplace_back(t);
-  }
-  return out;
-}
-
 void replay_audit(std::uint64_t records, std::uint64_t seed) {
   std::printf("replay audit: %llu records/app, all kinds, contracts armed\n",
               static_cast<unsigned long long>(records));
@@ -274,7 +262,7 @@ void replay_audit(std::uint64_t records, std::uint64_t seed) {
   planaria::common::ThreadPool pool(4);
   // Profile-level parallel generation (deterministic: each profile owns its
   // seeds); also exercises the generator under the pool for the TSan build.
-  const auto traces = audit_traces(profiles, records, &pool);
+  const auto traces = trace::generate_app_traces(profiles, records, &pool);
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     const auto& app = profiles[p];
     const auto& trace_records = traces[p];
@@ -382,7 +370,7 @@ void chaos_audit(std::uint64_t records, std::uint64_t seed) {
 
   const std::vector<trace::AppProfile> profiles = audit_profiles(seed);
   planaria::common::ThreadPool pool(4);
-  const auto traces = audit_traces(profiles, records, &pool);
+  const auto traces = trace::generate_app_traces(profiles, records, &pool);
 
   // kRecover for the whole stage: a violation under chaos is expected and
   // must be recovered, not aborted on. Counters are reset per cell inside
@@ -507,7 +495,7 @@ void crash_audit(std::uint64_t records, std::uint64_t seed) {
 
   const std::vector<trace::AppProfile> profiles = audit_profiles(seed);
   planaria::common::ThreadPool pool(4);
-  const auto traces = audit_traces(profiles, records, &pool);
+  const auto traces = trace::generate_app_traces(profiles, records, &pool);
 
   sim::CheckpointConfig ckpt;
   std::error_code ec;
@@ -992,7 +980,7 @@ void storm_audit(std::uint64_t records, std::uint64_t seed) {
 
   // Legs (b) and (c) run against a real checkpointed simulation.
   const std::vector<trace::AppProfile> profiles = audit_profiles(seed);
-  const auto traces = audit_traces(profiles, records, nullptr);
+  const auto traces = trace::generate_app_traces(profiles, records);
   const auto& trace_records = traces[0];
   const std::uint64_t n = trace_records.size();
   sim::CheckpointConfig ckpt;
