@@ -3,6 +3,7 @@
 // they guard the simulator's own performance so the figure benches stay
 // usable at paper-scale record counts.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <filesystem>
 #include <memory>
@@ -322,6 +323,49 @@ void BM_SnapshotDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(w.buffer().size()));
 }
 BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMillisecond);
+
+// Per-cell footprint of one Simulator per prefetcher kind: heap bytes in use
+// (glibc mallinfo2, arenas plus mmapped blocks) added by construction, and
+// after a serial 40k-record Fort run, as counters; the timed loop is one
+// construction plus destruction, the per-cell set-up a sweep or a serve
+// admission pays.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+void BM_SimulatorFootprint(benchmark::State& state, sim::PrefetcherKind kind) {
+  static const trace::TraceBatch fort =
+      trace::generate_app_trace(trace::app_by_name("Fort"), 40000);
+  const sim::SimConfig config;
+  const std::string name = sim::prefetcher_kind_name(kind);
+  const std::size_t before = heap_in_use();
+  double constructed = 0.0;
+  double after_run = 0.0;
+  {
+    sim::Simulator cell(config, sim::make_prefetcher_factory(kind), name);
+    constructed = static_cast<double>(heap_in_use() - before);
+    cell.run_sharded(fort);
+    after_run = static_cast<double>(heap_in_use() - before);
+  }
+  for (auto _ : state) {
+    sim::Simulator cell(config, sim::make_prefetcher_factory(kind), name);
+    benchmark::DoNotOptimize(&cell);
+  }
+  state.counters["heap_constructed_bytes"] = constructed;
+  state.counters["heap_after_run_bytes"] = after_run;
+}
+
+const bool kFootprintRegistered = [] {
+  for (sim::PrefetcherKind kind : sim::all_prefetcher_kinds()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_SimulatorFootprint/") + sim::prefetcher_kind_name(kind))
+            .c_str(),
+        BM_SimulatorFootprint, kind)
+        ->Unit(benchmark::kMicrosecond);
+  }
+  return true;
+}();
 
 }  // namespace
 

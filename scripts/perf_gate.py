@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""CI perf gate: serial-throughput floor against the committed trajectory.
+"""CI perf gate: serial-throughput floor and peak-RSS ceiling against the
+committed trajectory.
 
 Compares the newest entry of a freshly produced trajectory (JSONL, one entry
 per bench run) against the best committed BENCH_throughput.json entry measured
@@ -16,8 +17,18 @@ trailing line, and bit-rot drills can damage any line. Malformed or
 structurally wrong lines are reported to stderr and skipped; the gate operates
 on the surviving complete entries instead of crashing on the first bad byte.
 
+Two gates run on the newest entry:
+  - throughput: serial records/sec must be at least 0.8x the best committed
+    like-for-like entry (same bench_config_hash);
+  - footprint: peak_rss_bytes must be at most 1.10x the lowest committed
+    entry with the same bench_config_hash AND hardware_concurrency (the
+    pooled runs' thread count shapes the RSS peak, so entries from another
+    core count never gate). Entries without peak_rss_bytes or
+    hardware_concurrency (legacy lines) neither gate nor are gated.
+
 Usage: perf_gate.py <current-trajectory.json> <committed-baseline.json>
-Exit status: 0 pass or no-baseline skip, 1 regression or unusable input.
+Exit status: 0 pass or no-baseline skip, 1 regression (either gate) or
+unusable input.
 """
 
 import json
@@ -42,6 +53,18 @@ def serial_rate(entry):
         if run.get("threads") == 1:
             return run.get("records_per_sec")
     return None
+
+
+RSS_CEILING = 1.10
+
+
+def rss_key(entry):
+    """(hardware_concurrency, peak_rss_bytes), or None for legacy entries."""
+    hw = entry.get("hardware_concurrency")
+    rss = entry.get("peak_rss_bytes")
+    if not isinstance(hw, int) or not isinstance(rss, (int, float)) or rss <= 0:
+        return None
+    return hw, rss
 
 
 def load_entries(path):
@@ -89,7 +112,9 @@ def main(argv):
               file=sys.stderr)
         return 1
 
+    current_rss = rss_key(current)
     best = 0.0
+    best_rss = None
     for entry in load_entries(argv[2]):
         try:
             if config_hash(entry) != want:
@@ -100,20 +125,41 @@ def main(argv):
         entry_rate = serial_rate(entry)
         if entry_rate is not None:
             best = max(best, entry_rate)
+        entry_rss = rss_key(entry)
+        if (current_rss is not None and entry_rss is not None
+                and entry_rss[0] == current_rss[0]):
+            best_rss = (entry_rss[1] if best_rss is None
+                        else min(best_rss, entry_rss[1]))
 
+    status = 0
     if best == 0.0:
         print(f"no committed baseline for workload {want}; "
               f"serial {rate:,.0f} rec/s recorded, gate skipped")
-        return 0
+    else:
+        floor = 0.8 * best
+        print(f"workload {want}: serial {rate:,.0f} rec/s; best committed "
+              f"{best:,.0f}; floor {floor:,.0f}")
+        if rate < floor:
+            print("perf gate: serial throughput regressed >20% vs the best "
+                  "like-for-like baseline entry", file=sys.stderr)
+            status = 1
 
-    floor = 0.8 * best
-    print(f"workload {want}: serial {rate:,.0f} rec/s; best committed "
-          f"{best:,.0f}; floor {floor:,.0f}")
-    if rate < floor:
-        print("perf gate: serial throughput regressed >20% vs the best "
-              "like-for-like baseline entry", file=sys.stderr)
-        return 1
-    return 0
+    if current_rss is None:
+        print("newest entry has no peak_rss_bytes/hardware_concurrency; "
+              "RSS gate skipped")
+    elif best_rss is None:
+        print(f"no committed RSS baseline for workload {want} at "
+              f"{current_rss[0]} threads; RSS gate skipped")
+    else:
+        ceiling = RSS_CEILING * best_rss
+        print(f"workload {want} at {current_rss[0]} threads: peak RSS "
+              f"{current_rss[1]:,.0f} B; best committed {best_rss:,.0f}; "
+              f"ceiling {ceiling:,.0f}")
+        if current_rss[1] > ceiling:
+            print("perf gate: peak RSS grew >10% vs the best like-for-like "
+                  "baseline entry", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -29,6 +29,13 @@ def entry(rate, records=10000, apps=8, kinds=4, threads=(1, 4)):
     }
 
 
+def with_rss(e, rss=100, hw=4):
+    """Adds the footprint fields bench_throughput records (RSS in MB here)."""
+    e["hardware_concurrency"] = hw
+    e["peak_rss_bytes"] = rss * 1000000
+    return e
+
+
 class PerfGateTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -117,6 +124,81 @@ class PerfGateTest(unittest.TestCase):
         status, _, err = self.run_gate(current, baseline)
         self.assertEqual(status, 1)
         self.assertIn("no serial run", err)
+
+    # ------------------------------------------------------ peak-RSS ceiling
+
+    def test_rss_within_ceiling_passes(self):
+        current = self.write("current.json", [with_rss(entry(100000.0), 109)])
+        baseline = self.write("base.json", [with_rss(entry(100000.0), 100)])
+        status, out, _ = self.run_gate(current, baseline)
+        self.assertEqual(status, 0)
+        self.assertIn("ceiling", out)
+
+    def test_rss_above_ceiling_fails(self):
+        current = self.write("current.json", [with_rss(entry(100000.0), 111)])
+        baseline = self.write("base.json", [with_rss(entry(100000.0), 100)])
+        status, _, err = self.run_gate(current, baseline)
+        self.assertEqual(status, 1)
+        self.assertIn("peak RSS grew", err)
+
+    def test_rss_ceiling_is_set_by_the_lowest_committed_entry(self):
+        current = self.write("current.json", [with_rss(entry(100000.0), 120)])
+        baseline = self.write("base.json", [
+            with_rss(entry(100000.0), 150),
+            with_rss(entry(100000.0), 100),
+            with_rss(entry(100000.0), 130),
+        ])
+        status, _, err = self.run_gate(current, baseline)
+        self.assertEqual(status, 1)
+        self.assertIn("peak RSS grew", err)
+
+    def test_rss_from_another_core_count_never_gates(self):
+        current = self.write("current.json",
+                             [with_rss(entry(100000.0), 500, hw=8)])
+        baseline = self.write("base.json", [with_rss(entry(100000.0), 100)])
+        status, out, _ = self.run_gate(current, baseline)
+        self.assertEqual(status, 0)
+        self.assertIn("RSS gate skipped", out)
+
+    def test_rss_from_another_workload_never_gates(self):
+        current = self.write("current.json",
+                             [with_rss(entry(100000.0, records=2000), 500)])
+        baseline = self.write("base.json", [
+            entry(100000.0, records=2000),  # same workload, no RSS recorded
+            with_rss(entry(100000.0, records=10000), 100),
+        ])
+        status, out, _ = self.run_gate(current, baseline)
+        self.assertEqual(status, 0)
+        self.assertIn("RSS gate skipped", out)
+
+    def test_legacy_lines_without_rss_fields_neither_gate_nor_break(self):
+        # Committed lines from before the trajectory recorded peak RSS or the
+        # core count: they still set the throughput floor, never the ceiling.
+        legacy = entry(100000.0)
+        no_hw = with_rss(entry(100000.0), 100)
+        del no_hw["hardware_concurrency"]
+        current = self.write("current.json", [with_rss(entry(95000.0), 900)])
+        baseline = self.write("base.json", [legacy, no_hw])
+        status, out, _ = self.run_gate(current, baseline)
+        self.assertEqual(status, 0)
+        self.assertIn("best committed 100,000", out)
+        self.assertIn("RSS gate skipped", out)
+
+    def test_legacy_current_entry_skips_only_the_rss_gate(self):
+        current = self.write("current.json", [entry(70000.0)])
+        baseline = self.write("base.json", [with_rss(entry(100000.0), 100)])
+        status, out, err = self.run_gate(current, baseline)
+        self.assertEqual(status, 1)
+        self.assertIn("regressed", err)
+        self.assertIn("RSS gate skipped", out)
+
+    def test_both_gates_report_when_both_fail(self):
+        current = self.write("current.json", [with_rss(entry(70000.0), 200)])
+        baseline = self.write("base.json", [with_rss(entry(100000.0), 100)])
+        status, _, err = self.run_gate(current, baseline)
+        self.assertEqual(status, 1)
+        self.assertIn("regressed", err)
+        self.assertIn("peak RSS grew", err)
 
 
 if __name__ == "__main__":

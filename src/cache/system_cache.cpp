@@ -32,63 +32,65 @@ SystemCache::SystemCache(const CacheConfig& config)
   config_.validate();
   sets_ = config_.sets();
   set_mask_ = sets_ - 1;
-  lines_.resize(static_cast<std::size_t>(sets_) *
-                static_cast<std::size_t>(config_.ways));
-  tags_.assign(lines_.size(), 0);
+  const std::size_t slots = static_cast<std::size_t>(sets_) *
+                            static_cast<std::size_t>(config_.ways);
+  tags_.assign(slots, 0);
+  state_.assign(slots, 0);
   set_valid_.assign(sets_, 0);
   policy_ = make_replacement(config_.replacement, sets_, config_.ways,
                              config_.seed);
   if (config_.replacement == ReplacementKind::kLru) {
     lru_ = static_cast<LruPolicy*>(policy_.get());
   }
+  pollution_cells_.assign(kMinPollutionCells, kEmptyCell);
   pollution_fifo_.reserve(kPollutionFilterCap);
 }
 
-SystemCache::Line* SystemCache::find(std::uint64_t block) {
+std::size_t SystemCache::find(std::uint64_t block) const {
   // One set's worth of the SoA tag column; a stale tag on an invalid slot is
-  // rejected by the line's valid bit (see tags_ in the header).
+  // rejected by the slot's valid bit (see tags_ in the header).
   const std::size_t base = static_cast<std::size_t>(set_of(block)) *
                            static_cast<std::size_t>(config_.ways);
   const std::uint64_t* tags = tags_.data() + base;
+  const std::uint8_t* state = state_.data() + base;
   for (int w = 0; w < config_.ways; ++w) {
-    if (tags[w] == block && lines_[base + static_cast<std::size_t>(w)].valid) {
-      return &lines_[base + static_cast<std::size_t>(w)];
+    if (tags[w] == block && (state[w] & kValid) != 0) {
+      return base + static_cast<std::size_t>(w);
     }
   }
-  return nullptr;
-}
-
-const SystemCache::Line* SystemCache::find(std::uint64_t block) const {
-  return const_cast<SystemCache*>(this)->find(block);
+  return kNoSlot;
 }
 
 AccessResult SystemCache::access(std::uint64_t block, AccessType type) {
   AccessResult result;
-  Line* line = find(block);
+  const std::size_t slot = find(block);
   if (type == AccessType::kRead) {
     ++stats_.demand_accesses;
-    if (line != nullptr) {
+    if (slot != kNoSlot) {
       ++stats_.demand_hits;
       result.hit = true;
       const std::uint32_t set = set_of(block);
-      const int way = static_cast<int>(line - lines_.data()) -
+      const int way = static_cast<int>(slot) -
                       static_cast<int>(set) * config_.ways;
       policy_on_hit(set, way);
-      if (line->prefetched) {
+      std::uint8_t& state = state_[slot];
+      if ((state & kPrefetched) != 0) {
+        const FillSource source = source_of(state);
         result.first_use_of_prefetch = true;
-        result.fill_source = line->source;
+        result.fill_source = source;
         ++stats_.demand_hits_on_prefetch;
-        switch (line->source) {
+        switch (source) {
           case FillSource::kPrefetchSlp: ++stats_.hits_on_slp; break;
           case FillSource::kPrefetchTlp: ++stats_.hits_on_tlp; break;
           case FillSource::kPrefetchOther: ++stats_.hits_on_other_pf; break;
           case FillSource::kDemand: break;
         }
-        line->prefetched = false;  // consumed; further hits are ordinary
+        // consumed; further hits are ordinary
+        state = static_cast<std::uint8_t>(state & ~kPrefetched);
       }
     } else {
       ++stats_.demand_misses;
-      if (pollution_set_.contains(block)) ++stats_.pollution_misses;
+      if (pollution_contains(block)) ++stats_.pollution_misses;
     }
     PLANARIA_ENSURE_MSG(kStorageBudget,
                         stats_.demand_hits + stats_.demand_misses ==
@@ -98,12 +100,12 @@ AccessResult SystemCache::access(std::uint64_t block, AccessType type) {
   }
 
   // Write: update-in-place on hit (writeback later), write-around on miss.
-  if (line != nullptr) {
+  if (slot != kNoSlot) {
     ++stats_.write_hits;
-    line->dirty = true;
-    if (line->prefetched) line->prefetched = false;
+    state_[slot] = static_cast<std::uint8_t>((state_[slot] | kDirty) &
+                                             ~kPrefetched);
     const std::uint32_t set = set_of(block);
-    const int way = static_cast<int>(line - lines_.data()) -
+    const int way = static_cast<int>(slot) -
                     static_cast<int>(set) * config_.ways;
     policy_on_hit(set, way);
     result.hit = true;
@@ -116,7 +118,7 @@ AccessResult SystemCache::access(std::uint64_t block, AccessType type) {
 AccessResult SystemCache::fill(std::uint64_t block, FillSource source) {
   AccessResult result;
   const bool is_prefetch = source != FillSource::kDemand;
-  if (Line* existing = find(block); existing != nullptr) {
+  if (find(block) != kNoSlot) {
     // Redundant fill (demand and prefetch raced, or duplicate prefetch).
     if (is_prefetch) ++redundant_fills_;
     return result;
@@ -124,12 +126,12 @@ AccessResult SystemCache::fill(std::uint64_t block, FillSource source) {
   if (is_prefetch) ++stats_.prefetch_fills;
 
   const std::uint32_t set = set_of(block);
-  Line* base = &lines_[static_cast<std::size_t>(set) *
-                       static_cast<std::size_t>(config_.ways)];
+  const std::size_t base = static_cast<std::size_t>(set) *
+                           static_cast<std::size_t>(config_.ways);
   int way = -1;
   if (set_valid_[set] < static_cast<std::uint16_t>(config_.ways)) {
     for (int w = 0; w < config_.ways; ++w) {
-      if (!base[w].valid) {
+      if ((state_[base + static_cast<std::size_t>(w)] & kValid) == 0) {
         way = w;
         break;
       }
@@ -142,77 +144,136 @@ AccessResult SystemCache::fill(std::uint64_t block, FillSource source) {
     // stay inside the set it was asked about.
     PLANARIA_ENSURE_MSG(kTableOccupancy, way >= 0 && way < config_.ways,
                         "replacement policy returned an out-of-set victim");
-    Line& victim = base[way];
-    if (victim.prefetched) ++stats_.prefetch_unused_evictions;
-    if (victim.dirty) {
+    const std::size_t victim = base + static_cast<std::size_t>(way);
+    const bool victim_prefetched = (state_[victim] & kPrefetched) != 0;
+    if (victim_prefetched) ++stats_.prefetch_unused_evictions;
+    if ((state_[victim] & kDirty) != 0) {
       ++stats_.dirty_writebacks;
       result.has_writeback = true;
-      result.writeback_block = victim.block;
+      result.writeback_block = tags_[victim];
     }
     // A useful (demand) line displaced by a speculative fill may come back as
     // a pollution miss; remember it so we can attribute that miss.
-    if (is_prefetch && !victim.prefetched) {
-      track_pollution_eviction(victim.block);
+    if (is_prefetch && !victim_prefetched) {
+      track_pollution_eviction(tags_[victim]);
     }
   }
-  Line& line = base[way];
-  line.block = block;
-  line.valid = true;
-  line.dirty = false;
-  line.prefetched = is_prefetch;
-  line.source = source;
-  tags_[static_cast<std::size_t>(&line - lines_.data())] = block;
+  const std::size_t slot = base + static_cast<std::size_t>(way);
+  tags_[slot] = block;
+  state_[slot] = static_cast<std::uint8_t>(
+      kValid | (is_prefetch ? kPrefetched : 0) |
+      (static_cast<std::uint8_t>(source) << kSourceShift));
   policy_on_fill(set, way, is_prefetch);
-  // O(1) form of the residency postcondition: `line` is the slot whose tag
+  // O(1) form of the residency postcondition: `slot` is the slot whose tag
   // was just rewritten, so checking it directly proves contains(block)
   // without re-running the set scan.
-  PLANARIA_ENSURE_MSG(kTableOccupancy, line.valid && line.block == block,
+  PLANARIA_ENSURE_MSG(kTableOccupancy,
+                      (state_[slot] & kValid) != 0 && tags_[slot] == block,
                       "filled block must be resident on return");
   return result;
 }
 
 bool SystemCache::contains(std::uint64_t block) const {
-  return find(block) != nullptr;
+  return find(block) != kNoSlot;
 }
 
 bool SystemCache::is_unused_prefetch(std::uint64_t block) const {
-  const Line* line = find(block);
-  return line != nullptr && line->prefetched;
+  const std::size_t slot = find(block);
+  return slot != kNoSlot && (state_[slot] & kPrefetched) != 0;
 }
 
 void SystemCache::track_pollution_eviction(std::uint64_t block) {
+  std::size_t slot = pollution_head_;
   if (pollution_fifo_.size() < kPollutionFilterCap) {
+    slot = pollution_fifo_.size();
     pollution_fifo_.push_back(block);
   } else {
     // Erase-before-insert matters when the overwritten slot holds `block`
     // (set semantics, not multiset): the ordering leaves the block a member.
-    pollution_set_.erase(pollution_fifo_[pollution_head_]);
+    // It also keeps every cell naming a slot that holds its member: the only
+    // cell that could name this slot belongs to the block erased here.
+    pollution_erase(pollution_fifo_[pollution_head_]);
     pollution_fifo_[pollution_head_] = block;
     pollution_head_ = (pollution_head_ + 1) % kPollutionFilterCap;
   }
-  if (!pollution_set_.contains(block)) pollution_set_.insert(block, 0);
+  if (!pollution_contains(block)) {
+    pollution_insert(static_cast<std::uint16_t>(slot));
+  }
   // The FIFO and the membership set shadow each other; duplicates in the
   // FIFO would let the set shrink below it and break O(1) membership.
   PLANARIA_INVARIANT_MSG(kTableOccupancy,
                          pollution_fifo_.size() <= kPollutionFilterCap &&
-                             pollution_set_.size() <= pollution_fifo_.size(),
+                             pollution_members_ <= pollution_fifo_.size(),
                          "pollution filter FIFO/set lost synchronization");
+}
+
+bool SystemCache::pollution_contains(std::uint64_t block) const {
+  const std::size_t mask = pollution_cells_.size() - 1;
+  for (std::size_t i = common::mix_block(block) & mask;; i = (i + 1) & mask) {
+    const std::uint16_t cell = pollution_cells_[i];
+    if (cell == kEmptyCell) return false;
+    if (pollution_fifo_[cell] == block) return true;
+  }
+}
+
+void SystemCache::pollution_insert(std::uint16_t slot) {
+  if ((pollution_members_ + 1) * 2 > pollution_cells_.size()) {
+    pollution_rehash(pollution_cells_.size() * 2);
+  }
+  const std::size_t mask = pollution_cells_.size() - 1;
+  std::size_t i = common::mix_block(pollution_fifo_[slot]) & mask;
+  while (pollution_cells_[i] != kEmptyCell) i = (i + 1) & mask;
+  pollution_cells_[i] = slot;
+  ++pollution_members_;
+}
+
+void SystemCache::pollution_erase(std::uint64_t block) {
+  const std::size_t mask = pollution_cells_.size() - 1;
+  std::size_t i = common::mix_block(block) & mask;
+  for (;; i = (i + 1) & mask) {
+    if (pollution_cells_[i] == kEmptyCell) return;
+    if (pollution_fifo_[pollution_cells_[i]] == block) break;
+  }
+  // Backward-shift deletion (as in common::BlockMap): no tombstones, so
+  // probe chains never lengthen under FIFO churn.
+  std::size_t hole = i;
+  for (std::size_t j = (i + 1) & mask; pollution_cells_[j] != kEmptyCell;
+       j = (j + 1) & mask) {
+    const std::size_t home =
+        common::mix_block(pollution_fifo_[pollution_cells_[j]]) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      pollution_cells_[hole] = pollution_cells_[j];
+      hole = j;
+    }
+  }
+  pollution_cells_[hole] = kEmptyCell;
+  --pollution_members_;
+}
+
+void SystemCache::pollution_rehash(std::size_t cells) {
+  // lint: suppress(hot-alloc) doubling growth is amortized O(1) per insert and stops at 2x the FIFO cap
+  std::vector<std::uint16_t> old = std::move(pollution_cells_);
+  pollution_cells_.assign(cells, kEmptyCell);
+  pollution_members_ = 0;
+  for (const std::uint16_t slot : old) {
+    if (slot != kEmptyCell) pollution_insert(slot);
+  }
 }
 
 void SystemCache::save_state(snapshot::Writer& w) const {
   w.tag(snapshot::tag4("CSH0"));
   // Valid lines only, in ascending slot order (canonical encoding).
   std::uint64_t valid = 0;
-  for (const Line& line : lines_) valid += line.valid ? 1 : 0;
+  for (const std::uint16_t n : set_valid_) valid += n;
   w.u64(valid);
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    const Line& line = lines_[i];
-    if (!line.valid) continue;
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    const std::uint8_t state = state_[i];
+    if ((state & kValid) == 0) continue;
     w.u64(static_cast<std::uint64_t>(i));
-    w.u64(line.block);
-    w.b(line.dirty);
-    w.b(line.prefetched);
-    w.u8(static_cast<std::uint8_t>(line.source));
+    w.u64(tags_[i]);
+    w.b((state & kDirty) != 0);
+    w.b((state & kPrefetched) != 0);
+    w.u8(static_cast<std::uint8_t>(source_of(state)));
   }
   policy_->save_state(w);
   w.u64(stats_.demand_accesses);
@@ -236,9 +297,10 @@ void SystemCache::save_state(snapshot::Writer& w) const {
   for (std::uint64_t v : pollution_fifo_) w.u64(v);
   w.u64(static_cast<std::uint64_t>(pollution_head_));
   std::vector<std::uint64_t> members;
-  members.reserve(pollution_set_.size());
-  pollution_set_.for_each(
-      [&](std::uint64_t block, std::uint8_t) { members.push_back(block); });
+  members.reserve(pollution_members_);
+  for (const std::uint16_t slot : pollution_cells_) {
+    if (slot != kEmptyCell) members.push_back(pollution_fifo_[slot]);
+  }
   std::sort(members.begin(), members.end());
   w.u64(static_cast<std::uint64_t>(members.size()));
   for (std::uint64_t v : members) w.u64(v);
@@ -246,36 +308,31 @@ void SystemCache::save_state(snapshot::Writer& w) const {
 
 void SystemCache::load_state(snapshot::Reader& r) {
   r.expect_tag(snapshot::tag4("CSH0"));
-  for (Line& line : lines_) line = Line{};
+  tags_.assign(tags_.size(), 0);
+  state_.assign(state_.size(), 0);
+  set_valid_.assign(sets_, 0);
   const std::uint64_t valid = r.u64();
-  if (valid > lines_.size()) {
+  if (valid > state_.size()) {
     throw snapshot::SnapshotError("cache valid-line count exceeds capacity");
   }
   std::uint64_t prev = 0;
   for (std::uint64_t n = 0; n < valid; ++n) {
     const std::uint64_t i = r.u64();
-    if (i >= lines_.size() || (n > 0 && i <= prev)) {
+    if (i >= state_.size() || (n > 0 && i <= prev)) {
       throw snapshot::SnapshotError("cache line slot index out of order");
     }
     prev = i;
-    Line& line = lines_[i];
-    line.block = r.u64();
-    line.dirty = r.b();
-    line.prefetched = r.b();
+    tags_[i] = r.u64();
+    const bool dirty = r.b();
+    const bool prefetched = r.b();
     const std::uint8_t src = r.u8();
     if (src > static_cast<std::uint8_t>(FillSource::kPrefetchOther)) {
       throw snapshot::SnapshotError("cache line fill source out of range");
     }
-    line.source = static_cast<FillSource>(src);
-    line.valid = true;
-  }
-  tags_.assign(lines_.size(), 0);
-  set_valid_.assign(sets_, 0);
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    if (lines_[i].valid) {
-      tags_[i] = lines_[i].block;
-      ++set_valid_[i / static_cast<std::size_t>(config_.ways)];
-    }
+    state_[i] = static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0) |
+                                          (prefetched ? kPrefetched : 0) |
+                                          (src << kSourceShift));
+    ++set_valid_[i / static_cast<std::size_t>(config_.ways)];
   }
   policy_->load_state(r);
   stats_.demand_accesses = r.u64();
@@ -326,8 +383,17 @@ void SystemCache::load_state(snapshot::Reader& r) {
       (fifo_size < kPollutionFilterCap && members.size() != queued.size())) {
     throw snapshot::SnapshotError("pollution set does not match its FIFO");
   }
-  pollution_set_.clear();
-  for (std::uint64_t v : members) pollution_set_.insert(v, 0);
+  // Each member's cell may name any slot that holds it: overwriting that
+  // slot erases the member by value, whichever slot its cell names.
+  pollution_cells_.assign(kMinPollutionCells, kEmptyCell);
+  pollution_members_ = 0;
+  for (std::size_t slot = 0; slot < pollution_fifo_.size(); ++slot) {
+    const std::uint64_t block = pollution_fifo_[slot];
+    if (std::binary_search(members.begin(), members.end(), block) &&
+        !pollution_contains(block)) {
+      pollution_insert(static_cast<std::uint16_t>(slot));
+    }
+  }
 }
 
 }  // namespace planaria::cache

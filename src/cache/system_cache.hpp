@@ -123,22 +123,31 @@ class SystemCache {
   void load_state(snapshot::Reader& r);
 
  private:
-  struct Line {
-    std::uint64_t block = 0;
-    bool valid = false;
-    bool dirty = false;
-    bool prefetched = false;  ///< filled by prefetch, not yet demand-used
-    FillSource source = FillSource::kDemand;
-  };
+  // Line state, one byte per slot beside the tag column: valid, dirty,
+  // prefetched (filled by a prefetch and not yet demand-used) and the 2-bit
+  // FillSource of the fill.
+  static constexpr std::uint8_t kValid = 1;
+  static constexpr std::uint8_t kDirty = 2;
+  static constexpr std::uint8_t kPrefetched = 4;
+  static constexpr int kSourceShift = 3;
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  static FillSource source_of(std::uint8_t state) {
+    return static_cast<FillSource>((state >> kSourceShift) & 3);
+  }
 
   std::uint32_t set_of(std::uint64_t block) const {
     // sets_ is validated to be a power of two; the mask replaces a 64-bit
     // division on the per-access path.
     return static_cast<std::uint32_t>(block & set_mask_);
   }
-  Line* find(std::uint64_t block);
-  const Line* find(std::uint64_t block) const;
+  /// Slot holding `block`, or kNoSlot.
+  std::size_t find(std::uint64_t block) const;
   void track_pollution_eviction(std::uint64_t block);
+  bool pollution_contains(std::uint64_t block) const;
+  void pollution_insert(std::uint16_t slot);
+  void pollution_erase(std::uint64_t block);
+  void pollution_rehash(std::size_t cells);
 
   // Static dispatch for the default policy (same trick as the simulator's
   // channel kernels): when the configured policy is LRU, lru_ aliases
@@ -165,15 +174,14 @@ class SystemCache {
   CacheConfig config_;
   std::uint32_t sets_;
   std::uint64_t set_mask_ = 0;  ///< sets_ - 1 (power-of-two geometry)
-  std::vector<Line> lines_;  ///< sets_ * ways, row-major by set
-  // Tag column (SoA): tags_[slot] mirrors lines_[slot].block for valid
-  // slots. A lookup scans the ways of one set — 16 consecutive u64s, two
-  // cache lines — instead of hashing into an index sized 2x the line count;
-  // the tag column for a 1MB slice is L2-resident, the hash cells were not.
-  // Invalid slots keep a stale tag, so a tag match is confirmed against the
-  // line's valid bit (false positives are possible, false negatives are not:
-  // every valid line's tag is rewritten on fill).
+  // Tag column (SoA), the only copy of each line's block: tags_[slot] for
+  // the sets_ * ways slots, row-major by set. A lookup scans the ways of one
+  // set — 16 consecutive u64s, two cache lines — and the column for a 1MB
+  // slice is L2-resident. Invalid slots keep a stale tag, so a tag match is
+  // confirmed against the slot's valid bit (false positives are possible,
+  // false negatives are not: every valid line's tag is rewritten on fill).
   std::vector<std::uint64_t> tags_;
+  std::vector<std::uint8_t> state_;  ///< packed line state, same slots
   // Valid lines per set: once a set is full (the steady state after warmup,
   // since lines are only invalidated wholesale by load_state) fill() goes
   // straight to the replacement victim instead of scanning the ways for a
@@ -185,11 +193,20 @@ class SystemCache {
   std::uint64_t redundant_fills_ = 0;
 
   // Pollution filter: blocks recently evicted to make room for a prefetch
-  // that was never used. Bounded FIFO + flat open-addressing membership set
-  // (O(1) probe and update, no allocation once grown; the value is unused).
-  // It grows lazily: pre-sizing to the cap would pin 512 KB per channel.
+  // that was never used. A bounded FIFO plus a membership set. The set is an
+  // open-addressing table (linear probing, backward-shift deletion) whose
+  // cells hold FIFO slot indices: a cell's key is pollution_fifo_[cell], so
+  // a full filter costs 2 bytes per cell rather than a copy of the block. A
+  // cell always names a slot holding its member, because overwriting a slot
+  // first erases that slot's block from the set. It grows lazily from
+  // kMinPollutionCells, at most half full.
   static constexpr std::size_t kPollutionFilterCap = 1 << 14;
-  common::BlockMap<std::uint8_t> pollution_set_;
+  static constexpr std::uint16_t kEmptyCell = 0xFFFF;
+  static constexpr std::size_t kMinPollutionCells = 16;
+  static_assert(kPollutionFilterCap < kEmptyCell,
+                "FIFO slot indices must fit a cell beside the empty marker");
+  std::vector<std::uint16_t> pollution_cells_;
+  std::size_t pollution_members_ = 0;
   std::vector<std::uint64_t> pollution_fifo_;
   std::size_t pollution_head_ = 0;
 };

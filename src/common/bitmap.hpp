@@ -10,21 +10,31 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/assert.hpp"
 
 namespace planaria {
 
 /// Bitmap over N blocks (N <= 64). Bit i set <=> block i accessed/predicted.
+/// The API speaks 64-bit words; storage is the narrowest unsigned type that
+/// holds N bits, so a 16-block segment bitmap costs 2 bytes in a table.
 template <int N>
 class BlockBitmap {
   static_assert(N > 0 && N <= 64, "BlockBitmap supports 1..64 blocks");
+
+  using Storage = std::conditional_t<
+      (N <= 8), std::uint8_t,
+      std::conditional_t<(N <= 16), std::uint16_t,
+                         std::conditional_t<(N <= 32), std::uint32_t,
+                                            std::uint64_t>>>;
 
  public:
   using Word = std::uint64_t;
 
   constexpr BlockBitmap() = default;
-  constexpr explicit BlockBitmap(Word raw) : bits_(raw & mask()) {}
+  constexpr explicit BlockBitmap(Word raw)
+      : bits_(static_cast<Storage>(raw & mask())) {}
 
   static constexpr int size() { return N; }
   static constexpr Word mask() {
@@ -33,11 +43,11 @@ class BlockBitmap {
 
   constexpr void set(int i) {
     PLANARIA_ASSERT(i >= 0 && i < N);
-    bits_ |= Word{1} << i;
+    bits_ = static_cast<Storage>(bits_ | (Word{1} << i));
   }
   constexpr void clear(int i) {
     PLANARIA_ASSERT(i >= 0 && i < N);
-    bits_ &= ~(Word{1} << i);
+    bits_ = static_cast<Storage>(bits_ & ~(Word{1} << i));
   }
   constexpr bool test(int i) const {
     PLANARIA_ASSERT(i >= 0 && i < N);
@@ -45,7 +55,7 @@ class BlockBitmap {
   }
   constexpr void flip(int i) {
     PLANARIA_ASSERT(i >= 0 && i < N);
-    bits_ ^= Word{1} << i;
+    bits_ = static_cast<Storage>(bits_ ^ (Word{1} << i));
   }
   constexpr void reset() { bits_ = 0; }
 
@@ -56,25 +66,25 @@ class BlockBitmap {
   /// Number of blocks set in both bitmaps (the paper's "same bits" that are
   /// accessed in both pages; used by TLP's similarity test).
   constexpr int common_with(BlockBitmap other) const {
-    return std::popcount(bits_ & other.bits_);
+    return std::popcount(raw() & other.raw());
   }
 
   /// Number of positions where the two bitmaps differ (Fig. 5's "difference
   /// between the bitmap of two pages").
   constexpr int hamming_distance(BlockBitmap other) const {
-    return std::popcount(bits_ ^ other.bits_);
+    return std::popcount(raw() ^ other.raw());
   }
 
   /// Blocks set in this bitmap but not in `other` — what TLP prefetches when
   /// transferring a neighbor's pattern ("a bit in entry 0 is 1 but in entry 2
   /// is 0").
   constexpr BlockBitmap minus(BlockBitmap other) const {
-    return BlockBitmap(bits_ & ~other.bits_);
+    return BlockBitmap(raw() & ~other.raw());
   }
 
-  constexpr BlockBitmap operator&(BlockBitmap o) const { return BlockBitmap(bits_ & o.bits_); }
-  constexpr BlockBitmap operator|(BlockBitmap o) const { return BlockBitmap(bits_ | o.bits_); }
-  constexpr BlockBitmap operator^(BlockBitmap o) const { return BlockBitmap(bits_ ^ o.bits_); }
+  constexpr BlockBitmap operator&(BlockBitmap o) const { return BlockBitmap(raw() & o.raw()); }
+  constexpr BlockBitmap operator|(BlockBitmap o) const { return BlockBitmap(raw() | o.raw()); }
+  constexpr BlockBitmap operator^(BlockBitmap o) const { return BlockBitmap(raw() ^ o.raw()); }
   constexpr bool operator==(const BlockBitmap&) const = default;
 
   /// Index of lowest set bit, or -1 if empty.
@@ -103,7 +113,7 @@ class BlockBitmap {
   }
 
  private:
-  Word bits_ = 0;
+  Storage bits_ = 0;
 };
 
 /// 16-block segment bitmap used by the per-channel prefetcher tables.

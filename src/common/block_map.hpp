@@ -23,6 +23,17 @@
 
 namespace planaria::common {
 
+/// Splitmix-style finalizer (same mixer as TagIndex): block numbers are dense
+/// sequences that would cluster badly under identity hashing.
+inline std::uint64_t mix_block(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  return x;
+}
+
 template <typename T>
 class BlockMap {
  public:
@@ -117,19 +128,8 @@ class BlockMap {
 
   static constexpr std::size_t kMinCapacity = 16;
 
-  // Same splitmix-style mixer as TagIndex: block numbers are dense sequences
-  // that would cluster badly under identity hashing.
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
-  }
-
   std::size_t bucket(std::uint64_t key) const {
-    return static_cast<std::size_t>(mix(key)) & mask_;
+    return static_cast<std::size_t>(mix_block(key)) & mask_;
   }
 
   void rehash(std::size_t want) {

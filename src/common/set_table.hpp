@@ -6,16 +6,18 @@
 // Keys are hashed to a set with a strong 64-bit mixer; each set holds `ways`
 // entries replaced LRU. Same payload-centric interface as LruTable.
 //
-// Lookups compare only the key's set, as the hardware does. Keys live in a
-// separate tag column (SoA, the SystemCache layout): one set is `ways`
-// consecutive keys, one or two cache lines, and a tag match is confirmed
-// against the entry's valid flag because invalid ways keep a stale key.
-// Recency is a generation stamp written on touch. Victim selection on a miss
-// walks the same set's ways (first invalid way, else minimum last_use), and
-// save_state emits valid slots in slot order, so the eviction order and the
-// snapshot layout are independent of how lookups are done.
+// Lookups compare only the key's set, as the hardware does. The table is
+// stored as columns: keys, recency stamps and payloads, one slot per way, plus
+// one valid mask per set (bit w = way w holds a live entry). A probe reads
+// only the set's keys and its mask; invalid ways keep a stale key, which the
+// mask rejects. Recency is a generation stamp written on touch. Victim
+// selection on a miss takes the set's first invalid way, else its minimum
+// stamp (lowest way on ties), and save_state emits valid slots in slot order,
+// so the eviction order and the snapshot layout are independent of how
+// lookups are done.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -28,15 +30,20 @@ namespace planaria {
 template <typename Key, typename Payload>
 class SetAssocTable {
  public:
+  /// Widest set the per-set valid mask can describe.
+  static constexpr int kMaxWays = 64;
+
   SetAssocTable(std::size_t sets, int ways)
       : sets_(sets), ways_(ways),
-        entries_(sets * static_cast<std::size_t>(ways)),
-        keys_(entries_.size()) {
+        keys_(sets * static_cast<std::size_t>(ways)),
+        last_use_(keys_.size(), 0),
+        payloads_(keys_.size()),
+        valid_(sets, 0) {
     PLANARIA_ASSERT(sets > 0 && (sets & (sets - 1)) == 0);
-    PLANARIA_ASSERT(ways > 0);
+    PLANARIA_ASSERT(ways > 0 && ways <= kMaxWays);
   }
 
-  std::size_t capacity() const { return entries_.size(); }
+  std::size_t capacity() const { return keys_.size(); }
 
   /// Live entry count, maintained incrementally (size() used to rescan all
   /// entries, an O(capacity) cost per call that dwarfed the operation being
@@ -50,93 +57,81 @@ class SetAssocTable {
   Payload* find(const Key& key) {
     const std::size_t s = slot_of(key);
     if (s == kNone) return nullptr;
-    Entry& e = entries_[s];
-    e.last_use = ++tick_;
-    return &e.payload;
+    last_use_[s] = ++tick_;
+    return &payloads_[s];
   }
 
   const Payload* peek(const Key& key) const {
     const std::size_t s = slot_of(key);
-    return s == kNone ? nullptr : &entries_[s].payload;
+    return s == kNone ? nullptr : &payloads_[s];
   }
 
   /// Inserts key -> payload; returns the evicted (key, payload) if a valid
   /// LRU victim had to make room.
   std::optional<std::pair<Key, Payload>> insert(const Key& key, Payload payload) {
-    const std::size_t base = set_base(key);
-    const std::size_t hit = find_in_set(base, key);
+    const std::size_t set = set_of(key);
+    const std::size_t base = set * static_cast<std::size_t>(ways_);
+    const std::size_t hit = find_in_set(set, key);
     if (hit != kNone) {
-      Entry& e = entries_[hit];
-      e.payload = std::move(payload);
-      e.last_use = ++tick_;
+      payloads_[hit] = std::move(payload);
+      last_use_[hit] = ++tick_;
       return std::nullopt;
     }
-    std::size_t victim = kNone;
-    for (std::size_t s = base; s < base + static_cast<std::size_t>(ways_); ++s) {
-      const Entry& e = entries_[s];
-      if (!e.valid) {
-        if (victim == kNone || entries_[victim].valid) victim = s;
-      } else if (victim == kNone || (entries_[victim].valid &&
-                                     e.last_use < entries_[victim].last_use)) {
-        victim = s;
-      }
-    }
-    PLANARIA_ASSERT(victim != kNone);
-    Entry& v = entries_[victim];
+    const Mask valid = valid_[set];
     std::optional<std::pair<Key, Payload>> evicted;
-    if (v.valid) {
-      evicted.emplace(keys_[victim], std::move(v.payload));
-    } else {
+    std::size_t victim = base;
+    if (valid != full_mask()) {
+      victim += static_cast<std::size_t>(__builtin_ctzll(~valid));
       ++live_;
+    } else {
+      for (std::size_t s = base + 1; s < base + static_cast<std::size_t>(ways_);
+           ++s) {
+        if (last_use_[s] < last_use_[victim]) victim = s;
+      }
+      evicted.emplace(keys_[victim], std::move(payloads_[victim]));
     }
     keys_[victim] = key;
-    v.payload = std::move(payload);
-    v.last_use = ++tick_;
-    v.valid = true;
+    payloads_[victim] = std::move(payload);
+    last_use_[victim] = ++tick_;
+    valid_[set] = valid | bit(victim - base);
     return evicted;
   }
 
   std::optional<Payload> erase(const Key& key) {
     const std::size_t s = slot_of(key);
     if (s == kNone) return std::nullopt;
-    Entry& e = entries_[s];
-    e.valid = false;
-    --live_;
-    return std::move(e.payload);
+    invalidate(s);
+    return std::move(payloads_[s]);
   }
 
   void clear() {
-    for (auto& e : entries_) e.valid = false;
+    std::fill(valid_.begin(), valid_.end(), Mask{0});
     live_ = 0;
   }
 
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].valid) fn(keys_[i], entries_[i].payload);
-    }
+    for_each_valid_slot([&](std::size_t i) { fn(keys_[i], payloads_[i]); });
   }
 
   /// Raw slot access for fault injection and diagnostics: the payload stored
   /// in slot `i` (0..capacity()), or nullptr when that slot is invalid. Does
   /// not touch LRU state — a corrupted entry must not look recently used.
   Payload* payload_at(std::size_t i) {
-    PLANARIA_ASSERT(i < entries_.size());
-    return entries_[i].valid ? &entries_[i].payload : nullptr;
+    PLANARIA_ASSERT(i < keys_.size());
+    return is_valid(i) ? &payloads_[i] : nullptr;
   }
 
   /// Removes entries matching pred and hands them to on_evict. O(capacity);
   /// callers amortize by sweeping periodically.
   template <typename Pred, typename OnEvict>
   void evict_if(Pred&& pred, OnEvict&& on_evict) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      Entry& e = entries_[i];
-      if (e.valid && pred(keys_[i], e.payload)) {
-        e.valid = false;
-        --live_;
-        on_evict(keys_[i], std::move(e.payload));
+    for_each_valid_slot([&](std::size_t i) {
+      if (pred(keys_[i], payloads_[i])) {
+        invalidate(i);
+        on_evict(keys_[i], std::move(payloads_[i]));
       }
-    }
+    });
   }
 
   /// Checkpoint: valid slots in ascending slot order (canonical, so the
@@ -149,14 +144,12 @@ class SetAssocTable {
   void save_state(Writer& w, SavePayload&& sp) const {
     w.u64(tick_);
     w.u64(static_cast<std::uint64_t>(live_));
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      if (!e.valid) continue;
+    for_each_valid_slot([&](std::size_t i) {
       w.u64(static_cast<std::uint64_t>(i));
       w.u64(static_cast<std::uint64_t>(keys_[i]));
-      w.u64(e.last_use);
-      sp(w, e.payload);
-    }
+      w.u64(last_use_[i]);
+      sp(w, payloads_[i]);
+    });
   }
 
   /// Restore counterpart; `lp(r)` decodes one payload. Geometry must match
@@ -170,49 +163,76 @@ class SetAssocTable {
     clear();
     tick_ = r.u64();
     const std::uint64_t count = r.u64();
-    if (count > entries_.size()) {
+    if (count > keys_.size()) {
       r.fail("set table live count exceeds capacity");
     }
     std::uint64_t prev = 0;
     for (std::uint64_t n = 0; n < count; ++n) {
       const std::uint64_t i = r.u64();
-      if (i >= entries_.size() || (n > 0 && i <= prev)) {
+      if (i >= keys_.size() || (n > 0 && i <= prev)) {
         r.fail("set table slot index out of order");
       }
       prev = i;
       const Key key = static_cast<Key>(r.u64());
-      const std::size_t base = set_base(key);
+      const std::size_t set = set_of(key);
+      const std::size_t base = set * static_cast<std::size_t>(ways_);
       if (i < base || i >= base + static_cast<std::size_t>(ways_)) {
         r.fail("set table key stored outside its set");
       }
-      if (find_in_set(base, key) != kNone) {
+      if (find_in_set(set, key) != kNone) {
         r.fail("set table key resident twice");
       }
-      Entry& e = entries_[i];
-      e.last_use = r.u64();
-      if (e.last_use > tick_) {
+      last_use_[i] = r.u64();
+      if (last_use_[i] > tick_) {
         r.fail("set table last use is ahead of the table tick");
       }
-      e.payload = lp(r);
+      payloads_[i] = lp(r);
       keys_[i] = key;
-      e.valid = true;
+      valid_[set] |= bit(i - base);
       ++live_;
     }
   }
 
  private:
+  using Mask = std::uint64_t;
   static constexpr std::size_t kNone = ~std::size_t{0};
+
+  static Mask bit(std::size_t way) { return Mask{1} << way; }
+  Mask full_mask() const {
+    return ways_ == kMaxWays ? ~Mask{0}
+                             : bit(static_cast<std::size_t>(ways_)) - 1;
+  }
+
+  bool is_valid(std::size_t slot) const {
+    const std::size_t ways = static_cast<std::size_t>(ways_);
+    return ((valid_[slot / ways] >> (slot % ways)) & 1) != 0;
+  }
+
+  void invalidate(std::size_t slot) {
+    const std::size_t ways = static_cast<std::size_t>(ways_);
+    valid_[slot / ways] &= ~bit(slot % ways);
+    --live_;
+  }
+
+  /// Calls fn(slot) for every valid slot in ascending slot order (set by set,
+  /// way by way). The mask is read once per set, so fn may invalidate `slot`.
+  template <typename Fn>
+  void for_each_valid_slot(Fn&& fn) const {
+    const std::size_t ways = static_cast<std::size_t>(ways_);
+    for (std::size_t set = 0; set < sets_; ++set) {
+      for (Mask m = valid_[set]; m != 0; m &= m - 1) {
+        fn(set * ways + static_cast<std::size_t>(__builtin_ctzll(m)));
+      }
+    }
+  }
 
   std::size_t scanned_size() const {
     std::size_t n = 0;
-    for (const auto& e : entries_) n += e.valid ? 1 : 0;
+    for (const Mask m : valid_) {
+      n += static_cast<std::size_t>(__builtin_popcountll(m));
+    }
     return n;
   }
-  struct Entry {
-    Payload payload{};
-    std::uint64_t last_use = 0;
-    bool valid = false;
-  };
 
   static std::uint64_t mix(std::uint64_t x) {
     x ^= x >> 30;
@@ -223,32 +243,34 @@ class SetAssocTable {
     return x;
   }
 
-  /// First slot of the set `key` hashes to.
-  std::size_t set_base(const Key& key) const {
-    const std::size_t set = mix(static_cast<std::uint64_t>(key)) & (sets_ - 1);
-    return set * static_cast<std::size_t>(ways_);
+  /// The set `key` hashes to.
+  std::size_t set_of(const Key& key) const {
+    return mix(static_cast<std::uint64_t>(key)) & (sets_ - 1);
   }
 
-  /// Slot of the valid entry holding `key` in the set starting at `base`, or
-  /// kNone. Scans the set's tag column; a stale tag on an invalid way is
-  /// rejected by the entry's valid flag.
-  std::size_t find_in_set(std::size_t base, const Key& key) const {
+  /// Slot of the valid entry holding `key` in `set`, or kNone. Scans the
+  /// set's keys; a stale key on an invalid way is rejected by the set's mask.
+  std::size_t find_in_set(std::size_t set, const Key& key) const {
+    const std::size_t base = set * static_cast<std::size_t>(ways_);
     const Key* tags = keys_.data() + base;
     for (int w = 0; w < ways_; ++w) {
-      const std::size_t s = base + static_cast<std::size_t>(w);
-      if (tags[w] == key && entries_[s].valid) return s;
+      if (tags[w] == key && ((valid_[set] >> w) & 1) != 0) {
+        return base + static_cast<std::size_t>(w);
+      }
     }
     return kNone;
   }
 
   std::size_t slot_of(const Key& key) const {
-    return find_in_set(set_base(key), key);
+    return find_in_set(set_of(key), key);
   }
 
   std::size_t sets_;
   int ways_;
-  std::vector<Entry> entries_;
-  std::vector<Key> keys_;  ///< tag column: keys_[i] is entries_[i]'s key
+  std::vector<Key> keys_;                 ///< key column, `ways_` per set
+  std::vector<std::uint64_t> last_use_;   ///< recency stamp column
+  std::vector<Payload> payloads_;         ///< payload column
+  std::vector<Mask> valid_;               ///< per-set valid mask
   std::uint64_t tick_ = 0;
   std::size_t live_ = 0;
 };

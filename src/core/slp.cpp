@@ -14,6 +14,10 @@ void SlpConfig::validate() const {
       pt_sets <= 0 || pt_ways <= 0) {
     throw std::invalid_argument("slp config: table sizes must be positive");
   }
+  constexpr int kMaxWays = SetAssocTable<PageNumber, int>::kMaxWays;
+  if (ft_ways > kMaxWays || at_ways > kMaxWays || pt_ways > kMaxWays) {
+    throw std::invalid_argument("slp config: at most 64 ways per set");
+  }
   const auto pow2 = [](int v) { return (v & (v - 1)) == 0; };
   if (!pow2(ft_sets) || !pow2(at_sets) || !pow2(pt_sets)) {
     throw std::invalid_argument(

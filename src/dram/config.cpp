@@ -32,6 +32,9 @@ void GeometryConfig::validate() const {
   require((banks & (banks - 1)) == 0, "banks must be a power of two");
   require((blocks_per_row & (blocks_per_row - 1)) == 0,
           "blocks_per_row must be a power of two");
+  // AddressMapper decodes every digit by shift and mask.
+  require((ranks & (ranks - 1)) == 0, "ranks must be a power of two");
+  require((rows & (rows - 1)) == 0, "rows must be a power of two");
 }
 
 void ControllerConfig::validate() const {

@@ -99,22 +99,29 @@ struct BlockLocation {
 /// column:bank:rank:row ordering (low bits = column) so that consecutive
 /// pages interleave across banks (and ranks, when present) and sequential
 /// traffic earns row hits. Table 1 uses 1 rank per channel; the rank digit
-/// then decodes to 0 everywhere and the layout is unchanged.
-// lint: suppress(snapshot-missing) geometry_ is derived from config at construction; nothing mutates
+/// then decodes to 0 everywhere and the layout is unchanged. Every geometry
+/// digit is a power of two (GeometryConfig::validate), so each digit is a
+/// shift and a mask, the same value as the mixed-radix division formula.
+// lint: suppress(snapshot-missing) the digit widths are derived from config at construction; nothing mutates
 class AddressMapper {
  public:
-  explicit AddressMapper(const GeometryConfig& g) : geometry_(g) {}
+  explicit AddressMapper(const GeometryConfig& g)
+      : column_bits_(log2(g.blocks_per_row)),
+        bank_bits_(log2(g.banks)),
+        rank_bits_(log2(g.ranks)),
+        row_mask_(static_cast<std::uint64_t>(g.rows) - 1) {
+    g.validate();
+  }
 
   BlockLocation map(std::uint64_t local_block) const {
     BlockLocation loc;
-    loc.column = static_cast<int>(local_block %
-                                  static_cast<std::uint64_t>(geometry_.blocks_per_row));
-    std::uint64_t rest = local_block / static_cast<std::uint64_t>(geometry_.blocks_per_row);
-    loc.bank = static_cast<int>(rest % static_cast<std::uint64_t>(geometry_.banks));
-    rest /= static_cast<std::uint64_t>(geometry_.banks);
-    loc.rank = static_cast<int>(rest % static_cast<std::uint64_t>(geometry_.ranks));
-    rest /= static_cast<std::uint64_t>(geometry_.ranks);
-    loc.row = static_cast<std::uint32_t>(rest % static_cast<std::uint64_t>(geometry_.rows));
+    loc.column = static_cast<int>(local_block & low_mask(column_bits_));
+    std::uint64_t rest = local_block >> column_bits_;
+    loc.bank = static_cast<int>(rest & low_mask(bank_bits_));
+    rest >>= bank_bits_;
+    loc.rank = static_cast<int>(rest & low_mask(rank_bits_));
+    rest >>= rank_bits_;
+    loc.row = static_cast<std::uint32_t>(rest & row_mask_);
     return loc;
   }
 
@@ -127,7 +134,17 @@ class AddressMapper {
   }
 
  private:
-  GeometryConfig geometry_;
+  static int log2(int power_of_two) {
+    return __builtin_ctz(static_cast<unsigned>(power_of_two));
+  }
+  static std::uint64_t low_mask(int bits) {
+    return (std::uint64_t{1} << bits) - 1;
+  }
+
+  int column_bits_;
+  int bank_bits_;
+  int rank_bits_;
+  std::uint64_t row_mask_;
 };
 
 }  // namespace planaria::dram

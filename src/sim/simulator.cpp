@@ -283,21 +283,27 @@ void Simulator::step_channel(Channel& ch, const trace::TraceRecord& record,
   handle_demand(ch, record, hp);
 }
 
-void Simulator::run_channel_shard(Channel& ch) {
+void Simulator::run_channel_shard(Channel& ch, const trace::TraceBatch& batch,
+                                  std::size_t first) {
   const HotParams hp = hot_params();
-  const std::size_t n = ch.shard.size();
-  const Address* addresses = ch.shard.addresses();
-  const Cycle* arrivals = ch.shard.arrivals();
-  const std::uint8_t* meta = ch.shard.meta();
-  for (std::size_t i = 0; i < n; ++i) {
-    const trace::TraceRecord rec{addresses[i], arrivals[i],
+  const Address* addresses = batch.addresses() + first;
+  const Cycle* arrivals = batch.arrivals() + first;
+  const std::uint8_t* meta = batch.meta() + first;
+  auto changed = ch.shard_arrivals.cbegin();
+  for (const std::uint32_t i : ch.shard) {
+    Cycle arrival = arrivals[i];
+    if (changed != ch.shard_arrivals.cend() && changed->first == i) {
+      arrival = changed->second;
+      ++changed;
+    }
+    const trace::TraceRecord rec{addresses[i], arrival,
                                  trace::TraceBatch::meta_type(meta[i]),
                                  trace::TraceBatch::meta_device(meta[i])};
     step_channel(ch, rec, hp);
   }
 }
 
-void Simulator::corrupt_and_admit(trace::TraceRecord& rec) {
+Cycle Simulator::corrupt_and_admit(Cycle arrival) {
   // The corruption regresses the arrival strictly below the running maximum
   // (next_below(last_arrival_) < last_arrival_), so every applied injection
   // fires the time-order contract exactly once — the chaos audit's
@@ -307,24 +313,25 @@ void Simulator::corrupt_and_admit(trace::TraceRecord& rec) {
   // run_sharded() paths.
   if (ingest_fault_ != nullptr && last_arrival_ > 0 &&
       ingest_fault_->roll(fault::FaultClass::kTraceCorruption)) {
-    rec.arrival = ingest_fault_->rng(fault::FaultClass::kTraceCorruption)
-                      .next_below(last_arrival_);
+    arrival = ingest_fault_->rng(fault::FaultClass::kTraceCorruption)
+                  .next_below(last_arrival_);
     ingest_fault_->record(fault::FaultClass::kTraceCorruption);
   }
-  PLANARIA_REQUIRE_MSG(kTimingMonotonicity, rec.arrival >= last_arrival_,
+  PLANARIA_REQUIRE_MSG(kTimingMonotonicity, arrival >= last_arrival_,
                        "trace records must be time-ordered");
   // Recovery (kRecover mode reaches here; kAbort never returns from the
   // contract): clamp the regressed arrival to the running maximum so
   // downstream per-channel monotonicity holds by construction.
-  if (rec.arrival < last_arrival_) rec.arrival = last_arrival_;
-  last_arrival_ = rec.arrival;
+  if (arrival < last_arrival_) arrival = last_arrival_;
+  last_arrival_ = arrival;
+  return arrival;
 }
 
 void Simulator::step(const trace::TraceRecord& record) {
   PLANARIA_REQUIRE_MSG(kTimingMonotonicity, !finished_,
                        "step() after finish()");
   trace::TraceRecord rec = record;
-  corrupt_and_admit(rec);
+  rec.arrival = corrupt_and_admit(rec.arrival);
   step_channel(
       channels_[static_cast<std::size_t>(addr::channel_of(rec.address))], rec,
       hot_params());
@@ -340,37 +347,48 @@ void Simulator::run_sharded(const trace::TraceBatch& batch, std::size_t begin,
   // The contract returns under kCount/kRecover; the span is then dropped
   // whole, before any column is read or any simulator state changes.
   if (!in_range || begin == end) return;
-  const std::size_t count = end - begin;
 
-  // One pass replaces the per-record addr::channel_of dispatch: apply ingest
-  // faults and validate the global time order once (corrupt_and_admit, the
-  // same serial admission step() uses), then split into per-channel SoA
-  // shards. Each shard is a subsequence of a non-decreasing (post-clamp)
-  // sequence, so per-channel monotonicity is inherited. The shard columns
-  // live in the Channel so their capacity persists across batches — after
-  // the first chunk the admission loop allocates nothing.
-  for (auto& ch : channels_) {
-    ch.shard.clear();
-    ch.shard.reserve(count / static_cast<std::size_t>(kChannels) + 1);
-  }
+  // The span runs in chunks of at most kShardChunk records, so the shard
+  // memory is bounded whatever the span's length; consecutive chunks are
+  // bit-identical to one call by the same argument that makes checkpointed
+  // execution exact. Per chunk, one pass replaces the per-record
+  // addr::channel_of dispatch: apply ingest faults and validate the global
+  // time order once (corrupt_and_admit, the same serial admission step()
+  // uses), then split the chunk into per-channel index shards. A shard
+  // copies no record: it names rows of `batch`, plus the few arrivals that
+  // admission changed (ingest faults and kRecover clamps). Each shard is a
+  // subsequence of a non-decreasing (post-clamp) sequence, so per-channel
+  // monotonicity is inherited.
+  constexpr std::size_t kShardChunk = std::size_t{1} << 20;
   const Address* addresses = batch.addresses();
   const Cycle* arrivals = batch.arrivals();
-  const std::uint8_t* meta = batch.meta();
-  for (std::size_t i = begin; i < end; ++i) {
-    trace::TraceRecord rec{addresses[i], arrivals[i],
-                           trace::TraceBatch::meta_type(meta[i]),
-                           trace::TraceBatch::meta_device(meta[i])};
-    corrupt_and_admit(rec);
-    channels_[static_cast<std::size_t>(addr::channel_of(rec.address))]
-        .shard.push_back(rec);
-  }
-  // No state crosses channels, so the shards run concurrently on the pool.
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for(static_cast<std::size_t>(kChannels), [&](std::size_t c) {
-      run_channel_shard(channels_[c]);
-    });
-  } else {
-    for (auto& ch : channels_) run_channel_shard(ch);
+  for (std::size_t first = begin; first < end; first += kShardChunk) {
+    const std::size_t last = std::min(end, first + kShardChunk);
+    for (auto& ch : channels_) {
+      ch.shard.clear();
+      ch.shard.reserve((last - first) / static_cast<std::size_t>(kChannels) +
+                       1);
+      ch.shard_arrivals.clear();
+    }
+    for (std::size_t i = first; i < last; ++i) {
+      const Cycle arrival = corrupt_and_admit(arrivals[i]);
+      Channel& ch =
+          channels_[static_cast<std::size_t>(addr::channel_of(addresses[i]))];
+      const auto index = static_cast<std::uint32_t>(i - first);
+      ch.shard.push_back(index);
+      if (arrival != arrivals[i]) {
+        ch.shard_arrivals.emplace_back(index, arrival);
+      }
+    }
+    // No state crosses channels, so the shards run concurrently on the pool.
+    if (pool != nullptr && pool->size() > 1) {
+      pool->parallel_for(static_cast<std::size_t>(kChannels),
+                         [&](std::size_t c) {
+                           run_channel_shard(channels_[c], batch, first);
+                         });
+    } else {
+      for (auto& ch : channels_) run_channel_shard(ch, batch, first);
+    }
   }
 }
 

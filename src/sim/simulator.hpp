@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/system_cache.hpp"
@@ -204,20 +205,24 @@ class Simulator {
     /// Reused completion buffer for take_completions (hot-alloc: the sink
     /// overload ping-pongs this capacity with the channel's pending buffer).
     std::vector<dram::DramCompletion> done_scratch;
-    /// This channel's slice of the current run_sharded call, SoA. A member
-    /// (not a per-call local) so its column capacity is reused across chunks.
-    trace::TraceBatch shard;
+    /// This channel's records of the current run_sharded chunk, as indices
+    /// relative to the chunk's first record, and the (index, arrival) pairs
+    /// whose arrival admission changed, ascending. Members (not per-call
+    /// locals) so their capacity is reused across chunks.
+    std::vector<std::uint32_t> shard;
+    std::vector<std::pair<std::uint32_t, Cycle>> shard_arrivals;
     /// Per-channel fault injector (null when no class is armed). Channel
     /// faults draw from a channel-indexed stream, so injection stays
     /// deterministic however the channels are scheduled.
     std::unique_ptr<fault::FaultInjector> fault;
   };
 
-  /// Applies the armed trace-corruption fault to `rec`, enforces the global
-  /// time-order contract, and clamps a regressed arrival back to the running
-  /// maximum (the kRecover repair). Shared by step() and run_sharded() so the
-  /// ingest decision stream is consumed identically in both paths.
-  void corrupt_and_admit(trace::TraceRecord& rec);
+  /// Applies the armed trace-corruption fault to a record's `arrival`,
+  /// enforces the global time-order contract, and clamps a regressed arrival
+  /// back to the running maximum (the kRecover repair); returns the admitted
+  /// arrival. Shared by step() and run_sharded() so the ingest decision
+  /// stream is consumed identically in both paths.
+  Cycle corrupt_and_admit(Cycle arrival);
 
   HotParams hot_params() const;
 
@@ -228,8 +233,10 @@ class Simulator {
                      const HotParams& hp);
   void step_channel(Channel& ch, const trace::TraceRecord& record,
                     const HotParams& hp);
-  /// Drains ch.shard through step_channel.
-  void run_channel_shard(Channel& ch);
+  /// Drains ch.shard, indices into `batch` from record `first` on, through
+  /// step_channel.
+  void run_channel_shard(Channel& ch, const trace::TraceBatch& batch,
+                         std::size_t first);
 
   SimConfig config_;
   std::string name_;

@@ -2,6 +2,7 @@
 // bank timing, scheduling policy, refresh, write handling, and power.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 #include "dram/channel.hpp"
@@ -66,6 +67,21 @@ TEST(DramConfig, RejectsNonPowerOfTwoBanks) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
+TEST(DramConfig, RejectsNonPowerOfTwoRanksAndRows) {
+  for (const int ranks : {3, 6}) {
+    DramConfig config = test_config();
+    config.geometry.ranks = ranks;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << ranks;
+    EXPECT_THROW(AddressMapper{config.geometry}, std::invalid_argument);
+  }
+  for (const int rows : {3, (1 << 15) - 1, (1 << 15) + 1}) {
+    DramConfig config = test_config();
+    config.geometry.rows = rows;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << rows;
+    EXPECT_THROW(AddressMapper{config.geometry}, std::invalid_argument);
+  }
+}
+
 TEST(DramConfig, RejectsInvertedDrainThresholds) {
   DramConfig config = test_config();
   config.controller.write_drain_low = config.controller.write_drain_high;
@@ -73,6 +89,49 @@ TEST(DramConfig, RejectsInvertedDrainThresholds) {
 }
 
 // ----------------------------------------------------------- address mapping
+
+// The shift-and-mask decode must equal the mixed-radix division formula it
+// replaced, over random blocks spanning every digit (the row digit wraps),
+// for 1- and 2-rank channels and a small geometry.
+TEST(AddressMapper, ShiftDecodeMatchesDivisionFormula) {
+  GeometryConfig two_rank;
+  two_rank.ranks = 2;
+  GeometryConfig small;
+  small.ranks = 4;
+  small.banks = 2;
+  small.rows = 8;
+  small.blocks_per_row = 4;
+  std::mt19937_64 rng(0xADD2);
+  for (const GeometryConfig& g : {GeometryConfig{}, two_rank, small}) {
+    const AddressMapper mapper(g);
+    const auto div = [&](std::uint64_t block) {
+      BlockLocation loc;
+      const auto per_row = static_cast<std::uint64_t>(g.blocks_per_row);
+      const auto banks = static_cast<std::uint64_t>(g.banks);
+      const auto ranks = static_cast<std::uint64_t>(g.ranks);
+      loc.column = static_cast<int>(block % per_row);
+      std::uint64_t rest = block / per_row;
+      loc.bank = static_cast<int>(rest % banks);
+      rest /= banks;
+      loc.rank = static_cast<int>(rest % ranks);
+      rest /= ranks;
+      loc.row = static_cast<std::uint32_t>(rest % static_cast<std::uint64_t>(g.rows));
+      return loc;
+    };
+    for (int i = 0; i < 20000; ++i) {
+      // Half the draws stay inside one channel's capacity, half use all 64
+      // bits so the row digit wraps.
+      const std::uint64_t block = i % 2 == 0 ? rng() % (std::uint64_t{1} << 26)
+                                             : rng();
+      const BlockLocation got = mapper.map(block);
+      const BlockLocation want = div(block);
+      ASSERT_EQ(got.column, want.column) << block;
+      ASSERT_EQ(got.bank, want.bank) << block;
+      ASSERT_EQ(got.rank, want.rank) << block;
+      ASSERT_EQ(got.row, want.row) << block;
+    }
+  }
+}
 
 TEST(AddressMapper, LocalBlockStripsChannelBits) {
   // Page 5, channel 2, block-in-segment 3 => local block 5*16 + 3.

@@ -20,6 +20,7 @@
 
 #include "check/contract.hpp"
 #include "common/thread_pool.hpp"
+#include "fault/fault.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "trace/apps.hpp"
@@ -207,6 +208,70 @@ TEST(ParallelSimulation, ShardedRunMatchesStepLoopForAllKinds) {
                             name, records, &pool);
     expect_bit_identical(expected, parallel, std::string(name) + " parallel");
   }
+}
+
+// The same identity with ingest corruption armed under kRecover: every
+// corrupted or clamped arrival reaches its channel through the shard's
+// changed-arrival list rather than the batch column. The step loop, one
+// whole-span run_sharded (serial and pooled) and uneven consecutive spans
+// must agree bit for bit for every kind, injected-fault counts included.
+TEST(ParallelSimulation, ShardedRunMatchesStepLoopWithIngestCorruption) {
+  const auto records = test_trace(30000);
+  const std::vector<std::size_t> cuts = {0, 1, 4097, 12345, 29999,
+                                         records.size()};
+  ThreadPool pool(4);
+  sim::SimConfig config;
+  config.fault =
+      fault::FaultPlan::single(fault::FaultClass::kTraceCorruption, 0.02, 0x5A4D);
+  check::RecoveryScope scope;
+  for (sim::PrefetcherKind kind : sim::all_prefetcher_kinds()) {
+    const char* name = sim::prefetcher_kind_name(kind);
+    sim::Simulator serial(config, sim::make_prefetcher_factory(kind), name);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      serial.step(records.record(i));
+    }
+    const sim::SimResult expected = serial.finish();
+    ASSERT_GT(expected.fault_trace_corruptions, 0u) << name;
+
+    for (common::ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      sim::Simulator whole(config, sim::make_prefetcher_factory(kind), name);
+      whole.run_sharded(records, p);
+      EXPECT_TRUE(whole.finish() == expected) << name << " whole span";
+
+      sim::Simulator chunked(config, sim::make_prefetcher_factory(kind), name);
+      for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+        chunked.run_sharded(records, cuts[c], cuts[c + 1], p);
+      }
+      EXPECT_TRUE(chunked.finish() == expected) << name << " uneven spans";
+    }
+  }
+  check::reset_violations();
+  check::reset_recoveries();
+}
+
+// A span longer than run_sharded's internal chunk (2^20 records) is split
+// into chunks whose changed-arrival indices restart at each chunk; the
+// result must still equal the per-record step loop.
+TEST(ParallelSimulation, ShardedRunAcrossInternalChunksMatchesStepLoop) {
+  const auto records = test_trace((std::uint64_t{1} << 20) + 5000);
+  sim::SimConfig config;
+  config.fault =
+      fault::FaultPlan::single(fault::FaultClass::kTraceCorruption, 0.001, 0xC4);
+  check::RecoveryScope scope;
+  const auto factory = [] {
+    return sim::make_prefetcher_factory(sim::PrefetcherKind::kNextLine);
+  };
+  sim::Simulator serial(config, factory(), "next-line");
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    serial.step(records.record(i));
+  }
+  const sim::SimResult expected = serial.finish();
+  ThreadPool pool(4);
+  sim::Simulator sharded(config, factory(), "next-line");
+  sharded.run_sharded(records, &pool);
+  EXPECT_TRUE(sharded.finish() == expected);
+  check::reset_violations();
+  check::reset_recoveries();
 }
 
 TEST(ParallelSimulation, RepeatedParallelRunsAreStable) {

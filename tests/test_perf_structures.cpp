@@ -156,9 +156,10 @@ class RefLruTable {
 
 // ------------------------------------------------------ reference set-assoc
 
-// The original SetAssocTable: same set hash, with the key stored in each
-// way's entry (array of structs). The table under test keeps keys in a
-// separate tag column and lets invalid ways keep stale keys.
+// The original SetAssocTable: same set hash, with the key, stamp, payload
+// and valid flag stored together in each way's entry (array of structs). The
+// table under test keeps keys, stamps and payloads in separate columns, a
+// valid mask per set, and lets invalid ways keep stale keys.
 class RefSetAssocTable {
  public:
   RefSetAssocTable(std::size_t sets, int ways)
@@ -235,6 +236,21 @@ class RefSetAssocTable {
         on_evict(e.key, std::move(e.payload));
       }
     }
+  }
+
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    for (auto& e : entries_) {
+      if (e.valid) fn(e.key, e.payload);
+    }
+  }
+
+  Payload* payload_at(std::size_t i) {
+    return entries_[i].valid ? &entries_[i].payload : nullptr;
+  }
+
+  void clear() {
+    for (auto& e : entries_) e.valid = false;
   }
 
   void save_state(snapshot::Writer& w) const {
@@ -366,72 +382,106 @@ TEST(DifferentialLruTable, MatchesLinearScanReferenceOverRandomOps) {
 // ---------------------------------------------------------- set-assoc table
 
 TEST(DifferentialSetAssocTable, MatchesWayScanReferenceOverRandomOps) {
+  // Geometries: the original 8 x 4, SLP's 12-way PT shape, and a 64-way set
+  // whose valid mask uses every bit.
+  const std::vector<std::pair<std::size_t, int>> geometries = {
+      {8, 4}, {4, 12}, {2, 64}};
   for (std::uint64_t seed : {7ull, 77ull, 777ull}) {
-    std::mt19937_64 rng(seed);
-    constexpr std::size_t kSets = 8;
-    constexpr int kWays = 4;
-    SetAssocTable<std::uint64_t, Payload> indexed(kSets, kWays);
-    RefSetAssocTable reference(kSets, kWays);
-    std::uniform_int_distribution<std::uint64_t> key_dist(0, 127);
-    std::uniform_int_distribution<int> op_dist(0, 99);
-    const auto snap_indexed = [&] {
-      snapshot::Writer w;
-      indexed.save_state(w, save_payload);
-      return w.buffer();
-    };
-    const auto snap_reference = [&] {
-      snapshot::Writer w;
-      reference.save_state(w);
-      return w.buffer();
-    };
-    for (int step = 0; step < 6000; ++step) {
-      const std::uint64_t key = key_dist(rng);
-      const int op = op_dist(rng);
-      if (op < 40) {
-        Payload* a = indexed.find(key);
-        Payload* b = reference.find(key);
-        ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
-        if (a != nullptr) {
-          ASSERT_EQ(*a, *b) << "step " << step;
+    for (const auto& [sets, ways] : geometries) {
+      SCOPED_TRACE(ways);
+      std::mt19937_64 rng(seed);
+      SetAssocTable<std::uint64_t, Payload> indexed(sets, ways);
+      RefSetAssocTable reference(sets, ways);
+      std::uniform_int_distribution<std::uint64_t> key_dist(
+          0, 4 * sets * static_cast<std::size_t>(ways) - 1);
+      std::uniform_int_distribution<int> op_dist(0, 99);
+      const auto snap_indexed = [&] {
+        snapshot::Writer w;
+        indexed.save_state(w, save_payload);
+        return w.buffer();
+      };
+      const auto snap_reference = [&] {
+        snapshot::Writer w;
+        reference.save_state(w);
+        return w.buffer();
+      };
+      // for_each visitation, in order.
+      const auto visit = [](auto& table) {
+        std::vector<std::pair<std::uint64_t, Payload>> seen;
+        table.for_each([&](std::uint64_t k, Payload& p) { seen.emplace_back(k, p); });
+        return seen;
+      };
+      for (int step = 0; step < 6000; ++step) {
+        const std::uint64_t key = key_dist(rng);
+        const int op = op_dist(rng);
+        if (op < 40) {
+          Payload* a = indexed.find(key);
+          Payload* b = reference.find(key);
+          ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
+          if (a != nullptr) {
+            ASSERT_EQ(*a, *b) << "step " << step;
+          }
+        } else if (op < 75) {
+          const Payload payload = rng();
+          auto a = indexed.insert(key, payload);
+          auto b = reference.insert(key, payload);
+          ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
+          if (a.has_value()) {
+            ASSERT_EQ(a->first, b->first) << "step " << step;
+            ASSERT_EQ(a->second, b->second) << "step " << step;
+          }
+        } else if (op < 88) {
+          ASSERT_EQ(indexed.erase(key), reference.erase(key)) << "step " << step;
+        } else if (op < 96) {
+          const Payload* a = indexed.peek(key);
+          const Payload* b = reference.peek(key);
+          ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
+          if (a != nullptr) {
+            ASSERT_EQ(*a, *b) << "step " << step;
+          }
+        } else if (op < 97) {
+          if (step % 7 == 0) {
+            indexed.clear();
+            reference.clear();
+          }
+        } else {
+          std::vector<std::pair<std::uint64_t, Payload>> got_a;
+          std::vector<std::pair<std::uint64_t, Payload>> got_b;
+          const auto pred = [](std::uint64_t, const Payload& p) {
+            return p % 5 == 0;
+          };
+          indexed.evict_if(pred, [&](std::uint64_t k, Payload&& p) {
+            got_a.emplace_back(k, p);
+          });
+          reference.evict_if(pred, [&](std::uint64_t k, Payload&& p) {
+            got_b.emplace_back(k, p);
+          });
+          ASSERT_EQ(got_a, got_b) << "step " << step;
         }
-      } else if (op < 75) {
-        const Payload payload = rng();
-        auto a = indexed.insert(key, payload);
-        auto b = reference.insert(key, payload);
-        ASSERT_EQ(a.has_value(), b.has_value()) << "step " << step;
-        if (a.has_value()) {
-          ASSERT_EQ(a->first, b->first) << "step " << step;
-          ASSERT_EQ(a->second, b->second) << "step " << step;
+        if (step % 101 == 0) {
+          ASSERT_EQ(snap_indexed(), snap_reference())
+              << "snapshot divergence at step " << step;
+          ASSERT_EQ(visit(indexed), visit(reference)) << "step " << step;
+          for (std::size_t i = 0; i < indexed.capacity(); ++i) {
+            const Payload* a = indexed.payload_at(i);
+            const Payload* b = reference.payload_at(i);
+            ASSERT_EQ(a != nullptr, b != nullptr) << "slot " << i;
+            if (a != nullptr) {
+              ASSERT_EQ(*a, *b) << "slot " << i;
+            }
+          }
+          // A restored table must continue exactly like the live one.
+          SetAssocTable<std::uint64_t, Payload> restored(sets, ways);
+          const std::vector<std::uint8_t> bytes = snap_indexed();
+          snapshot::Reader r(bytes);
+          restored.load_state(r, [](snapshot::Reader& rr) { return rr.u64(); });
+          r.require_end();
+          indexed = restored;
         }
-      } else if (op < 88) {
-        ASSERT_EQ(indexed.erase(key), reference.erase(key)) << "step " << step;
-      } else if (op < 97) {
-        const Payload* a = indexed.peek(key);
-        const Payload* b = reference.peek(key);
-        ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
-        if (a != nullptr) {
-          ASSERT_EQ(*a, *b) << "step " << step;
-        }
-      } else {
-        std::vector<std::pair<std::uint64_t, Payload>> got_a;
-        std::vector<std::pair<std::uint64_t, Payload>> got_b;
-        const auto pred = [](std::uint64_t, const Payload& p) {
-          return p % 5 == 0;
-        };
-        indexed.evict_if(pred, [&](std::uint64_t k, Payload&& p) {
-          got_a.emplace_back(k, p);
-        });
-        reference.evict_if(pred, [&](std::uint64_t k, Payload&& p) {
-          got_b.emplace_back(k, p);
-        });
-        ASSERT_EQ(got_a, got_b) << "step " << step;
       }
-      if (step % 101 == 0) {
-        ASSERT_EQ(snap_indexed(), snap_reference())
-            << "snapshot divergence at step " << step;
-      }
+      EXPECT_EQ(snap_indexed(), snap_reference());
+      EXPECT_EQ(visit(indexed), visit(reference));
     }
-    EXPECT_EQ(snap_indexed(), snap_reference());
   }
 }
 
@@ -630,6 +680,216 @@ TEST(DifferentialPollutionFilter, MatchesFifoPlusUnorderedSetAcrossWrap) {
   EXPECT_GT(ref.same_slot_overwrites(), 0u);
   EXPECT_LT(ref.queued_members(), kCap);
   EXPECT_GT(ref_pollution_misses, kCap);
+}
+
+// ------------------------------------------------------------ SystemCache
+
+// The SC slice as first written: one {block, valid, dirty, prefetched,
+// source} struct per line, a linear way scan for every probe, the first
+// invalid way else the LRU way (lowest stamp) as the fill victim, and the
+// reference pollution filter above. save_state writes the CSH0 layout
+// SystemCache::save_state writes, so the two encodings can be compared
+// byte for byte.
+class RefSystemCache {
+ public:
+  explicit RefSystemCache(const cache::CacheConfig& config)
+      : ways_(config.ways), sets_(config.sets()),
+        lines_(static_cast<std::size_t>(sets_) * static_cast<std::size_t>(ways_)),
+        stamps_(lines_.size(), 0) {}
+
+  cache::AccessResult access(std::uint64_t block, AccessType type) {
+    cache::AccessResult result;
+    const std::size_t slot = find(block);
+    if (type == AccessType::kRead) {
+      ++stats_.demand_accesses;
+      if (slot == kNone) {
+        ++stats_.demand_misses;
+        if (pollution_.contains(block)) ++stats_.pollution_misses;
+        return result;
+      }
+      ++stats_.demand_hits;
+      result.hit = true;
+      stamps_[slot] = ++tick_;
+      Line& line = lines_[slot];
+      if (line.prefetched) {
+        result.first_use_of_prefetch = true;
+        result.fill_source = line.source;
+        ++stats_.demand_hits_on_prefetch;
+        if (line.source == cache::FillSource::kPrefetchSlp) ++stats_.hits_on_slp;
+        if (line.source == cache::FillSource::kPrefetchTlp) ++stats_.hits_on_tlp;
+        if (line.source == cache::FillSource::kPrefetchOther) {
+          ++stats_.hits_on_other_pf;
+        }
+        line.prefetched = false;
+      }
+      return result;
+    }
+    if (slot == kNone) {
+      ++stats_.write_misses;
+      return result;
+    }
+    ++stats_.write_hits;
+    lines_[slot].dirty = true;
+    lines_[slot].prefetched = false;
+    stamps_[slot] = ++tick_;
+    result.hit = true;
+    return result;
+  }
+
+  cache::AccessResult fill(std::uint64_t block, cache::FillSource source) {
+    cache::AccessResult result;
+    const bool is_prefetch = source != cache::FillSource::kDemand;
+    if (find(block) != kNone) {
+      if (is_prefetch) ++redundant_;
+      return result;
+    }
+    if (is_prefetch) ++stats_.prefetch_fills;
+    const std::size_t base = (block & (sets_ - 1)) * static_cast<std::size_t>(ways_);
+    std::size_t victim = kNone;
+    for (int w = 0; w < ways_ && victim == kNone; ++w) {
+      if (!lines_[base + static_cast<std::size_t>(w)].valid) victim = base + static_cast<std::size_t>(w);
+    }
+    if (victim == kNone) {
+      victim = base;
+      for (int w = 1; w < ways_; ++w) {
+        if (stamps_[base + static_cast<std::size_t>(w)] < stamps_[victim]) {
+          victim = base + static_cast<std::size_t>(w);
+        }
+      }
+      const Line& old = lines_[victim];
+      if (old.prefetched) ++stats_.prefetch_unused_evictions;
+      if (old.dirty) {
+        ++stats_.dirty_writebacks;
+        result.has_writeback = true;
+        result.writeback_block = old.block;
+      }
+      if (is_prefetch && !old.prefetched) pollution_.track(old.block);
+    }
+    lines_[victim] = Line{block, true, false, is_prefetch, source};
+    stamps_[victim] = ++tick_;
+    return result;
+  }
+
+  std::vector<std::uint8_t> bytes() const {
+    snapshot::Writer w;
+    w.tag(snapshot::tag4("CSH0"));
+    std::uint64_t valid = 0;
+    for (const Line& line : lines_) valid += line.valid ? 1 : 0;
+    w.u64(valid);
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (!lines_[i].valid) continue;
+      w.u64(i);
+      w.u64(lines_[i].block);
+      w.b(lines_[i].dirty);
+      w.b(lines_[i].prefetched);
+      w.u8(static_cast<std::uint8_t>(lines_[i].source));
+    }
+    w.tag(snapshot::tag4("RLRU"));
+    w.u64(tick_);
+    for (std::uint64_t stamp : stamps_) w.u64(stamp);
+    for (std::uint64_t v :
+         {stats_.demand_accesses, stats_.demand_hits, stats_.demand_misses,
+          stats_.demand_hits_on_prefetch, stats_.hits_on_slp, stats_.hits_on_tlp,
+          stats_.hits_on_other_pf, stats_.prefetch_fills,
+          stats_.prefetch_unused_evictions, stats_.pollution_misses,
+          stats_.dirty_writebacks, stats_.write_hits, stats_.write_misses,
+          redundant_}) {
+      w.u64(v);
+    }
+    std::vector<std::uint8_t> out = w.buffer();
+    const std::vector<std::uint8_t> tail = pollution_.tail_bytes();
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  }
+
+  const cache::CacheStats& stats() const { return stats_; }
+  std::uint64_t tracked() const { return pollution_.tracked(); }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  struct Line {
+    std::uint64_t block = 0;
+    bool valid = false;
+    bool dirty = false;
+    bool prefetched = false;
+    cache::FillSource source = cache::FillSource::kDemand;
+  };
+
+  std::size_t find(std::uint64_t block) const {
+    const std::size_t base = (block & (sets_ - 1)) * static_cast<std::size_t>(ways_);
+    for (int w = 0; w < ways_; ++w) {
+      const Line& line = lines_[base + static_cast<std::size_t>(w)];
+      if (line.valid && line.block == block) return base + static_cast<std::size_t>(w);
+    }
+    return kNone;
+  }
+
+  int ways_;
+  std::uint64_t sets_;
+  std::vector<Line> lines_;
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t tick_ = 0;
+  cache::CacheStats stats_;
+  std::uint64_t redundant_ = 0;
+  RefPollutionFilter pollution_;
+};
+
+// Random demand reads, writes and fills of every source into a 4-way SC
+// slice, in lockstep with the AoS reference: every hit/miss, prefetch
+// attribution and writeback block must agree, and the full save_state bytes
+// (which carry the victim's slot) must match at intervals. Halfway the cache
+// is saved and restored into a fresh object that carries on, so the packed
+// line state and the slot-indexed pollution set are rebuilt from bytes. The
+// run is long enough for the pollution FIFO to wrap.
+TEST(DifferentialSystemCache, MatchesAosReferenceAcrossRestore) {
+  cache::CacheConfig config;
+  config.size_bytes = 1 << 14;  // 64 sets of four ways
+  config.ways = 4;
+  ASSERT_EQ(config.sets(), 64u);
+  auto live = std::make_unique<cache::SystemCache>(config);
+  RefSystemCache ref(config);
+  std::mt19937_64 rng(0x5C);
+  std::uniform_int_distribution<std::uint64_t> block_dist(0, 4095);
+  std::uniform_int_distribution<int> op_dist(0, 99);
+  constexpr int kSteps = 200000;
+  std::uint64_t writebacks = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint64_t block = block_dist(rng);
+    const int op = op_dist(rng);
+    if (op < 35) {
+      const AccessType type = op < 28 ? AccessType::kRead : AccessType::kWrite;
+      const cache::AccessResult a = live->access(block, type);
+      const cache::AccessResult b = ref.access(block, type);
+      ASSERT_EQ(a.hit, b.hit) << "step " << step;
+      ASSERT_EQ(a.first_use_of_prefetch, b.first_use_of_prefetch) << step;
+      ASSERT_EQ(a.fill_source, b.fill_source) << "step " << step;
+    } else {
+      const auto source = static_cast<cache::FillSource>(op % 4);
+      const cache::AccessResult a = live->fill(block, source);
+      const cache::AccessResult b = ref.fill(block, source);
+      ASSERT_EQ(a.has_writeback, b.has_writeback) << "step " << step;
+      ASSERT_EQ(a.writeback_block, b.writeback_block) << "step " << step;
+      writebacks += a.has_writeback ? 1 : 0;
+    }
+    ASSERT_EQ(live->stats().pollution_misses, ref.stats().pollution_misses)
+        << "step " << step;
+    if (step % 997 == 0) {
+      ASSERT_EQ(cache_bytes(*live), ref.bytes()) << "step " << step;
+    }
+    if (step == kSteps / 2) {
+      const std::vector<std::uint8_t> bytes = cache_bytes(*live);
+      auto restored = std::make_unique<cache::SystemCache>(config);
+      snapshot::Reader r(bytes);
+      restored->load_state(r);
+      r.require_end();
+      ASSERT_EQ(cache_bytes(*restored), bytes);
+      live = std::move(restored);
+    }
+  }
+  EXPECT_EQ(cache_bytes(*live), ref.bytes());
+  EXPECT_GT(ref.tracked(), RefPollutionFilter::kCap);
+  EXPECT_GT(ref.stats().pollution_misses, 0u);
+  EXPECT_GT(writebacks, 0u);
 }
 
 // ------------------------------------------------------------- TLP RPT
