@@ -195,6 +195,24 @@ BENCHMARK_CAPTURE(BM_GenerateAppTrace, HoK, "HoK")->Unit(benchmark::kMillisecond
 BENCHMARK_CAPTURE(BM_GenerateAppTrace, Fort, "Fort")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_GenerateAppTrace, PM, "PM")->Unit(benchmark::kMillisecond);
 
+// The same 1M PM rows as AppTraceStream chunks of 2^16 rows into one reused
+// batch: generation without the whole-trace buffer.
+void BM_AppTraceStream(benchmark::State& state) {
+  constexpr std::uint64_t kRecords = 1000000;
+  constexpr std::size_t kChunkRows = std::size_t{1} << 16;
+  const trace::AppProfile& profile = trace::app_by_name("PM");
+  trace::TraceBatch chunk;
+  for (auto _ : state) {
+    trace::AppTraceStream stream(profile, kRecords);
+    while (stream.next(chunk, kChunkRows)) {
+      benchmark::DoNotOptimize(chunk.addresses());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRecords));
+}
+BENCHMARK(BM_AppTraceStream)->Unit(benchmark::kMillisecond);
+
 // merge_sorted over HoK's four materialized sub-streams at a 1M-record
 // budget: the same mix and pacing generate_app_trace merges.
 void BM_MergeSorted(benchmark::State& state) {

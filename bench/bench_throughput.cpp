@@ -24,8 +24,6 @@
 // separated, e.g. "1" for a serial-only profiling run — the determinism gate
 // needs a pooled run and is skipped, with a note, when no count exceeds 1).
 // PLANARIA_BENCH_TRAJECTORY overrides the trajectory file path.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -101,15 +99,6 @@ std::vector<std::size_t> thread_counts_from_env() {
     counts.insert(counts.begin(), 1);
   }
   return counts;
-}
-
-/// Peak resident set size of this process in bytes (ru_maxrss is KiB on
-/// Linux). Captures the high-water mark across every sweep run — traces,
-/// per-cell simulator state, and the result grids together.
-std::uint64_t peak_rss_bytes() {
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
 
 /// FNV-1a over the workload-defining knobs. Throughput entries are only
@@ -227,7 +216,7 @@ int main() {
                 "\"simulate_seconds\": %.6f, \"merge_verify_seconds\": %.6f}, "
                 "\"peak_rss_bytes\": %llu}\n",
                 trace_gen_s, serial_s, merge_verify_s,
-                static_cast<unsigned long long>(peak_rss_bytes()));
+                static_cast<unsigned long long>(bench::peak_rss_bytes()));
   entry += tail;
 
   const char* traj_env = std::getenv("PLANARIA_BENCH_TRAJECTORY");

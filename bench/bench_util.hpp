@@ -8,6 +8,9 @@
 // stable from ~1M on).
 #pragma once
 
+#include <sys/resource.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,12 +19,20 @@
 
 namespace planaria::bench {
 
-/// Default records per app for figure benches. 1.6M is where the headline
-/// comparison has converged to within a point or two of its asymptote (see
-/// bench_convergence) while a full 10-app, 4-prefetcher grid still completes
-/// in minutes; the paper's traces are 67-71M records.
+/// Default records per app for figure benches. By 1.6M BOP and SPP have
+/// converged and a full 10-app, 4-prefetcher grid still completes in
+/// minutes; Planaria's gain is still rising there (bench_convergence). The
+/// paper's traces are 67-71M records.
 inline std::uint64_t default_records() {
   return sim::records_from_env(1600000);
+}
+
+/// Peak resident set size of this process in bytes (ru_maxrss is KiB on
+/// Linux): the high-water mark across everything the bench has run so far.
+inline std::uint64_t peak_rss_bytes() {
+  struct rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
 
 inline void print_header(const std::string& what, const std::string& paper_ref) {

@@ -322,7 +322,18 @@ void SystemCache::load_state(snapshot::Reader& r) {
       throw snapshot::SnapshotError("cache line slot index out of order");
     }
     prev = i;
-    tags_[i] = r.u64();
+    const std::uint64_t block = r.u64();
+    // A line must sit in its own set, once: find() only scans that set, so
+    // a line elsewhere is unreachable and a second copy shadows the first.
+    const std::size_t base = static_cast<std::size_t>(set_of(block)) *
+                             static_cast<std::size_t>(config_.ways);
+    if (i < base || i >= base + static_cast<std::size_t>(config_.ways)) {
+      throw snapshot::SnapshotError("cache line stored outside its set");
+    }
+    if (find(block) != kNoSlot) {
+      throw snapshot::SnapshotError("cache line resident twice in its set");
+    }
+    tags_[i] = block;
     const bool dirty = r.b();
     const bool prefetched = r.b();
     const std::uint8_t src = r.u8();

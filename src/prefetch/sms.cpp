@@ -9,6 +9,10 @@ void SmsConfig::validate() const {
       generation_timeout == 0 || sweep_interval == 0) {
     throw std::invalid_argument("sms config: parameters must be positive");
   }
+  if ((agt_sets & (agt_sets - 1)) != 0) {
+    throw std::invalid_argument(
+        "sms config: AGT set count must be a power of two");
+  }
   if (agt_ways > SetAssocTable<PageNumber, int>::kMaxWays) {
     throw std::invalid_argument("sms config: at most 64 AGT ways per set");
   }

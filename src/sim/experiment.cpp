@@ -382,6 +382,32 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
   return out;
 }
 
+std::vector<SimResult> run_streamed(const SimConfig& config,
+                                    const trace::AppProfile& app,
+                                    std::uint64_t records,
+                                    const std::vector<PrefetcherKind>& kinds,
+                                    std::size_t chunk_rows,
+                                    common::ThreadPool* pool) {
+  if (chunk_rows == 0) {
+    throw std::invalid_argument("run_streamed: 0-row chunks");
+  }
+  std::vector<Simulator> sims;
+  sims.reserve(kinds.size());
+  for (const PrefetcherKind kind : kinds) {
+    sims.emplace_back(config, make_prefetcher_factory(kind),
+                      prefetcher_kind_name(kind));
+  }
+  trace::AppTraceStream stream(app, records);
+  trace::TraceBatch chunk;
+  while (stream.next(chunk, chunk_rows)) {
+    for (Simulator& sim : sims) sim.run_sharded(chunk, pool);
+  }
+  std::vector<SimResult> out;
+  out.reserve(sims.size());
+  for (Simulator& sim : sims) out.push_back(sim.finish());
+  return out;
+}
+
 double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
   double sum = 0.0;

@@ -146,6 +146,21 @@ class ExperimentRunner {
   std::uint64_t checkpoint_every_ = 0;  ///< mid-cell interval; 0 = cell-only
 };
 
+/// One SimResult per kind, each equal to ExperimentRunner(config,
+/// records).run(app, kind) at the default prefetcher configurations, without
+/// ever holding the whole trace: every kind's Simulator runs each
+/// `chunk_rows`-row chunk of trace::AppTraceStream(app, records) before the
+/// next chunk is generated. Exact, because consecutive run_sharded calls are
+/// bit-identical to one call over their union. Memory is bounded by the chunk
+/// and the simulators, not by `records`. Throws std::invalid_argument on
+/// chunk_rows == 0 and whatever the stream's constructor throws.
+std::vector<SimResult> run_streamed(const SimConfig& config,
+                                    const trace::AppProfile& app,
+                                    std::uint64_t records,
+                                    const std::vector<PrefetcherKind>& kinds,
+                                    std::size_t chunk_rows,
+                                    common::ThreadPool* pool = nullptr);
+
 /// Geometric-mean helper for "average over apps" rows (the paper's averages
 /// of ratios are reported as arithmetic means of per-app percentages; both
 /// are provided).

@@ -40,17 +40,14 @@ class TraceBatch {
     return out;
   }
 
-  /// Bulk copy of `n` records held as three columns (one memcpy-class copy
-  /// per column). Every meta byte must already be a valid packing — the PLTB
+  /// Appends `n` records held as three columns (one memcpy-class copy per
+  /// column). Every meta byte must already be a valid packing — the PLTB
   /// reader range-checks the whole column at open before calling this.
-  static TraceBatch from_columns(const Address* addresses,
-                                 const Cycle* arrivals,
-                                 const std::uint8_t* meta, std::size_t n) {
-    TraceBatch out = with_capacity(n);
-    out.addresses_.assign(addresses, addresses + n);
-    out.arrivals_.assign(arrivals, arrivals + n);
-    out.meta_.assign(meta, meta + n);
-    return out;
+  void append_columns(const Address* addresses, const Cycle* arrivals,
+                      const std::uint8_t* meta, std::size_t n) {
+    addresses_.insert(addresses_.end(), addresses, addresses + n);
+    arrivals_.insert(arrivals_.end(), arrivals, arrivals + n);
+    meta_.insert(meta_.end(), meta, meta + n);
   }
 
   static std::uint8_t pack_meta(AccessType type, DeviceId device) {

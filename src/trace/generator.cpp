@@ -497,29 +497,9 @@ TraceBatch drain(const Params& params, const Pacing& pacing, Rng& rng) {
 using AnySource =
     std::variant<FootprintSource, NeighborSource, StreamSource, IrregularSource>;
 
-}  // namespace
-
-TraceBatch generate_footprint(const FootprintParams& params,
-                              const Pacing& pacing, Rng& rng) {
-  return drain<FootprintSource>(params, pacing, rng);
-}
-
-TraceBatch generate_neighbor(const NeighborParams& params,
-                             const Pacing& pacing, Rng& rng) {
-  return drain<NeighborSource>(params, pacing, rng);
-}
-
-TraceBatch generate_stream(const StreamParams& params,
-                           const Pacing& pacing, Rng& rng) {
-  return drain<StreamSource>(params, pacing, rng);
-}
-
-TraceBatch generate_irregular(const IrregularParams& params,
-                              const Pacing& pacing, Rng& rng) {
-  return drain<IrregularSource>(params, pacing, rng);
-}
-
-TraceBatch generate_app_trace(const AppProfile& app, std::uint64_t records) {
+/// The app's component sources, one per positive weight, in merge tie order.
+std::vector<AnySource> make_sources(const AppProfile& app,
+                                    std::uint64_t records) {
   if (records == 0) throw std::invalid_argument("generate_app_trace: 0 records");
   const double wsum = app.weight_footprint + app.weight_neighbor +
                       app.weight_stream + app.weight_irregular;
@@ -576,24 +556,77 @@ TraceBatch generate_app_trace(const AppProfile& app, std::uint64_t records) {
                          Pacing{budget[kIrregular], horizon, 8, 0.5, b},
                          Rng(app.seed * 4 + 4));
   }
+  return sources;
+}
 
-  // Sources fill a small chunk per refill, merged straight into the columns.
-  std::vector<detail::MergeChunk> chunks(sources.size());
+}  // namespace
+
+TraceBatch generate_footprint(const FootprintParams& params,
+                              const Pacing& pacing, Rng& rng) {
+  return drain<FootprintSource>(params, pacing, rng);
+}
+
+TraceBatch generate_neighbor(const NeighborParams& params,
+                             const Pacing& pacing, Rng& rng) {
+  return drain<NeighborSource>(params, pacing, rng);
+}
+
+TraceBatch generate_stream(const StreamParams& params,
+                           const Pacing& pacing, Rng& rng) {
+  return drain<StreamSource>(params, pacing, rng);
+}
+
+TraceBatch generate_irregular(const IrregularParams& params,
+                              const Pacing& pacing, Rng& rng) {
+  return drain<IrregularSource>(params, pacing, rng);
+}
+
+/// Sources plus the merge over them. Heap-held by AppTraceStream, so the
+/// merge's heads keep pointing into `chunks` when the stream moves.
+struct AppTraceStream::State {
+  State(const AppProfile& app, std::uint64_t records)
+      : sources(make_sources(app, records)),
+        chunks(sources.size()),
+        merge(sources.size(), [this](std::size_t s) { return refill(s); }) {}
+
+  /// Source s's next run of up to kMergeChunk records.
+  std::span<const TraceRecord> refill(std::size_t s) {
+    detail::MergeChunk& chunk = chunks[s];
+    const std::size_t n = std::visit(
+        [&chunk](auto& source) {
+          std::size_t count = 0;
+          while (count < chunk.size() && source.next(chunk[count])) ++count;
+          return count;
+        },
+        sources[s]);
+    return std::span<const TraceRecord>(chunk.data(), n);
+  }
+
+  std::vector<AnySource> sources;
+  std::vector<detail::MergeChunk> chunks;
+  detail::SourceMerge merge;
+};
+
+AppTraceStream::AppTraceStream(const AppProfile& app, std::uint64_t records)
+    : state_(std::make_unique<State>(app, records)), remaining_(records) {}
+
+AppTraceStream::~AppTraceStream() = default;
+AppTraceStream::AppTraceStream(AppTraceStream&&) noexcept = default;
+AppTraceStream& AppTraceStream::operator=(AppTraceStream&&) noexcept = default;
+
+bool AppTraceStream::next(TraceBatch& chunk, std::size_t rows) {
+  chunk.clear();
+  if (remaining_ == 0 || rows == 0) return false;
+  State& st = *state_;
+  remaining_ -= st.merge.append(
+      [&st](std::size_t s) { return st.refill(s); }, chunk, rows);
+  return true;
+}
+
+TraceBatch generate_app_trace(const AppProfile& app, std::uint64_t records) {
+  AppTraceStream stream(app, records);
   TraceBatch out = TraceBatch::with_capacity(records);
-  detail::merge_sources(
-      sources.size(),
-      [&](std::size_t s) {
-        detail::MergeChunk& chunk = chunks[s];
-        const std::size_t n = std::visit(
-            [&chunk](auto& source) {
-              std::size_t count = 0;
-              while (count < chunk.size() && source.next(chunk[count])) ++count;
-              return count;
-            },
-            sources[s]);
-        return std::span<const TraceRecord>(chunk.data(), n);
-      },
-      out);
+  stream.next(out, records);
   return out;
 }
 

@@ -24,11 +24,12 @@
 //
 // Each component produces an arrival-time-sorted stream of its own; an app
 // profile mixes them by weight and merges them into one bus trace while they
-// run (DESIGN.md §18), which naturally interleaves agents the way a shared
-// memory controller sees them.
+// run, a caller-sized chunk at a time (AppTraceStream, DESIGN.md §18), which
+// naturally interleaves agents the way a shared memory controller sees them.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -136,11 +137,35 @@ struct AppProfile {
   std::uint64_t seed = 1;
 };
 
-/// Generates a complete merged bus trace of exactly `records` entries for
-/// `app`. Throws std::invalid_argument on zero records, a negative weight or
-/// a non-positive weight sum. Pure: all RNG state is derived locally from
-/// app.seed, so concurrent calls are safe and output depends only on
-/// (app, records). The merge writes straight into the returned columns.
+/// The merged bus trace of exactly `records` entries for `app`, produced a
+/// chunk at a time in bounded memory (DESIGN.md §18). Concatenating its
+/// chunks gives generate_app_trace(app, records) row for row, whatever chunk
+/// sizes the caller picks. The constructor throws std::invalid_argument on
+/// zero records, a negative weight or a non-positive weight sum. All RNG
+/// state is derived locally from app.seed.
+class AppTraceStream {
+ public:
+  AppTraceStream(const AppProfile& app, std::uint64_t records);
+  ~AppTraceStream();
+  AppTraceStream(AppTraceStream&&) noexcept;
+  AppTraceStream& operator=(AppTraceStream&&) noexcept;
+
+  /// Clears `chunk` and fills it with the next min(rows, remaining()) rows.
+  /// Returns false, with the chunk empty, once the trace is spent or when
+  /// rows == 0. A chunk keeps its capacity across calls.
+  bool next(TraceBatch& chunk, std::size_t rows);
+
+  std::uint64_t remaining() const { return remaining_; }
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+  std::uint64_t remaining_ = 0;
+};
+
+/// The whole trace of AppTraceStream(app, records), drained into one batch
+/// with exact capacity. Same throws. Pure: concurrent calls are safe and the
+/// output depends only on (app, records).
 TraceBatch generate_app_trace(const AppProfile& app, std::uint64_t records);
 
 /// Generates one trace per profile, in profile order, fanning the

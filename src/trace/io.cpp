@@ -20,6 +20,7 @@
 
 #include "check/contract.hpp"
 #include "common/crc32.hpp"
+#include "common/huge_pages.hpp"
 #include "io/vfs.hpp"
 #include "trace/merge.hpp"
 
@@ -232,6 +233,30 @@ std::vector<io::ByteSpan> batch_image(const BatchHeader& h,
           io::ByteSpan{batch.meta(), n}};
 }
 
+/// Gives back a mapped column's pages behind a scan that moves forward a
+/// window at a time: once a window is consumed, every whole page from the
+/// previous window's start to this window's end goes, so a page that
+/// straddles two windows goes once both are done. Inert over the heap copy
+/// of the no-mmap fallback, whose pages must not be dropped.
+class ReleaseBehind {
+ public:
+  ReleaseBehind(const void* column, bool mapped)
+      : behind_(static_cast<const std::uint8_t*>(column)), mapped_(mapped) {}
+
+  void done(const void* window, std::size_t bytes) {
+    const auto* start = static_cast<const std::uint8_t*>(window);
+    if (mapped_) {
+      common::release_pages(behind_,
+                            static_cast<std::size_t>(start + bytes - behind_));
+    }
+    behind_ = start;
+  }
+
+ private:
+  const std::uint8_t* behind_;
+  bool mapped_;
+};
+
 }  // namespace
 
 void write_batch(std::ostream& os, const TraceBatch& batch) {
@@ -318,21 +343,37 @@ MappedTraceBatch::MappedTraceBatch(const std::string& path) {
     }
     const std::size_t n = static_cast<std::size_t>(h.count);
     const std::uint8_t* payload = base + sizeof(BatchHeader);
-    const std::size_t payload_len = n * static_cast<std::size_t>(per_record);
-    if (common::crc32(payload, payload_len) != h.payload_crc) {
-      fail("batch payload CRC mismatch");
-    }
-    addresses_ = reinterpret_cast<const Address*>(payload);
-    arrivals_ =
-        reinterpret_cast<const Cycle*>(payload + n * sizeof(Address));
-    meta_ = payload + n * (sizeof(Address) + sizeof(Cycle));
-    // Validate every meta byte once so the hot loop can unpack unchecked.
-    for (std::size_t i = 0; i < n; ++i) {
-      if ((meta_[i] >> 1) >= static_cast<std::uint8_t>(DeviceId::kCount)) {
-        fail("corrupt record " + std::to_string(i) + ": bad device id");
+    const std::uint8_t* columns[] = {
+        payload, payload + n * sizeof(Address),
+        payload + n * (sizeof(Address) + sizeof(Cycle))};
+    const std::size_t widths[] = {sizeof(Address), sizeof(Cycle), 1};
+    // One pass in file order, a window of one column at a time: CRC it,
+    // range-check the meta bytes (once, so the hot loop can unpack them
+    // unchecked), then give its pages back.
+    common::Crc32 crc;
+    std::size_t bad_meta = n;  // first out-of-range meta byte; n if none
+    for (int c = 0; c < 3; ++c) {
+      ReleaseBehind release(columns[c], map_ != nullptr);
+      for (std::size_t row = 0; row < n; row += kWindowRows) {
+        const std::size_t rows = std::min(kWindowRows, n - row);
+        const std::uint8_t* window = columns[c] + row * widths[c];
+        crc.update(window, rows * widths[c]);
+        constexpr auto kDevices = static_cast<std::uint8_t>(DeviceId::kCount);
+        for (std::size_t i = 0; c == 2 && bad_meta == n && i < rows; ++i) {
+          if ((window[i] >> 1) >= kDevices) bad_meta = row + i;
+        }
+        release.done(window, rows * widths[c]);
       }
     }
+    if (crc.value() != h.payload_crc) fail("batch payload CRC mismatch");
+    if (bad_meta != n) {
+      fail("corrupt record " + std::to_string(bad_meta) + ": bad device id");
+    }
+    addresses_ = reinterpret_cast<const Address*>(columns[0]);
+    arrivals_ = reinterpret_cast<const Cycle*>(columns[1]);
+    meta_ = columns[2];
     count_ = n;
+    payload_crc_ = h.payload_crc;
   } catch (...) {
     reset();
     throw;
@@ -350,6 +391,7 @@ void MappedTraceBatch::reset() noexcept {
   arrivals_ = nullptr;
   meta_ = nullptr;
   count_ = 0;
+  payload_crc_ = 0;
 }
 
 MappedTraceBatch::~MappedTraceBatch() { reset(); }
@@ -361,7 +403,8 @@ MappedTraceBatch::MappedTraceBatch(MappedTraceBatch&& other) noexcept
       addresses_(std::exchange(other.addresses_, nullptr)),
       arrivals_(std::exchange(other.arrivals_, nullptr)),
       meta_(std::exchange(other.meta_, nullptr)),
-      count_(std::exchange(other.count_, 0)) {
+      count_(std::exchange(other.count_, 0)),
+      payload_crc_(std::exchange(other.payload_crc_, 0)) {
   other.fallback_.clear();
 }
 
@@ -376,14 +419,37 @@ MappedTraceBatch& MappedTraceBatch::operator=(
     arrivals_ = std::exchange(other.arrivals_, nullptr);
     meta_ = std::exchange(other.meta_, nullptr);
     count_ = std::exchange(other.count_, 0);
+    payload_crc_ = std::exchange(other.payload_crc_, 0);
     other.fallback_.clear();
   }
   return *this;
 }
 
 TraceBatch MappedTraceBatch::to_batch() const {
-  // Every meta byte was range-checked at open, so the columns copy verbatim.
-  return TraceBatch::from_columns(addresses_, arrivals_, meta_, count_);
+  // Every meta byte was range-checked at open, so the columns copy verbatim,
+  // one window of each column at a time.
+  TraceBatch out = TraceBatch::with_capacity(count_);
+  const bool mapped = map_ != nullptr;
+  ReleaseBehind release[] = {ReleaseBehind(addresses_, mapped),
+                             ReleaseBehind(arrivals_, mapped),
+                             ReleaseBehind(meta_, mapped)};
+  for (std::size_t row = 0; row < count_; row += kWindowRows) {
+    const std::size_t rows = std::min(kWindowRows, count_ - row);
+    out.append_columns(addresses_ + row, arrivals_ + row, meta_ + row, rows);
+    release[0].done(addresses_ + row, rows * sizeof(Address));
+    release[1].done(arrivals_ + row, rows * sizeof(Cycle));
+    release[2].done(meta_ + row, rows);
+  }
+  // Released pages were read again from the file, which may have changed
+  // since open; the copy is returned only if it is still the checked payload.
+  const std::uint32_t crc =
+      common::Crc32()
+          .update(out.addresses(), count_ * sizeof(Address))
+          .update(out.arrivals(), count_ * sizeof(Cycle))
+          .update(out.meta(), count_)
+          .value();
+  if (crc != payload_crc_) fail("batch payload changed on disk after open");
+  return out;
 }
 
 void write_csv(std::ostream& os, const TraceBatch& batch) {
@@ -472,17 +538,15 @@ TraceBatch merge_sorted(const std::vector<TraceBatch>& streams) {
   // Each stream is unpacked into rows one chunk per refill.
   std::vector<detail::MergeChunk> chunks(streams.size());
   std::vector<std::size_t> next(streams.size(), 0);
-  detail::merge_sources(
-      streams.size(),
-      [&](std::size_t s) {
-        const std::size_t n =
-            std::min(detail::kMergeChunk, streams[s].size() - next[s]);
-        for (TraceRecord& row : std::span(chunks[s].data(), n)) {
-          row = streams[s].record(next[s]++);
-        }
-        return std::span<const TraceRecord>(chunks[s].data(), n);
-      },
-      out);
+  const auto refill = [&](std::size_t s) {
+    const std::size_t n =
+        std::min(detail::kMergeChunk, streams[s].size() - next[s]);
+    for (TraceRecord& row : std::span(chunks[s].data(), n)) {
+      row = streams[s].record(next[s]++);
+    }
+    return std::span<const TraceRecord>(chunks[s].data(), n);
+  };
+  detail::SourceMerge(streams.size(), refill).append(refill, out, total);
   return out;
 }
 

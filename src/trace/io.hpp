@@ -108,8 +108,14 @@ void write_batch_file(const std::string& path, const TraceBatch& batch);
 /// The constructor throws std::runtime_error on any malformed input: bad
 /// magic/version, non-zero flags or reserved fields, a file length other than
 /// exactly 32 + 17 * count bytes, CRC mismatch, or an out-of-range meta byte.
+/// The open-time checks and to_batch() walk the columns kWindowRows rows at a
+/// time and give each window's mapped pages back before the next one, so
+/// about one window of the file stays resident (DESIGN.md §19); a later read
+/// through the accessors faults pages in again from the file.
 class MappedTraceBatch {
  public:
+  static constexpr std::size_t kWindowRows = std::size_t{1} << 16;
+
   explicit MappedTraceBatch(const std::string& path);
   ~MappedTraceBatch();
   MappedTraceBatch(MappedTraceBatch&& other) noexcept;
@@ -129,7 +135,10 @@ class MappedTraceBatch {
                        TraceBatch::meta_device(meta_[i])};
   }
 
-  /// Owning copy, for callers that outlive the mapping.
+  /// Owning copy, for callers that outlive the mapping. Its CRC is checked
+  /// again against the header's, because released pages are read anew from
+  /// the file: a file rewritten in place after open throws
+  /// std::runtime_error here.
   TraceBatch to_batch() const;
 
  private:
@@ -142,6 +151,7 @@ class MappedTraceBatch {
   const Cycle* arrivals_ = nullptr;
   const std::uint8_t* meta_ = nullptr;
   std::size_t count_ = 0;
+  std::uint32_t payload_crc_ = 0;  ///< the header's, checked at open
 };
 
 /// Merges multiple per-device streams into one arrival-time-ordered trace.

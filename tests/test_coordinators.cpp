@@ -109,6 +109,17 @@ TEST(Sms, ConfigValidation) {
   EXPECT_THROW(prefetch::SmsPrefetcher{config}, std::invalid_argument);
 }
 
+// The AGT is a SetAssocTable, which indexes sets by mask: a set count that
+// is not a power of two must be a config error, not a failed assert.
+TEST(Sms, ConfigRejectsNonPowerOfTwoAgtSets) {
+  prefetch::SmsConfig config;
+  config.agt_sets = 3;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(prefetch::SmsPrefetcher{config}, std::invalid_argument);
+  config.agt_sets = 4;
+  EXPECT_NO_THROW(prefetch::SmsPrefetcher{config});
+}
+
 TEST(Sms, NoPredictionWithoutClosedGeneration) {
   prefetch::SmsPrefetcher pf;
   std::vector<prefetch::PrefetchRequest> out;

@@ -291,6 +291,32 @@ TEST(ParallelSimulation, RepeatedParallelRunsAreStable) {
   }
 }
 
+// run_streamed feeds every kind's Simulator one AppTraceStream chunk at a
+// time. With a chunk size that does not divide the length, each result must
+// still equal ExperimentRunner::run over the whole cached trace.
+TEST(StreamedRun, MatchesExperimentRunnerForAllKinds) {
+  constexpr std::uint64_t kRecords = 200000;
+  constexpr std::size_t kChunkRows = 65537;  // 3 whole chunks + 3389 rows
+  static_assert(kRecords % kChunkRows != 0);
+  const auto& kinds = sim::all_prefetcher_kinds();
+  ThreadPool pool(4);
+  const std::vector<sim::SimResult> streamed =
+      sim::run_streamed(sim::SimConfig{}, trace::app_by_name("HoK"), kRecords,
+                        kinds, kChunkRows, &pool);
+  ASSERT_EQ(streamed.size(), kinds.size());
+  sim::ExperimentRunner runner(sim::SimConfig{}, kRecords, 4);
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    expect_bit_identical(runner.run("HoK", kinds[k]), streamed[k],
+                         sim::prefetcher_kind_name(kinds[k]));
+  }
+}
+
+TEST(StreamedRun, RejectsZeroRowChunks) {
+  EXPECT_THROW(sim::run_streamed(sim::SimConfig{}, trace::app_by_name("HoK"),
+                                 1000, {sim::PrefetcherKind::kNone}, 0),
+               std::invalid_argument);
+}
+
 TEST(ParallelSweep, MatchesSerialSweepBitForBit) {
   const std::vector<sim::PrefetcherKind> kinds = {
       sim::PrefetcherKind::kNone, sim::PrefetcherKind::kBop,

@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -579,6 +580,69 @@ TEST(SnapshotPollutionFilter, RejectsDuplicateMembers) {
 // be a member.
 TEST(SnapshotPollutionFilter, RejectsQueuedBlockMissingBeforeWrap) {
   EXPECT_THROW(load_cache_image(cache_image_with_filter({5, 6}, 0, {5})),
+               snapshot::SnapshotError);
+}
+
+// A CSH0 image whose two valid lines are (slot_a, block_a) and (slot_b,
+// block_b), both clean demand fills. The rest of the image — policy state,
+// stats and the empty pollution filter — comes from a cache that holds
+// blocks 0 and 1 in their own sets (slots 0 and `ways`), so the control
+// below is that cache's image byte for byte.
+std::vector<std::uint8_t> cache_image_with_lines(std::uint64_t slot_a,
+                                                 std::uint64_t block_a,
+                                                 std::uint64_t slot_b,
+                                                 std::uint64_t block_b) {
+  cache::SystemCache base(cache::CacheConfig{});
+  base.fill(0, cache::FillSource::kDemand);
+  base.fill(1, cache::FillSource::kDemand);
+  snapshot::Writer w;
+  base.save_state(w);
+  snapshot::Writer lines;
+  lines.tag(snapshot::tag4("CSH0"));
+  lines.u64(2);
+  for (const auto& [slot, block] : {std::pair{slot_a, block_a},
+                                    std::pair{slot_b, block_b}}) {
+    lines.u64(slot);
+    lines.u64(block);
+    lines.b(false);
+    lines.b(false);
+    lines.u8(static_cast<std::uint8_t>(cache::FillSource::kDemand));
+  }
+  std::vector<std::uint8_t> image = lines.buffer();
+  image.insert(image.end(),
+               w.buffer().begin() + static_cast<std::ptrdiff_t>(image.size()),
+               w.buffer().end());
+  return image;
+}
+
+TEST(CacheSnapshotValidation, WellFormedCraftedLinesLoadAndRoundTrip) {
+  const auto ways = static_cast<std::uint64_t>(cache::CacheConfig{}.ways);
+  const auto image = cache_image_with_lines(0, 0, ways, 1);
+  cache::SystemCache base(cache::CacheConfig{});
+  base.fill(0, cache::FillSource::kDemand);
+  base.fill(1, cache::FillSource::kDemand);
+  snapshot::Writer w;
+  base.save_state(w);
+  EXPECT_EQ(image, w.buffer());
+  cache::SystemCache cache{cache::CacheConfig{}};
+  snapshot::Reader r(image);
+  cache.load_state(r);
+  r.require_end();
+  EXPECT_TRUE(cache.contains(0));
+  EXPECT_TRUE(cache.contains(1));
+}
+
+// Block 2 belongs to set 2; stored in set 1 no lookup would ever find it.
+TEST(CacheSnapshotValidation, LineOutsideItsSetIsRejected) {
+  const auto ways = static_cast<std::uint64_t>(cache::CacheConfig{}.ways);
+  EXPECT_THROW(load_cache_image(cache_image_with_lines(0, 0, ways, 2)),
+               snapshot::SnapshotError);
+}
+
+// Two slots of set 0 holding block 0: lookups see one, fills and evictions
+// would account for both.
+TEST(CacheSnapshotValidation, LineResidentTwiceIsRejected) {
+  EXPECT_THROW(load_cache_image(cache_image_with_lines(0, 0, 1, 0)),
                snapshot::SnapshotError);
 }
 

@@ -502,6 +502,69 @@ TEST(AppTrace, RejectsNegativeWeight) {
   EXPECT_THROW(generate_app_trace(app, 100), std::invalid_argument);
 }
 
+// ------------------------------------------------------ AppTraceStream
+
+/// Every chunk of AppTraceStream(app, records) at `rows` per chunk, appended.
+TraceBatch drain_in_chunks(const AppProfile& app, std::uint64_t records,
+                           std::size_t rows) {
+  AppTraceStream stream(app, records);
+  EXPECT_EQ(stream.remaining(), records);
+  TraceBatch all;
+  TraceBatch chunk;
+  while (stream.next(chunk, rows)) {
+    EXPECT_TRUE(chunk.size() == rows ||
+                (chunk.size() < rows && stream.remaining() == 0))
+        << chunk.size() << " rows of " << rows;
+    all.append_columns(chunk.addresses(), chunk.arrivals(), chunk.meta(),
+                       chunk.size());
+    EXPECT_EQ(stream.remaining(), records - all.size());
+  }
+  EXPECT_TRUE(chunk.empty());
+  EXPECT_FALSE(stream.next(chunk, rows));  // stays spent
+  return all;
+}
+
+TEST(AppTraceStream, ChunksConcatenateToTheWholeTraceForEveryApp) {
+  for (const AppProfile& app : paper_apps()) {
+    for (const std::uint64_t n : {1u, 4097u, 40000u}) {
+      const TraceBatch whole = generate_app_trace(app, n);
+      ASSERT_EQ(whole.size(), n);
+      for (const std::size_t rows : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{4096}, std::size_t{n},
+                                     std::size_t{n + 1}}) {
+        EXPECT_TRUE(drain_in_chunks(app, n, rows) == whole)
+            << app.name << " n=" << n << " rows=" << rows;
+      }
+    }
+  }
+}
+
+TEST(AppTraceStream, MixedChunkSizesAndAMoveLoseNoRow) {
+  const AppProfile& app = app_by_name("Fort");
+  const TraceBatch whole = generate_app_trace(app, 10000);
+  AppTraceStream first(app, 10000);
+  TraceBatch all;
+  TraceBatch chunk;
+  ASSERT_TRUE(first.next(chunk, 333));
+  all.append_columns(chunk.addresses(), chunk.arrivals(), chunk.meta(),
+                     chunk.size());
+  EXPECT_FALSE(first.next(chunk, 0));  // a 0-row request takes nothing
+  EXPECT_TRUE(chunk.empty());
+  AppTraceStream moved = std::move(first);
+  for (std::size_t rows = 1; moved.next(chunk, rows); rows = rows * 3 + 1) {
+    all.append_columns(chunk.addresses(), chunk.arrivals(), chunk.meta(),
+                       chunk.size());
+  }
+  EXPECT_TRUE(all == whole);
+}
+
+TEST(AppTraceStream, RejectsWhatTheGeneratorRejects) {
+  EXPECT_THROW(AppTraceStream(app_by_name("HoK"), 0), std::invalid_argument);
+  AppProfile app = app_by_name("HoK");
+  app.weight_stream = -0.1;
+  EXPECT_THROW(AppTraceStream(app, 100), std::invalid_argument);
+}
+
 // -------------------------------------------------------- generator pins
 //
 // Byte pins on the generators' output. Nothing downstream pins generator

@@ -7,6 +7,8 @@
 // writer emits and rejects every other byte image.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -495,6 +497,110 @@ TEST_F(PltbNegative, EmptyBatchRoundTrips) {
   EXPECT_TRUE(mapped.empty());
   EXPECT_TRUE(mapped.to_batch() == empty);
 }
+
+// The open-time checks and to_batch() walk each column kWindowRows rows at
+// a time; a batch that ends just short of, on, or just past a window edge
+// must round-trip, and every record must still read back through the
+// mapping after its pages were released.
+TEST_F(PltbNegative, RoundTripsAtWindowEdges) {
+  constexpr std::size_t kWindow = MappedTraceBatch::kWindowRows;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kWindow - 1,
+                              kWindow, kWindow + 1}) {
+    const TraceBatch batch = mixed_batch(n);
+    trace::write_batch_file(path_, batch);
+    const MappedTraceBatch mapped(path_);
+    ASSERT_EQ(mapped.size(), n);
+    EXPECT_TRUE(mapped.to_batch() == batch) << n << " records";
+    for (std::size_t i = 0; i < n; i += n / 7 + 1) {
+      EXPECT_EQ(mapped.record(i), batch.record(i)) << n << " records, #" << i;
+    }
+    if (n > 0) {
+      EXPECT_EQ(mapped.record(n - 1), batch.record(n - 1));
+    }
+  }
+}
+
+// A flip in the last window of each column is caught by the windowed CRC,
+// so the scan must reach the end of every column.
+TEST_F(PltbNegative, ByteFlipInTheLastWindowIsRejected) {
+  constexpr std::size_t kWindow = MappedTraceBatch::kWindowRows;
+  const std::size_t n = 2 * kWindow + 5;
+  const std::string full = batch_image(mixed_batch(n));
+  ASSERT_TRUE(accepted(full));
+  // The last row of each column: addresses, arrivals, meta.
+  for (const std::size_t at :
+       {kHeaderBytes + 8 * n - 1, kHeaderBytes + 16 * n - 1, full.size() - 1}) {
+    std::string damaged = full;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x10);
+    EXPECT_FALSE(accepted(damaged)) << "byte " << at;
+  }
+}
+
+// Released pages are read again from the file, so a file rewritten in place
+// after open must not reach the caller as a trace: to_batch() re-checks.
+TEST_F(PltbNegative, FileRewrittenAfterOpenMakesToBatchThrow) {
+  constexpr std::size_t kWindow = MappedTraceBatch::kWindowRows;
+  const std::size_t n = kWindow + 9;
+  const TraceBatch batch = mixed_batch(n);
+  trace::write_batch_file(path_, batch);
+  const MappedTraceBatch mapped(path_);
+  // One arrival byte in the second window, rewritten in the same inode.
+  const std::size_t at = kHeaderBytes + 8 * n + 8 * kWindow;
+  const char original = read_bytes(path_)[at];
+  const auto poke = [&](char byte) {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.put(byte);
+    ASSERT_TRUE(f.good());
+  };
+  poke(static_cast<char>(original ^ 0x5A));
+  EXPECT_THROW((void)mapped.to_batch(), std::runtime_error);
+  // Restored, the same mapping copies out the checked payload again.
+  poke(original);
+  EXPECT_TRUE(mapped.to_batch() == batch);
+}
+
+#if defined(__linux__)
+/// Rss of the mapping that contains `p`, in bytes, from /proc/self/smaps;
+/// -1 when it cannot be read.
+long long mapping_rss_bytes(const void* p) {
+  std::ifstream smaps("/proc/self/smaps");
+  const auto at = reinterpret_cast<std::uintptr_t>(p);
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long long lo = 0;
+    unsigned long long hi = 0;
+    char dash = 0;
+    std::istringstream head(line);
+    if (head >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = at >= lo && at < hi;
+      continue;
+    }
+    long long kb = 0;
+    if (inside && std::sscanf(line.c_str(), "Rss: %lld kB", &kb) == 1) {
+      return kb * 1024;
+    }
+  }
+  return -1;
+}
+
+// About one window of the file stays resident: after the open-time scan and
+// after to_batch(), the mapping holds no more than one window's bytes.
+TEST_F(PltbNegative, MappingRssStaysWithinOneWindow) {
+  constexpr std::size_t kWindow = MappedTraceBatch::kWindowRows;
+  const std::size_t n = 8 * kWindow + 3;
+  const TraceBatch batch = mixed_batch(n);
+  trace::write_batch_file(path_, batch);
+  const MappedTraceBatch mapped(path_);
+  const long long window_bytes = static_cast<long long>(17 * kWindow);
+  const long long after_open = mapping_rss_bytes(mapped.addresses());
+  if (after_open < 0) GTEST_SKIP() << "/proc/self/smaps is not readable";
+  EXPECT_LE(after_open, window_bytes);
+  EXPECT_TRUE(mapped.to_batch() == batch);
+  EXPECT_LE(mapping_rss_bytes(mapped.addresses()), window_bytes);
+}
+#endif
 
 TEST_F(PltbNegative, EveryTruncationIsRejected) {
   const std::string full = batch_image(every_meta_batch());
