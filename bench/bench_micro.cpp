@@ -213,44 +213,6 @@ void BM_AppTraceStream(benchmark::State& state) {
 }
 BENCHMARK(BM_AppTraceStream)->Unit(benchmark::kMillisecond);
 
-// merge_sorted over HoK's four materialized sub-streams at a 1M-record
-// budget: the same mix and pacing generate_app_trace merges.
-void BM_MergeSorted(benchmark::State& state) {
-  constexpr std::uint64_t kRecords = 1000000;
-  const trace::AppProfile& app = trace::app_by_name("HoK");
-  const Cycle horizon = kRecords * app.mean_gap;
-  const auto budget = [&](double weight) {
-    return static_cast<std::uint64_t>(static_cast<double>(kRecords) * weight);
-  };
-  const double b = app.burstiness;
-  Rng rng(app.seed);
-  const std::vector<trace::TraceBatch> streams = {
-      trace::generate_footprint(
-          app.footprint,
-          trace::Pacing{budget(app.weight_footprint), horizon, 0, 0.5, b}, rng),
-      trace::generate_neighbor(
-          app.neighbor,
-          trace::Pacing{budget(app.weight_neighbor), horizon, 0, 0.5, b}, rng),
-      trace::generate_stream(
-          app.stream,
-          trace::Pacing{budget(app.weight_stream), horizon, 6, 0.5, b}, rng),
-      trace::generate_irregular(
-          app.irregular,
-          trace::Pacing{budget(app.weight_irregular), horizon, 8, 0.5, b},
-          rng)};
-  std::int64_t records = 0;
-  for (const auto& stream : streams) {
-    records += static_cast<std::int64_t>(stream.size());
-  }
-  for (auto _ : state) {
-    auto merged = trace::merge_sorted(streams);
-    benchmark::DoNotOptimize(merged.addresses());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          records);
-}
-BENCHMARK(BM_MergeSorted)->Unit(benchmark::kMillisecond);
-
 // Serve's admission path for one session (SessionServer::materialize):
 // generate a 16000-record trace, then fingerprint it. At this size the
 // per-source set-up (the footprint source's hot-page table and friends)

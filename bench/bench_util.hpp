@@ -1,11 +1,10 @@
-// Shared helpers for the figure/table benches.
+// Shared helpers for the benches.
 //
-// Every bench binary regenerates one table or figure from the paper: it runs
-// the necessary (app x prefetcher) grid and prints the same rows/series the
-// paper reports, plus the paper's headline value for side-by-side comparison.
-// Record count defaults to a laptop-scale trace and scales with
-// PLANARIA_RECORDS (the paper's traces are 67-71M records; the shapes are
-// stable from ~1M on).
+// bench_experiments regenerates every table and figure from the paper: each
+// section prints the same rows/series the paper reports, plus the paper's
+// headline value for side-by-side comparison. Record count defaults to a
+// laptop-scale trace and scales with PLANARIA_RECORDS (the paper's traces
+// are 67-71M records; the shapes are stable from ~1M on).
 #pragma once
 
 #include <sys/resource.h>
@@ -19,7 +18,7 @@
 
 namespace planaria::bench {
 
-/// Default records per app for figure benches. By 1.6M BOP and SPP have
+/// Default records per app for the figure sections. By 1.6M BOP and SPP have
 /// converged and a full 10-app, 4-prefetcher grid still completes in
 /// minutes; Planaria's gain is still rising there (bench_convergence). The
 /// paper's traces are 67-71M records.

@@ -125,26 +125,6 @@ void reset_recoveries() {
   for (auto& c : g_recoveries) c.store(0, std::memory_order_relaxed);
 }
 
-void export_violations(StatSet& stats) {
-  for (int i = 0; i < kCategoryCount; ++i) {
-    const auto category = static_cast<Category>(i);
-    Counter& c = stats.counter(std::string("contract.violations.") +
-                               category_name(category));
-    c.reset();
-    c.add(violation_count(category));
-  }
-}
-
-void export_recoveries(StatSet& stats) {
-  for (int i = 0; i < kCategoryCount; ++i) {
-    const auto category = static_cast<Category>(i);
-    Counter& c = stats.counter(std::string("contract.recoveries.") +
-                               category_name(category));
-    c.reset();
-    c.add(recovery_count(category));
-  }
-}
-
 namespace detail {
 
 void report(Category category, Kind kind, const char* expr, const char* file,

@@ -20,8 +20,7 @@
 // hook, then returns so the call site's repair path runs (clamp a regressed
 // clock, drop a corrupted table entry, skip a malformed request) — this is
 // the graceful-degradation mode the fault-injection harness (src/fault,
-// DESIGN.md §10) runs under. Counters are exported through common/stats so a
-// violation tally can ride along any stat dump.
+// DESIGN.md §10) runs under.
 //
 // Concurrency contract: the parallel sweep engine (common/thread_pool,
 // sim/experiment) fires contracts from many threads at once, and this layer
@@ -34,8 +33,6 @@
 #pragma once
 
 #include <cstdint>
-
-#include "common/stats.hpp"
 
 namespace planaria::check {
 
@@ -137,13 +134,6 @@ void reset_violations();
 std::uint64_t recovery_count(Category category);
 std::uint64_t total_recoveries();
 void reset_recoveries();
-
-/// Mirrors the per-category counters into `stats` as absolute values under
-/// "contract.violations.<category>", so a stat dump carries the tally.
-void export_violations(StatSet& stats);
-
-/// Same for recoveries, under "contract.recoveries.<category>".
-void export_recoveries(StatSet& stats);
 
 namespace detail {
 

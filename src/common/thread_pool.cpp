@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/env.hpp"
+
 namespace planaria::common {
 
 ThreadPool::ThreadPool(std::size_t threads) : threads_(threads) {
@@ -94,15 +96,10 @@ void ThreadPool::parallel_for(std::size_t n,
 }
 
 std::size_t ThreadPool::threads_from_env(std::size_t fallback) {
-  const char* env = std::getenv("PLANARIA_THREADS");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0 || v > kMaxThreads) {
-    throw std::invalid_argument(
-        "PLANARIA_THREADS must be a positive integer <= 4096");
-  }
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(
+      parse_env_uint("PLANARIA_THREADS", std::getenv("PLANARIA_THREADS"), 1,
+                     kMaxThreads)
+          .value_or(fallback));
 }
 
 }  // namespace planaria::common

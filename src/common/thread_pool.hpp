@@ -11,9 +11,9 @@
 //     jobs that reach the queue after the batch is fully claimed simply
 //     return.
 //
-// Thread count comes from PLANARIA_THREADS (see threads_from_env, validated
-// in the same style as PLANARIA_RECORDS in sim/experiment.cpp); a pool of
-// size 1 degenerates to inline execution with no worker handoff.
+// Thread count comes from PLANARIA_THREADS (see threads_from_env, parsed by
+// common::parse_env_uint like every integer knob); a pool of size 1
+// degenerates to inline execution with no worker handoff.
 #pragma once
 
 #include <atomic>
@@ -60,12 +60,12 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Reads PLANARIA_THREADS (decimal, e.g. "8") or returns `fallback`.
-  /// Rejects zero, malformed values, and counts above kMaxThreads (which a
-  /// wrapped negative would otherwise sail past as a huge unsigned).
+  /// Throws std::invalid_argument on zero, malformed values, and counts
+  /// above kMaxThreads.
   static std::size_t threads_from_env(std::size_t fallback);
 
   /// Upper bound accepted from the environment; far above any real machine
-  /// this simulator targets, low enough to catch "-4" style wraparound.
+  /// this simulator targets.
   static constexpr std::size_t kMaxThreads = 4096;
 
  private:

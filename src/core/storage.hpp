@@ -3,7 +3,8 @@
 // Replaces the paper's Verilog-synthesis area estimate: the prefetcher's
 // area is dominated by its SRAM tables, which we can account field by field.
 // The paper reports 345.2KB total (8.4% of the 4MB SC); the default
-// configuration here lands in the same regime (see bench_table_storage).
+// configuration here lands in the same regime (the storage table of
+// bench_experiments prints it).
 #pragma once
 
 #include <cstdint>

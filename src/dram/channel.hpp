@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/block_map.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "dram/config.hpp"
 #include "snapshot/snapshot.hpp"

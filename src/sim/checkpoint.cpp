@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/assert.hpp"
+#include "common/env.hpp"
 #include "io/vfs.hpp"
 
 namespace planaria::sim {
@@ -16,14 +17,10 @@ CheckpointConfig CheckpointConfig::from_env() {
       dir != nullptr && *dir != '\0') {
     ckpt.dir = dir;
   }
-  if (const char* every = std::getenv("PLANARIA_CHECKPOINT_EVERY");
-      every != nullptr && *every != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(every, &end, 10);
-    if (end != nullptr && *end == '\0') {
-      ckpt.every = static_cast<std::uint64_t>(v);
-    }
-  }
+  ckpt.every = common::parse_env_uint("PLANARIA_CHECKPOINT_EVERY",
+                                      std::getenv("PLANARIA_CHECKPOINT_EVERY"),
+                                      0, UINT64_MAX)
+                   .value_or(0);
   return ckpt;
 }
 

@@ -42,7 +42,8 @@ struct CheckpointConfig {
   std::string prev_path() const { return current_path() + ".prev"; }
 
   /// Reads PLANARIA_CHECKPOINT_DIR and PLANARIA_CHECKPOINT_EVERY; either
-  /// unset (or an unparsable interval) leaves checkpointing disabled.
+  /// unset leaves checkpointing disabled. Throws std::invalid_argument on an
+  /// interval that is not a decimal integer (common::parse_env_uint).
   static CheckpointConfig from_env();
 };
 

@@ -8,19 +8,15 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/env.hpp"
 #include "trace/generator.hpp"
 
 namespace planaria::sim {
 
 std::uint64_t records_from_env(std::uint64_t fallback) {
-  const char* env = std::getenv("PLANARIA_RECORDS");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) {
-    throw std::invalid_argument("PLANARIA_RECORDS must be a positive integer");
-  }
-  return static_cast<std::uint64_t>(v);
+  return common::parse_env_uint("PLANARIA_RECORDS",
+                                std::getenv("PLANARIA_RECORDS"), 1, UINT64_MAX)
+      .value_or(fallback);
 }
 
 ExperimentRunner::ExperimentRunner(SimConfig config, std::uint64_t records,

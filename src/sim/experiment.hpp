@@ -30,6 +30,7 @@
 namespace planaria::sim {
 
 /// Reads PLANARIA_RECORDS (decimal, e.g. "2000000") or returns `fallback`.
+/// Throws std::invalid_argument unless it is an integer >= 1.
 std::uint64_t records_from_env(std::uint64_t fallback);
 
 /// One sweep cell that failed after its bounded retry. The sweep result map

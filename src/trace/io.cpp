@@ -22,7 +22,6 @@
 #include "common/crc32.hpp"
 #include "common/huge_pages.hpp"
 #include "io/vfs.hpp"
-#include "trace/merge.hpp"
 
 namespace planaria::trace {
 
@@ -528,25 +527,6 @@ TraceBatch read_csv(std::istream& is, RecoveryPolicy policy,
     out.push_back(r);
   }
   rep.records = out.size();
-  return out;
-}
-
-TraceBatch merge_sorted(const std::vector<TraceBatch>& streams) {
-  std::size_t total = 0;
-  for (const auto& stream : streams) total += stream.size();
-  TraceBatch out = TraceBatch::with_capacity(total);
-  // Each stream is unpacked into rows one chunk per refill.
-  std::vector<detail::MergeChunk> chunks(streams.size());
-  std::vector<std::size_t> next(streams.size(), 0);
-  const auto refill = [&](std::size_t s) {
-    const std::size_t n =
-        std::min(detail::kMergeChunk, streams[s].size() - next[s]);
-    for (TraceRecord& row : std::span(chunks[s].data(), n)) {
-      row = streams[s].record(next[s]++);
-    }
-    return std::span<const TraceRecord>(chunks[s].data(), n);
-  };
-  detail::SourceMerge(streams.size(), refill).append(refill, out, total);
   return out;
 }
 

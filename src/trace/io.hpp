@@ -154,13 +154,5 @@ class MappedTraceBatch {
   std::uint32_t payload_crc_ = 0;  ///< the header's, checked at open
 };
 
-/// Merges multiple per-device streams into one arrival-time-ordered trace.
-/// Records with equal arrival keep their relative input-stream order
-/// (stable). Inputs must each already be sorted by arrival; that precondition
-/// is enforced with an O(1)-per-record timing-monotonicity contract that
-/// fires on every out-of-order pair (under kRecover the merge proceeds
-/// best-effort, placing the offending record by its claimed arrival). Same
-/// merge as generate_app_trace's (trace/merge.hpp).
-TraceBatch merge_sorted(const std::vector<TraceBatch>& streams);
 
 }  // namespace planaria::trace

@@ -1,9 +1,9 @@
-// The one k-way merge of arrival-sorted record sources.
+// The k-way merge of arrival-sorted record sources.
 //
-// merge_sorted merges materialized batches with it; AppTraceStream merges its
-// four generator sources while they run, a chunk at a time, so no sub-stream
-// is ever materialized. Either way the merge appends straight into the output
-// batch's columns, and it can stop after any row and resume where it stopped.
+// AppTraceStream merges its four generator sources with it while they run,
+// a chunk at a time, so no sub-stream is ever materialized. The merge
+// appends straight into the output batch's columns, and it can stop after
+// any row and resume where it stopped.
 #pragma once
 
 #include <algorithm>

@@ -1,18 +1,20 @@
-// Unit tests for the common substrate: geometry, bitmaps, RNG, stats, tables,
-// CRC-32.
+// Unit tests for the common substrate: geometry, bitmaps, RNG, tables,
+// CRC-32, the environment-integer parser.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/bitmap.hpp"
 #include "common/crc32.hpp"
+#include "common/env.hpp"
 #include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "common/set_table.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
 #include "reference_crc32.hpp"
@@ -230,50 +232,6 @@ TEST(Rng, BurstLengthRespectsCap) {
   }
 }
 
-// ------------------------------------------------------------------- stats
-
-TEST(Stats, CounterAccumulates) {
-  Counter c;
-  c.add();
-  c.add(10);
-  EXPECT_EQ(c.value(), 11u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, AccumulatorTracksMoments) {
-  Accumulator a;
-  EXPECT_EQ(a.mean(), 0.0);
-  a.add(2.0);
-  a.add(4.0);
-  a.add(6.0);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(a.min(), 2.0);
-  EXPECT_DOUBLE_EQ(a.max(), 6.0);
-}
-
-TEST(Stats, HistogramBucketsAndQuantiles) {
-  Histogram h(10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-  EXPECT_EQ(h.total(), 100u);
-  EXPECT_EQ(h.bucket(0), 10u);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 10.0);
-  h.add(1e9);  // overflow lands in the last bucket
-  EXPECT_EQ(h.bucket(9), 11u);
-}
-
-TEST(Stats, StatSetDumpsCountersAndAccumulators) {
-  StatSet set;
-  set.counter("hits").add(5);
-  set.accumulator("latency").add(100.0);
-  set.accumulator("latency").add(200.0);
-  const auto snap = set.dump();
-  EXPECT_EQ(snap.at("hits"), 5.0);
-  EXPECT_EQ(snap.at("latency.count"), 2.0);
-  EXPECT_EQ(snap.at("latency.mean"), 150.0);
-}
-
 // --------------------------------------------------------------- LruTable
 
 TEST(LruTable, FindMissOnEmpty) {
@@ -390,6 +348,36 @@ TEST(SetAssocTable, EvictIfSweeps) {
              [&](std::uint64_t, int&&) { ++evicted; });
   t.for_each([](std::uint64_t, int& v) { EXPECT_LT(v, 3); });
   EXPECT_GE(evicted, 1u);
+}
+
+// ------------------------------------------------------------ parse_env_uint
+
+TEST(ParseEnvUint, UnsetOrEmptyYieldsNothing) {
+  EXPECT_FALSE(common::parse_env_uint("X", nullptr, 0, 10).has_value());
+  EXPECT_FALSE(common::parse_env_uint("X", "", 0, 10).has_value());
+}
+
+TEST(ParseEnvUint, AcceptsDigitsInsideTheRange) {
+  EXPECT_EQ(common::parse_env_uint("X", "0", 0, 10), 0u);
+  EXPECT_EQ(common::parse_env_uint("X", "10", 0, 10), 10u);
+  EXPECT_EQ(common::parse_env_uint("X", "007", 1, 10), 7u);
+  EXPECT_EQ(common::parse_env_uint("X", "18446744073709551615", 0, UINT64_MAX),
+            UINT64_MAX);
+}
+
+TEST(ParseEnvUint, RejectsSignsSpacesSuffixesOverflowAndRange) {
+  for (const char* bad : {"-1", "+4", " 4", "4 ", "abc", "12x", "4.5", "0x10",
+                          "18446744073709551616", "99999999999999999999999",
+                          "11"}) {
+    try {
+      common::parse_env_uint("PLANARIA_KNOB", bad, 1, 10);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PLANARIA_KNOB"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(common::parse_env_uint("X", "0", 1, 10), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ CRC-32

@@ -9,7 +9,6 @@
 
 #include "cache/system_cache.hpp"
 #include "check/contract.hpp"
-#include "common/stats.hpp"
 #include "core/coordinators.hpp"
 #include "core/planaria.hpp"
 #include "core/storage.hpp"
@@ -18,7 +17,6 @@
 namespace {
 
 using planaria::Cycle;
-using planaria::StatSet;
 namespace check = planaria::check;
 namespace core = planaria::core;
 namespace layout = planaria::core::layout;
@@ -196,26 +194,6 @@ TEST(ContractHandler, CustomHandlerReceivesViolationDetails) {
             1u);
 
   check::set_handler(nullptr);
-  check::reset_violations();
-}
-
-TEST(ContractHandler, ExportMirrorsCountersIntoStats) {
-  check::CountingScope scope;
-  check::reset_violations();
-  PLANARIA_INVARIANT(kStorageBudget, false);
-
-  StatSet stats;
-  check::export_violations(stats);
-  bool found_budget = false;
-  for (const auto& [name, value] : stats.dump()) {
-    if (name == "contract.violations.storage-budget") {
-      found_budget = true;
-      EXPECT_EQ(value, 1.0);
-    } else if (name.rfind("contract.violations.", 0) == 0) {
-      EXPECT_EQ(value, 0.0) << name;
-    }
-  }
-  EXPECT_TRUE(found_budget);
   check::reset_violations();
 }
 

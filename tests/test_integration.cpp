@@ -1,7 +1,13 @@
 // Integration tests: the full pipeline (generator -> 4-channel SC + Planaria
 // + LPDDR4) at reduced scale, asserting the paper's qualitative claims hold
 // end to end, plus determinism and cross-module consistency checks.
+// PaperRelations pins the two Fig. 8 relationships that only hold at the
+// default 1.6M records, so this suite carries the ctest label "science".
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <thread>
 
 #include "core/storage.hpp"
 #include "sim/experiment.hpp"
@@ -108,6 +114,60 @@ TEST_F(IntegrationFixture, DemandTrafficConservedAcrossPrefetchers) {
   const auto& planaria = result("HoK", PrefetcherKind::kPlanaria);
   EXPECT_EQ(none.demand_reads, planaria.demand_reads);
   EXPECT_EQ(none.demand_writes, planaria.demand_writes);
+}
+
+/// The Fig. 8 grid at EXPERIMENTS.md's default 1.6M records: none and BOP on
+/// every app, plus SPP and Planaria on TikT. 22 cells over a pool, computed
+/// once. At 400k-1.2M records the BOP anomaly covers a subset of its paper
+/// apps and Planaria loses to SPP on TikT, so neither relation may be
+/// checked at a smaller scale.
+class PaperRelations : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kRecords = 1600000;
+
+  struct Grid {
+    std::map<std::string, std::map<std::string, SimResult>> baselines;
+    SimResult tikt_spp;
+    SimResult tikt_planaria;
+  };
+
+  static const Grid& grid() {
+    static const Grid instance = [] {
+      ExperimentRunner runner(
+          SimConfig{}, kRecords,
+          common::ThreadPool::threads_from_env(
+              std::max(1u, std::thread::hardware_concurrency())));
+      Grid g;
+      g.baselines =
+          runner.sweep({PrefetcherKind::kNone, PrefetcherKind::kBop});
+      g.tikt_spp = runner.run("TikT", PrefetcherKind::kSpp);
+      g.tikt_planaria = runner.run("TikT", PrefetcherKind::kPlanaria);
+      return g;
+    }();
+    return instance;
+  }
+};
+
+TEST_F(PaperRelations, BopAnomalyIsExactlyFortNba2Pm) {
+  // Paper §6: BOP raises the SC hit rate yet raises AMAT on Fort, NBA2 and
+  // PM. At 1.6M Fort's AMAT goes 97.1 -> 118.2 cycles, but the other two
+  // margins are thin: NBA2 69.2 -> 69.8, PM 72.7 -> 73.2.
+  std::set<std::string> anomalous;
+  for (const auto& [app, cells] : grid().baselines) {
+    const SimResult& none = cells.at("none");
+    const SimResult& bop = cells.at("bop");
+    if (bop.sc_hit_rate > none.sc_hit_rate &&
+        bop.amat_cycles > none.amat_cycles) {
+      anomalous.insert(app);
+    }
+  }
+  EXPECT_EQ(anomalous, (std::set<std::string>{"Fort", "NBA2", "PM"}));
+}
+
+TEST_F(PaperRelations, PlanariaBeatsSppOnTikT) {
+  // Planaria's AMAT is below SPP's on every app in Fig. 8. TikT is the
+  // closest: 56.2 against 57.1 cycles at 1.6M (it loses below 1.6M).
+  EXPECT_LT(grid().tikt_planaria.amat_cycles, grid().tikt_spp.amat_cycles);
 }
 
 TEST(IntegrationDeterminism, SameSeedSameResult) {

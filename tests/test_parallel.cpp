@@ -136,7 +136,8 @@ TEST_F(ThreadsEnvTest, ParsesValidCounts) {
 }
 
 TEST_F(ThreadsEnvTest, RejectsMalformedValues) {
-  for (const char* bad : {"0", "abc", "12x", "4.5", "-4", "999999999"}) {
+  for (const char* bad : {"0", "abc", "12x", "4.5", "-4", "999999999", "4097",
+                          "+4", " 4", "4 ", "-1", "99999999999999999999999"}) {
     setenv("PLANARIA_THREADS", bad, 1);
     EXPECT_THROW(ThreadPool::threads_from_env(1), std::invalid_argument)
         << "accepted PLANARIA_THREADS=" << bad;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "batch_of.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "trace/apps.hpp"
@@ -244,9 +245,32 @@ TEST(Experiment, RecordsFromEnvParses) {
   EXPECT_EQ(records_from_env(123), 123u);
   setenv("PLANARIA_RECORDS", "4567", 1);
   EXPECT_EQ(records_from_env(123), 4567u);
-  setenv("PLANARIA_RECORDS", "bogus", 1);
-  EXPECT_THROW(records_from_env(123), std::invalid_argument);
+  // "-1" and the overflow once parsed as 2^64-1 (strtoull negates the one
+  // and saturates on the other).
+  for (const char* bad : {"bogus", "0", "-1", "+4", " 4", "4 ", "12x", "4.5",
+                          "99999999999999999999999"}) {
+    setenv("PLANARIA_RECORDS", bad, 1);
+    EXPECT_THROW(records_from_env(123), std::invalid_argument)
+        << "accepted PLANARIA_RECORDS=" << bad;
+  }
   unsetenv("PLANARIA_RECORDS");
+}
+
+TEST(Checkpoint, EveryFromEnvParsesAndRejects) {
+  unsetenv("PLANARIA_CHECKPOINT_EVERY");
+  EXPECT_EQ(CheckpointConfig::from_env().every, 0u);
+  setenv("PLANARIA_CHECKPOINT_EVERY", "0", 1);
+  EXPECT_EQ(CheckpointConfig::from_env().every, 0u);
+  setenv("PLANARIA_CHECKPOINT_EVERY", "5000", 1);
+  EXPECT_EQ(CheckpointConfig::from_env().every, 5000u);
+  // These were silently ignored ("abc") or wrapped to 2^64-1 ("-1").
+  for (const char* bad : {"abc", "-1", "+4", " 4", "4 ", "12x", "4.5",
+                          "99999999999999999999999"}) {
+    setenv("PLANARIA_CHECKPOINT_EVERY", bad, 1);
+    EXPECT_THROW(CheckpointConfig::from_env(), std::invalid_argument)
+        << "accepted PLANARIA_CHECKPOINT_EVERY=" << bad;
+  }
+  unsetenv("PLANARIA_CHECKPOINT_EVERY");
 }
 
 }  // namespace

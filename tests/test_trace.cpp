@@ -7,6 +7,7 @@
 #include <functional>
 #include <iterator>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -20,6 +21,7 @@
 #include "trace/generator.hpp"
 #include "trace/import.hpp"
 #include "trace/io.hpp"
+#include "trace/merge.hpp"
 
 namespace planaria::trace {
 namespace {
@@ -126,55 +128,29 @@ TEST(TraceIo, CsvSkipsBlankLines) {
 
 // --------------------------------------------------------------------- merge
 
-TEST(TraceMerge, MergesByArrival) {
-  const std::vector<TraceBatch> streams = {
-      batch_of({make_record(0x0, 1), make_record(0x40, 5)}),
-      batch_of({make_record(0x80, 2), make_record(0xC0, 4)}),
-  };
-  const auto merged = merge_sorted(streams);
-  ASSERT_EQ(merged.size(), 4u);
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_GE(merged.arrivals()[i], merged.arrivals()[i - 1]);
-  }
-}
-
-TEST(TraceMerge, StableOnTies) {
-  const std::vector<TraceBatch> streams = {
-      batch_of({make_record(0x0, 7)}),
-      batch_of({make_record(0x40, 7)}),
-  };
-  const auto merged = merge_sorted(streams);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged.addresses()[0], 0x0u);  // stream 0 wins ties
-}
-
-// Longer than one merge chunk, so each stream is refilled several times.
-TEST(TraceMerge, SpansManyRefills) {
-  std::vector<TraceBatch> streams(3);
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    for (Cycle t = 0; t < 1000; ++t) {
-      streams[s].push_back(make_record((s << 20) + t * kBlockBytes, t));
+// detail::SourceMerge over materialized batches. Each source refills five
+// rows at a time and the merge appends seven rows per call, so every trial
+// crosses refill boundaries and stops and resumes mid-merge.
+TraceBatch source_merge(const std::vector<TraceBatch>& streams) {
+  constexpr std::size_t kRun = 5;
+  std::vector<std::vector<TraceRecord>> runs(streams.size());
+  std::vector<std::size_t> next(streams.size(), 0);
+  const auto refill = [&](std::size_t s) {
+    runs[s].clear();
+    for (; runs[s].size() < kRun && next[s] < streams[s].size(); ++next[s]) {
+      runs[s].push_back(streams[s].record(next[s]));
     }
+    return std::span<const TraceRecord>(runs[s]);
+  };
+  TraceBatch out;
+  detail::SourceMerge merge(streams.size(), refill);
+  while (merge.append(refill, out, 7) > 0) {
   }
-  const auto merged = merge_sorted(streams);
-  ASSERT_EQ(merged.size(), 3000u);
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    const std::size_t s = i % 3;
-    const Cycle t = i / 3;
-    ASSERT_EQ(merged.record(i), streams[s].record(t)) << "row " << i;
-  }
-}
-
-TEST(TraceMerge, HandlesEmptyStreams) {
-  EXPECT_TRUE(merge_sorted({}).empty());
-  EXPECT_TRUE(merge_sorted({TraceBatch{}, TraceBatch{}}).empty());
-  const auto merged =
-      merge_sorted({TraceBatch{}, batch_of({make_record(0x0, 1)}), TraceBatch{}});
-  EXPECT_EQ(merged.size(), 1u);
+  return out;
 }
 
 // Oracle: a priority-queue k-way merge over (arrival, stream) heads, an
-// independent formulation of merge_sorted's contract. The two must agree on
+// independent formulation of SourceMerge's contract. The two must agree on
 // every record and on every timing-contract firing, sorted input or not.
 TraceBatch reference_merge(const std::vector<TraceBatch>& streams) {
   struct Head {
@@ -202,7 +178,7 @@ TraceBatch reference_merge(const std::vector<TraceBatch>& streams) {
     if (next < stream.size()) {
       PLANARIA_REQUIRE_MSG(kTimingMonotonicity,
                            stream.arrivals()[next] >= h.arrival,
-                           "merge_sorted input stream is not sorted by arrival");
+                           "merge input stream is not sorted by arrival");
       heap.push(Head{stream.arrivals()[next], h.stream, next});
     }
   }
@@ -251,7 +227,7 @@ TEST(TraceMerge, MatchesPriorityQueueOracle) {
     const auto expected_fires =
         check::violation_count(check::Category::kTimingMonotonicity);
     check::reset_violations();
-    const auto merged = merge_sorted(streams);
+    const auto merged = source_merge(streams);
     const auto fires =
         check::violation_count(check::Category::kTimingMonotonicity);
 

@@ -330,42 +330,6 @@ TEST(ImportNegative, EmptyStreamsYieldEmptyTraces) {
 }
 
 // ---------------------------------------------------------------------------
-// merge_sorted precondition (previously unchecked)
-
-TEST(MergeSortedNegative, UnsortedInputFiresTimingContract) {
-  std::vector<TraceBatch> streams(2);
-  streams[0] = sample_records(3);  // sorted: arrivals 0, 10, 20
-  const TraceBatch rows = sample_records(3);
-  for (std::size_t i = 3; i-- > 0;) {
-    streams[1].push_back(rows.record(i));  // 20, 10, 0: out of order
-  }
-
-  check::CountingScope scope;
-  check::reset_violations();
-  const auto merged = trace::merge_sorted(streams);
-  EXPECT_GT(check::violation_count(check::Category::kTimingMonotonicity), 0u);
-  // Best-effort merge still delivers every record.
-  EXPECT_EQ(merged.size(), 6u);
-  check::reset_violations();
-}
-
-TEST(MergeSortedNegative, SortedInputStaysSilent) {
-  std::vector<TraceBatch> streams(2);
-  streams[0] = sample_records(4);
-  streams[1] = sample_records(4);
-
-  check::CountingScope scope;
-  check::reset_violations();
-  const auto merged = trace::merge_sorted(streams);
-  EXPECT_EQ(check::total_violations(), 0u);
-  ASSERT_EQ(merged.size(), 8u);
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_GE(merged.arrivals()[i], merged.arrivals()[i - 1]);
-  }
-  check::reset_violations();
-}
-
-// ---------------------------------------------------------------------------
 // PLTB columnar container: the mapped reader must accept exactly what v1
 // writers emit (32-byte header + 17 bytes per record, zero flags/reserved)
 // and reject everything else.

@@ -71,7 +71,6 @@
 #include "check/contract.hpp"
 #include "common/rng.hpp"
 #include "lint/lint.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "core/storage.hpp"
 #include "core/storage_layout.hpp"
@@ -89,7 +88,6 @@ namespace {
 using planaria::Cycle;
 using planaria::kBlocksPerSegment;
 using planaria::kChannels;
-using planaria::StatSet;
 namespace check = planaria::check;
 namespace core = planaria::core;
 namespace fault = planaria::fault;
@@ -289,10 +287,12 @@ void replay_audit(std::uint64_t records, std::uint64_t seed) {
     }
   }
 
-  StatSet stats;
-  check::export_violations(stats);
-  for (const auto& [name, value] : stats.dump()) {
-    std::printf("  %-50s %.0f\n", name.c_str(), value);
+  for (int i = 0; i < check::kCategoryCount; ++i) {
+    const auto category = static_cast<check::Category>(i);
+    const std::string name =
+        std::string("contract.violations.") + check::category_name(category);
+    std::printf("  %-50s %llu\n", name.c_str(),
+                static_cast<unsigned long long>(check::violation_count(category)));
   }
   expect(check::total_violations() == 0,
          "no contract violations across all replays");
