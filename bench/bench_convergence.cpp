@@ -10,15 +10,14 @@
 // compounds: more revisits per page means more PT-covered misses), while
 // BOP/SPP converge quickly (their tables warm within ~100k records).
 //
-// Each length runs its four simulators from one trace::AppTraceStream chunk
-// at a time (sim::run_streamed), so memory stays flat in the length: with
-// PLANARIA_RECORDS above 1.6M the ladder goes on doubling up to that length
-// (16M, 64M). After each row the process peak RSS and the row's wall time go
+// Each length runs its four simulators through ExperimentRunner::run, which
+// feeds them one trace::AppTraceStream chunk at a time, so memory stays flat
+// in the length: with PLANARIA_RECORDS above 1.6M the ladder goes on
+// doubling up to that length (16M, 64M). After each row the process peak RSS and the row's wall time go
 // to stderr as "convergence_row records=<n> wall_s=<s> threads=<t>
 // peak_rss_mib=<m>"; stdout carries the table only.
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
 #include "bench_util.hpp"
 
@@ -36,22 +35,13 @@ int main() {
   const std::vector<sim::PrefetcherKind> kinds = {
       sim::PrefetcherKind::kNone, sim::PrefetcherKind::kBop,
       sim::PrefetcherKind::kSpp, sim::PrefetcherKind::kPlanaria};
-  // A Simulator's per-channel shards grow to the largest share of a chunk
-  // one channel receives, so the chunk size bounds them too. Long HoK
-  // traces skew toward one channel (over half of a late chunk's rows at
-  // 64M), which at 2^18-row chunks grew four simulators' shards by ~3 MiB.
-  constexpr std::size_t kChunkRows = std::size_t{1} << 16;
-  const std::size_t threads = common::ThreadPool::threads_from_env(1);
-  const auto pool =
-      threads > 1 ? std::make_unique<common::ThreadPool>(threads) : nullptr;
-  const trace::AppProfile& app = trace::app_by_name("HoK");
 
   std::printf("%-10s %12s %12s %12s %12s\n", "records", "bop", "spp",
               "planaria", "hit(planaria)");
   for (const auto records : lengths) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r = sim::run_streamed(sim::SimConfig{}, app, records, kinds,
-                                     kChunkRows, pool.get());
+    sim::ExperimentRunner runner(sim::SimConfig{}, records);
+    const auto r = runner.run("HoK", kinds);
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -65,7 +55,8 @@ int main() {
     std::fprintf(stderr,
                  "convergence_row records=%llu wall_s=%.1f threads=%zu "
                  "peak_rss_mib=%.1f\n",
-                 static_cast<unsigned long long>(records), wall_s, threads,
+                 static_cast<unsigned long long>(records), wall_s,
+                 runner.threads(),
                  static_cast<double>(bench::peak_rss_bytes()) / (1 << 20));
   }
   std::printf(

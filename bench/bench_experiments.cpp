@@ -619,12 +619,13 @@ void ablation_coordinator() {
   std::printf("%-10s %-10s %10s %9s %9s %9s %10s\n", "app", "coord",
               "AMAT(cyc)", "hit-rate", "accuracy", "coverage", "traffic");
   for (const auto& app : apps) {
-    const auto none = runner.run(app, sim::PrefetcherKind::kNone);
-    for (const auto kind :
-         {sim::PrefetcherKind::kSerialComposite,
-          sim::PrefetcherKind::kParallelComposite, sim::PrefetcherKind::kSms,
-          sim::PrefetcherKind::kPlanaria}) {
-      const auto r = runner.run(app, kind);
+    const auto results = runner.run(
+        app, {sim::PrefetcherKind::kNone, sim::PrefetcherKind::kSerialComposite,
+              sim::PrefetcherKind::kParallelComposite,
+              sim::PrefetcherKind::kSms, sim::PrefetcherKind::kPlanaria});
+    const sim::SimResult& none = results.front();
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      const sim::SimResult& r = results[i];
       std::printf("%-10s %-10s %10.1f %8.1f%% %8.1f%% %8.1f%% %+9.1f%%\n",
                   app.c_str(), r.prefetcher.c_str(), r.amat_cycles,
                   100 * r.sc_hit_rate, 100 * r.prefetch_accuracy,
@@ -640,8 +641,6 @@ void ablation_coordinator() {
 }
 
 /// The union of every grid section's kinds, swept once over all ten apps.
-/// The runner, and with it its per-app trace cache, is gone before any other
-/// section allocates, so the process peaks no higher than this sweep alone.
 Grid sweep_grid() {
   sim::ExperimentRunner runner(sim::SimConfig{}, bench::default_records());
   std::vector<sim::PrefetcherKind> kinds = kSeries;

@@ -11,12 +11,12 @@
 // repo-root BENCH_throughput.json, so the file accumulates a machine-trackable
 // perf trajectory across PRs instead of remembering only the latest run.
 //
-// Phase attribution (serial run): `trace_gen` is synthetic trace
-// materialization, `simulate` is the sweep proper (cell simulation plus the
-// grid assembly inside sweep()), `merge_verify` is the bench-side
-// cross-thread-count bit-identity comparison. Only `simulate` scales with
-// thread count; the split shows how much of wall time the timed loop below
-// actually governs.
+// Phase attribution (serial run): `trace_gen` is one drained trace stream
+// per app, timed apart to show the cost of one generation; `simulate` is
+// the sweep proper (each cell streams its own copy of that generation
+// chunk by chunk, plus cell simulation and the grid assembly inside
+// sweep()); `merge_verify` is the bench-side cross-thread-count
+// bit-identity comparison.
 //
 // Record count defaults to a quick-run length; scale with PLANARIA_RECORDS.
 // PLANARIA_THREADS does not apply here — this bench sweeps thread counts
@@ -29,10 +29,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "bench_util.hpp"
+#include "common/env.hpp"
 #include "common/thread_pool.hpp"
 #include "io/vfs.hpp"
 
@@ -47,16 +49,24 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Runs one full-grid sweep at `threads`; trace materialization is timed
-/// separately (and charged to *trace_gen_s when non-null) so the returned
-/// duration isolates simulation throughput.
+/// Seconds to generate every app's trace once, each a drained stream, as
+/// every sweep cell generates it (and discards it) chunk by chunk.
+double trace_gen_seconds(std::uint64_t records) {
+  const auto start = std::chrono::steady_clock::now();
+  trace::TraceBatch chunk;
+  for (const auto& app : trace::paper_apps()) {
+    trace::AppTraceStream stream(app, records);
+    while (stream.remaining() > 0) stream.next(chunk, std::size_t{1} << 16);
+  }
+  return seconds_since(start);
+}
+
+/// Runs one full-grid sweep at `threads`; the duration includes the
+/// sweep's own trace generation.
 double run_sweep_seconds(std::uint64_t records, std::size_t threads,
                          const std::vector<sim::PrefetcherKind>& kinds,
-                         SweepGrid* out, double* trace_gen_s = nullptr) {
+                         SweepGrid* out) {
   sim::ExperimentRunner runner(sim::SimConfig{}, records, threads);
-  const auto gen_start = std::chrono::steady_clock::now();
-  for (const auto& app : trace::app_names()) runner.trace_for(app);
-  if (trace_gen_s != nullptr) *trace_gen_s = seconds_since(gen_start);
   const auto start = std::chrono::steady_clock::now();
   SweepGrid grid = runner.sweep(kinds);
   const double elapsed = seconds_since(start);
@@ -70,21 +80,27 @@ bool bit_identical(const sim::SimResult& a, const sim::SimResult& b) {
   return a == b;
 }
 
-/// Thread counts to sweep: PLANARIA_BENCH_THREADS (comma separated) if set,
-/// else {1, 2, 4, hardware_concurrency when > 4}. A serial run is always
-/// included — every other row is reported relative to it.
+/// Thread counts to sweep: PLANARIA_BENCH_THREADS (comma separated, each in
+/// [1, ThreadPool::kMaxThreads]) if set, else {1, 2, 4, hardware_concurrency
+/// when > 4}. A serial run is always included — every other row is reported
+/// relative to it. Throws std::invalid_argument on an empty or malformed
+/// token.
 std::vector<std::size_t> thread_counts_from_env() {
   std::vector<std::size_t> counts;
   if (const char* env = std::getenv("PLANARIA_BENCH_THREADS");
       env != nullptr && *env != '\0') {
-    std::string spec(env);
+    const std::string spec(env);
     std::size_t pos = 0;
-    while (pos < spec.size()) {
+    for (;;) {
       const std::size_t comma = spec.find(',', pos);
-      const std::string tok =
-          spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-      const long v = std::strtol(tok.c_str(), nullptr, 10);
-      if (v > 0) counts.push_back(static_cast<std::size_t>(v));
+      const std::string tok = spec.substr(pos, comma - pos);
+      if (tok.empty()) {
+        throw std::invalid_argument("PLANARIA_BENCH_THREADS has an empty "
+                                    "entry: \"" + spec + "\"");
+      }
+      counts.push_back(static_cast<std::size_t>(
+          *common::parse_env_uint("PLANARIA_BENCH_THREADS", tok.c_str(), 1,
+                                  common::ThreadPool::kMaxThreads)));
       if (comma == std::string::npos) break;
       pos = comma + 1;
     }
@@ -133,7 +149,13 @@ int main() {
   const std::uint64_t grid_records =
       records * trace::app_names().size() * kinds.size();
 
-  const std::vector<std::size_t> thread_counts = thread_counts_from_env();
+  std::vector<std::size_t> thread_counts;
+  try {
+    thread_counts = thread_counts_from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_throughput: %s\n", e.what());
+    return 2;
+  }
   const std::size_t max_threads =
       *std::max_element(thread_counts.begin(), thread_counts.end());
 
@@ -142,9 +164,8 @@ int main() {
   // simulation. The pooled reference uses the widest swept count so the gate
   // covers the same pool configuration the timing rows do.
   SweepGrid serial_grid;
-  double trace_gen_s = 0.0;
-  const double serial_s =
-      run_sweep_seconds(records, 1, kinds, &serial_grid, &trace_gen_s);
+  const double trace_gen_s = trace_gen_seconds(records);
+  const double serial_s = run_sweep_seconds(records, 1, kinds, &serial_grid);
   double merge_verify_s = 0.0;
   if (max_threads > 1) {
     SweepGrid pooled_grid;

@@ -9,23 +9,24 @@
 #include <string>
 
 #include "analysis/analysis.hpp"
+#include "common/env.hpp"
 #include "sim/experiment.hpp"
 #include "trace/generator.hpp"
 
 int main(int argc, char** argv) {
   using namespace planaria;
   const std::string app_name = argc > 1 ? argv[1] : "HoK";
-  const std::uint64_t records =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-               : sim::records_from_env(400000);
 
   try {
+    const std::uint64_t records =
+        argc > 2 ? *common::parse_env_uint("records", argv[2], 1, UINT64_MAX)
+                 : sim::records_from_env(400000);
     const auto& app = trace::app_by_name(app_name);
     std::printf("=== %s — %s ===\n\n", app.name.c_str(),
                 app.description.c_str());
 
     sim::ExperimentRunner runner(sim::SimConfig{}, records);
-    const trace::TraceBatch& trace = runner.trace_for(app_name);
+    const trace::TraceBatch trace = trace::generate_app_trace(app, records);
 
     // --- Observation 1: footprint stability (Fig. 3/4 methodology) ---
     const auto overlap = analysis::overlap_rate(trace);
@@ -47,14 +48,15 @@ int main(int argc, char** argv) {
     std::printf("%-14s %10s %9s %9s %9s %10s %10s\n", "prefetcher",
                 "AMAT(cyc)", "hit-rate", "accuracy", "coverage", "traffic",
                 "power");
-    sim::SimResult none;
-    for (const auto kind :
-         {sim::PrefetcherKind::kNone, sim::PrefetcherKind::kBop,
-          sim::PrefetcherKind::kSpp, sim::PrefetcherKind::kPlanariaSlpOnly,
-          sim::PrefetcherKind::kPlanariaTlpOnly,
-          sim::PrefetcherKind::kPlanaria}) {
-      const auto r = runner.run(app_name, kind);
-      if (kind == sim::PrefetcherKind::kNone) none = r;
+    const auto results =
+        runner.run(app_name, {sim::PrefetcherKind::kNone,
+                              sim::PrefetcherKind::kBop,
+                              sim::PrefetcherKind::kSpp,
+                              sim::PrefetcherKind::kPlanariaSlpOnly,
+                              sim::PrefetcherKind::kPlanariaTlpOnly,
+                              sim::PrefetcherKind::kPlanaria});
+    const sim::SimResult& none = results.front();
+    for (const sim::SimResult& r : results) {
       std::printf("%-14s %10.1f %8.1f%% %8.1f%% %8.1f%% %+9.1f%% %+9.1f%%\n",
                   r.prefetcher.c_str(), r.amat_cycles, 100 * r.sc_hit_rate,
                   100 * r.prefetch_accuracy, 100 * r.prefetch_coverage,
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
     }
 
     // --- Coordinator attribution ---
-    const auto full = runner.run(app_name, sim::PrefetcherKind::kPlanaria);
+    const sim::SimResult& full = results.back();
     const auto total_issues = full.slp_issues + full.tlp_issues;
     std::printf("\ncoordinator: %llu triggers issued by SLP (%.1f%%), "
                 "%llu by TLP (%.1f%%)\n",

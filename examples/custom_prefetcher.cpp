@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "sim/experiment.hpp"
+#include "trace/generator.hpp"
 
 namespace {
 
@@ -43,15 +44,18 @@ int main() {
     std::printf("%-12s %-10s %10s %9s %9s %9s %10s\n", "app", "prefetcher",
                 "AMAT(cyc)", "hit-rate", "accuracy", "coverage", "traffic");
     for (const char* app : {"HoK", "Fort"}) {
-      const auto none = runner.run(app, sim::PrefetcherKind::kNone);
+      const auto builtin = runner.run(
+          app, {sim::PrefetcherKind::kNone, sim::PrefetcherKind::kPlanaria});
+      const sim::SimResult& none = builtin[0];
+      const sim::SimResult& planaria = builtin[1];
 
       // Plug the custom prefetcher into the same simulator the built-in
       // sweeps use: a factory returns one instance per channel.
       const auto burst = sim::Simulator::run(
           runner.config(),
           [](int) { return std::make_unique<PageBurstPrefetcher>(); },
-          "page-burst", runner.trace_for(app));
-      const auto planaria = runner.run(app, sim::PrefetcherKind::kPlanaria);
+          "page-burst",
+          trace::generate_app_trace(trace::app_by_name(app), runner.records()));
 
       for (const auto* r : {&none, &burst, &planaria}) {
         std::printf("%-12s %-10s %10.1f %8.1f%% %8.1f%% %8.1f%% %+9.1f%%\n",

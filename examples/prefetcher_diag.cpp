@@ -9,22 +9,26 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/env.hpp"
 #include "core/planaria.hpp"
 #include "sim/experiment.hpp"
+#include "trace/generator.hpp"
 
 int main(int argc, char** argv) {
   using namespace planaria;
   const std::string app = argc > 1 ? argv[1] : "HoK";
-  const std::uint64_t records =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 300000;
   const std::string kind_name = argc > 3 ? argv[3] : "planaria";
 
   try {
+    const std::uint64_t records =
+        argc > 2 ? *common::parse_env_uint("records", argv[2], 1, UINT64_MAX)
+                 : 300000;
     sim::ExperimentRunner runner(sim::SimConfig{}, records);
     const auto kind = sim::prefetcher_kind_from_name(kind_name);
 
     // Re-run manually so we can inspect the live prefetcher objects.
-    const auto& trace = runner.trace_for(app);
+    const auto trace =
+        trace::generate_app_trace(trace::app_by_name(app), records);
     auto factory = sim::make_prefetcher_factory(kind, runner.planaria_config(),
                                                 runner.bop_config(),
                                                 runner.spp_config());

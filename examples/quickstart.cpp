@@ -8,15 +8,17 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/env.hpp"
 #include "sim/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace planaria;
   const std::string app = argc > 1 ? argv[1] : "HoK";
-  const std::uint64_t records =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 300000;
 
   try {
+    const std::uint64_t records =
+        argc > 2 ? *common::parse_env_uint("records", argv[2], 1, UINT64_MAX)
+                 : 300000;
     sim::ExperimentRunner runner(sim::SimConfig{}, records);
     std::printf("app=%s records=%llu\n\n", app.c_str(),
                 static_cast<unsigned long long>(records));
@@ -24,12 +26,11 @@ int main(int argc, char** argv) {
                 "AMAT(cyc)", "hit-rate", "accuracy", "coverage", "traffic",
                 "power(mW)");
 
-    sim::SimResult baseline;
-    for (const auto kind :
-         {sim::PrefetcherKind::kNone, sim::PrefetcherKind::kBop,
-          sim::PrefetcherKind::kSpp, sim::PrefetcherKind::kPlanaria}) {
-      const auto r = runner.run(app, kind);
-      if (kind == sim::PrefetcherKind::kNone) baseline = r;
+    const auto results = runner.run(
+        app, {sim::PrefetcherKind::kNone, sim::PrefetcherKind::kBop,
+              sim::PrefetcherKind::kSpp, sim::PrefetcherKind::kPlanaria});
+    const sim::SimResult& baseline = results.front();
+    for (const sim::SimResult& r : results) {
       std::printf("%-10s %10.1f %8.1f%% %8.1f%% %8.1f%% %+9.1f%% %10.1f\n",
                   r.prefetcher.c_str(), r.amat_cycles, 100.0 * r.sc_hit_rate,
                   100.0 * r.prefetch_accuracy, 100.0 * r.prefetch_coverage,

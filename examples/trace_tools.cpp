@@ -12,6 +12,7 @@
 #include <string>
 
 #include "analysis/analysis.hpp"
+#include "common/env.hpp"
 #include "sim/simulator.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
@@ -61,7 +62,8 @@ int cmd_gen(int argc, char** argv) {
     return 2;
   }
   const auto& app = trace::app_by_name(argv[2]);
-  const auto records = std::strtoull(argv[3], nullptr, 10);
+  const auto records =
+      *common::parse_env_uint("records", argv[3], 1, UINT64_MAX);
   const auto trace = trace::generate_app_trace(app, records);
   store(argv[4], trace);
   std::printf("wrote %zu records (%s) to %s\n", trace.size(),

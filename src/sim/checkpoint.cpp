@@ -4,10 +4,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/env.hpp"
 #include "io/vfs.hpp"
+#include "trace/generator.hpp"
 
 namespace planaria::sim {
 
@@ -33,25 +35,50 @@ const char* recovery_outcome_name(RecoveryReport::Outcome outcome) {
   PLANARIA_UNREACHABLE();
 }
 
-std::uint64_t trace_fingerprint(const trace::TraceBatch& batch) {
-  // Sample up to ~4096 records at a fixed stride so fingerprinting stays
-  // cheap on long traces; the count rides in the low word so traces that
-  // differ only in length still get distinct fingerprints.
-  constexpr std::size_t kSampleTarget = 4096;
-  const std::size_t n = batch.size();
-  const std::size_t stride = std::max<std::size_t>(1, n / kSampleTarget);
+namespace {
+
+/// trace_fingerprint over a trace of `records` rows that `next_chunk`
+/// yields in order, one batch pointer at a time (null when spent). Sample
+/// up to ~4096 records at a fixed stride so fingerprinting stays cheap on
+/// long traces; the positions depend only on `records`, so a streamed trace
+/// is fingerprinted exactly as it passes. The count rides in the low word
+/// so traces that differ only in length still get distinct fingerprints.
+template <typename NextChunk>
+std::uint64_t sample_fingerprint(std::uint64_t records, NextChunk next_chunk) {
+  const std::uint64_t stride = std::max<std::uint64_t>(1, records / 4096);
   snapshot::Writer w;
-  for (std::size_t i = 0; i < n; i += stride) {
-    const trace::TraceRecord rec = batch.record(i);
-    w.u64(rec.address);
-    w.u64(rec.arrival);
-    w.u8(static_cast<std::uint8_t>(rec.type));
-    w.u8(static_cast<std::uint8_t>(rec.device));
+  std::uint64_t i = 0;  // next sampled row
+  for (std::uint64_t first = 0; const trace::TraceBatch* chunk = next_chunk();
+       first += chunk->size()) {
+    for (; i < first + chunk->size(); i += stride) {
+      const trace::TraceRecord rec =
+          chunk->record(static_cast<std::size_t>(i - first));
+      w.u64(rec.address);
+      w.u64(rec.arrival);
+      w.u8(static_cast<std::uint8_t>(rec.type));
+      w.u8(static_cast<std::uint8_t>(rec.device));
+    }
   }
   const std::uint32_t crc =
       snapshot::crc32(w.buffer().data(), w.buffer().size());
-  return (static_cast<std::uint64_t>(crc) << 32) ^
-         static_cast<std::uint64_t>(n);
+  return (static_cast<std::uint64_t>(crc) << 32) ^ records;
+}
+
+}  // namespace
+
+std::uint64_t trace_fingerprint(const trace::TraceBatch& batch) {
+  const trace::TraceBatch* once = &batch;
+  return sample_fingerprint(batch.size(),
+                            [&] { return std::exchange(once, nullptr); });
+}
+
+std::uint64_t trace_fingerprint(const trace::AppProfile& app,
+                                std::uint64_t records) {
+  trace::AppTraceStream stream(app, records);
+  trace::TraceBatch chunk;
+  return sample_fingerprint(records, [&]() -> const trace::TraceBatch* {
+    return stream.next(chunk, std::size_t{1} << 16) ? &chunk : nullptr;
+  });
 }
 
 namespace {
@@ -162,23 +189,16 @@ std::uint64_t load_checkpoint(Simulator& sim, const std::string& path,
   return cursor;
 }
 
-SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
-                           std::string prefetcher_name,
-                           const trace::TraceBatch& batch,
-                           const CheckpointConfig& ckpt,
-                           common::ThreadPool* pool, RecoveryReport* report) {
-  RecoveryReport local;
-  RecoveryReport& rep = report != nullptr ? *report : local;
-  rep = RecoveryReport{};
-
-  const std::uint64_t n = batch.size();
-  const std::uint64_t fingerprint = trace_fingerprint(batch);
-  std::unique_ptr<Simulator> sim;
-  std::uint64_t cursor = 0;
-
+std::unique_ptr<Simulator> restore_or_start(
+    const SimConfig& config, PrefetcherFactory factory,
+    std::string prefetcher_name, const CheckpointConfig& ckpt,
+    std::uint64_t fingerprint, std::uint64_t records, std::uint64_t& cursor,
+    RecoveryReport& report) {
+  report = RecoveryReport{};
+  cursor = 0;
   if (ckpt.enabled()) {
     const std::string candidates[] = {ckpt.current_path(), ckpt.prev_path()};
-    for (std::size_t i = 0; i < 2 && sim == nullptr; ++i) {
+    for (std::size_t i = 0; i < 2; ++i) {
       std::error_code ec;
       if (!std::filesystem::exists(candidates[i], ec)) {
         continue;  // never written — a quiet cold start, not a recovery event
@@ -190,27 +210,40 @@ SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
       try {
         const std::uint64_t at =
             load_checkpoint(*attempt, candidates[i], fingerprint);
-        if (at > n) {
+        if (at > records) {
           throw snapshot::SnapshotError(
               "snapshot cursor lies beyond the end of the trace");
         }
         cursor = at;
-        sim = std::move(attempt);
-        rep.outcome = i == 0 ? RecoveryReport::Outcome::kResumed
-                             : RecoveryReport::Outcome::kFellBack;
-        rep.snapshot_path = candidates[i];
-        rep.resumed_cursor = at;
+        report.outcome = i == 0 ? RecoveryReport::Outcome::kResumed
+                                : RecoveryReport::Outcome::kFellBack;
+        report.snapshot_path = candidates[i];
+        report.resumed_cursor = at;
+        return attempt;
       } catch (const snapshot::SnapshotError& e) {
-        rep.notes.push_back(candidates[i] + ": " + e.what());
+        report.notes.push_back(candidates[i] + ": " + e.what());
       }
     }
   }
-  if (sim == nullptr) {
-    sim = std::make_unique<Simulator>(config, std::move(factory),
-                                      std::move(prefetcher_name));
-    cursor = 0;
-    rep.outcome = RecoveryReport::Outcome::kColdStart;
-  }
+  report.outcome = RecoveryReport::Outcome::kColdStart;
+  return std::make_unique<Simulator>(config, std::move(factory),
+                                     std::move(prefetcher_name));
+}
+
+SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
+                           std::string prefetcher_name,
+                           const trace::TraceBatch& batch,
+                           const CheckpointConfig& ckpt,
+                           common::ThreadPool* pool, RecoveryReport* report) {
+  RecoveryReport local;
+  RecoveryReport& rep = report != nullptr ? *report : local;
+
+  const std::uint64_t n = batch.size();
+  const std::uint64_t fingerprint = trace_fingerprint(batch);
+  std::uint64_t cursor = 0;
+  const std::unique_ptr<Simulator> sim =
+      restore_or_start(config, std::move(factory), std::move(prefetcher_name),
+                       ckpt, fingerprint, n, cursor, rep);
 
   const std::uint64_t chunk = ckpt.enabled() ? ckpt.every : n;
   while (cursor < n) {

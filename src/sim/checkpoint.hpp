@@ -24,10 +24,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "trace/apps.hpp"
 
 namespace planaria::sim {
 
@@ -99,6 +101,12 @@ ScrubReport scrub_checkpoints(const CheckpointConfig& ckpt);
 /// check at load time instead of producing subtly wrong results.
 std::uint64_t trace_fingerprint(const trace::TraceBatch& batch);
 
+/// trace_fingerprint(trace::generate_app_trace(app, records)), computed in
+/// one pass over trace::AppTraceStream without holding the trace. Same
+/// throws as the stream's constructor.
+std::uint64_t trace_fingerprint(const trace::AppProfile& app,
+                                std::uint64_t records);
+
 /// Serializes `sim` plus the resume envelope (cursor, trace fingerprint) and
 /// installs it as the current snapshot: the previous current is rotated to
 /// .prev first, then the new bytes land via write-temp-and-rename. A crash
@@ -113,6 +121,17 @@ void write_checkpoint(const Simulator& sim, const CheckpointConfig& ckpt,
 /// partially updated and must be discarded.
 std::uint64_t load_checkpoint(Simulator& sim, const std::string& path,
                               std::uint64_t expected_fingerprint);
+
+/// The resume half of run_checkpointed: a Simulator restored from the newest
+/// intact snapshot of an enabled `ckpt` (current, then .prev) taken against
+/// `fingerprint` at a cursor within `records`, else a fresh one (cold
+/// start). `cursor` receives the record to continue at and `report` the
+/// recovery trail (reset first).
+std::unique_ptr<Simulator> restore_or_start(
+    const SimConfig& config, PrefetcherFactory factory,
+    std::string prefetcher_name, const CheckpointConfig& ckpt,
+    std::uint64_t fingerprint, std::uint64_t records, std::uint64_t& cursor,
+    RecoveryReport& report);
 
 /// Crash-safe front end to Simulator::run. Resumes from the newest intact
 /// snapshot when `ckpt` is enabled (current, then .prev, else cold start —

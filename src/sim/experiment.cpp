@@ -31,29 +31,6 @@ ExperimentRunner::ExperimentRunner(SimConfig config, std::uint64_t records,
   checkpoint_every_ = env.every;
 }
 
-ExperimentRunner::TraceEntry& ExperimentRunner::trace_entry(
-    const std::string& app) {
-  TraceEntry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(traces_mutex_);
-    entry = &traces_[app];
-  }
-  std::call_once(entry->once, [&] {
-    entry->batch = trace::generate_app_trace(trace::app_by_name(app), records_);
-    entry->fingerprint = trace_fingerprint(entry->batch);
-  });
-  return *entry;
-}
-
-const trace::TraceBatch& ExperimentRunner::trace_for(const std::string& app) {
-  return trace_entry(app).batch;
-}
-
-void ExperimentRunner::clear_trace_cache() {
-  std::lock_guard<std::mutex> lock(traces_mutex_);
-  traces_.clear();
-}
-
 std::uint64_t ExperimentRunner::config_digest() const {
   // Every knob a cell's SimResult depends on besides the trace. A field added
   // to one of these configs belongs here too; otherwise changing it would
@@ -179,36 +156,110 @@ void ExperimentRunner::store_cell(const std::string& app, const char* kind,
   w.u64(key.config_digest);
   w.u64(key.trace_fingerprint);
   result.save_state(w);
+  std::error_code ec;
+  std::filesystem::create_directories(checkpoint_dir_, ec);  // best effort
   snapshot::write_file(cell_path(app, kind), w.buffer());
-  // The cell is done; its mid-run snapshots are now dead weight.
+  // The cell is done; its mid-run snapshots are dead weight now, and left
+  // behind they would resume the next cell under this label even when that
+  // cell runs another configuration.
   CheckpointConfig ckpt;
   ckpt.dir = checkpoint_dir_;
   ckpt.label = std::string("cell_") + app + "_" + kind;
-  std::error_code ec;
   std::filesystem::remove(ckpt.current_path(), ec);
   std::filesystem::remove(ckpt.prev_path(), ec);
 }
 
 SimResult ExperimentRunner::run_cell(const std::string& app,
                                      PrefetcherKind kind,
-                                     const PrefetcherFactory& factory) {
-  const auto& batch = trace_for(app);
-  // Each cell checkpoints under its own label so concurrent cells on the
-  // pool never rotate each other's snapshots. Disabled when the runner has
-  // no checkpoint dir or no interval.
-  CheckpointConfig ckpt;
-  if (!checkpoint_dir_.empty() && checkpoint_every_ > 0) {
-    ckpt.dir = checkpoint_dir_;
-    ckpt.every = checkpoint_every_;
-    ckpt.label = std::string("cell_") + app + "_" + prefetcher_kind_name(kind);
+                                     const PrefetcherFactory& factory,
+                                     const CellKey& key, bool verbose) {
+  // A Simulator's per-channel shards grow to the largest share of a chunk
+  // one channel receives, so the chunk size bounds them too (2^18-row
+  // chunks grew a skewed 64M-record HoK run's shards by ~3 MiB).
+  constexpr std::size_t kChunkRows = std::size_t{1} << 16;
+  const char* kind_name = prefetcher_kind_name(kind);
+  const trace::AppProfile& profile = trace::app_by_name(app);
+  // Restarted sweep: a completed cell's persisted result is reloaded
+  // verbatim (bit-identical by the snapshot round-trip guarantee) instead of
+  // re-simulating; anything unreadable or mismatched falls through to a
+  // fresh run.
+  const bool persist = !checkpoint_dir_.empty();
+  SimResult result;
+  if (persist && try_load_cell(app, kind_name, key, result)) {
+    if (verbose) {
+      std::fprintf(stderr, "  restored %s / %s from checkpoint\n",
+                   app.c_str(), kind_name);
+    }
+    return result;
   }
-  return run_checkpointed(config_, factory, prefetcher_kind_name(kind),
-                          batch, ckpt, pool_.get(), nullptr);
+  if (verbose) {
+    std::fprintf(stderr, "  running %s / %s...\n", app.c_str(), kind_name);
+  }
+  // Each cell checkpoints under its own label so concurrent cells on the
+  // pool never rotate each other's snapshots; it resumes from its newest
+  // intact one.
+  CheckpointConfig ckpt;
+  if (persist && checkpoint_every_ > 0) {
+    ckpt = {checkpoint_dir_, checkpoint_every_,
+            std::string("cell_") + app + "_" + kind_name};
+  }
+  std::uint64_t cursor = 0;
+  RecoveryReport report;
+  const std::unique_ptr<Simulator> sim =
+      restore_or_start(config_, factory, kind_name, ckpt,
+                       key.trace_fingerprint, records_, cursor, report);
+  // The stream starts at row 0 and rows before a resumed cursor are skipped.
+  // With mid-cell snapshots on, chunks also end at every multiple of the
+  // interval, where the cell checkpoints as run_checkpointed would.
+  trace::AppTraceStream stream(profile, records_);
+  trace::TraceBatch chunk;
+  for (std::uint64_t pos = 0; pos < records_; pos += chunk.size()) {
+    std::size_t rows = kChunkRows;
+    if (ckpt.enabled()) {
+      rows = std::min<std::uint64_t>(rows, ckpt.every - pos % ckpt.every);
+    }
+    if (!stream.next(chunk, rows)) break;
+    const std::uint64_t end = pos + chunk.size();
+    if (cursor >= end) continue;
+    sim->run_sharded(chunk, static_cast<std::size_t>(cursor - pos),
+                     chunk.size(), pool_.get());
+    cursor = end;
+    if (ckpt.enabled() && end < records_ && end % ckpt.every == 0) {
+      try {
+        write_checkpoint(*sim, ckpt, end, key.trace_fingerprint);
+      } catch (const snapshot::SnapshotError&) {
+        // A failed write costs resumability, never the result.
+      }
+    }
+  }
+  result = sim->finish();
+  if (persist) store_cell(app, kind_name, key, result);
+  return result;
 }
 
-SimResult ExperimentRunner::run(const std::string& app, PrefetcherKind kind) {
-  return run_cell(app, kind,
-                  make_prefetcher_factory(kind, planaria_, bop_, spp_));
+ExperimentRunner::CellKey ExperimentRunner::cell_key(
+    const std::string& app) const {
+  if (checkpoint_dir_.empty()) return {};
+  return {config_digest(),
+          trace_fingerprint(trace::app_by_name(app), records_)};
+}
+
+std::vector<SimResult> ExperimentRunner::run(
+    const std::string& app, const std::vector<PrefetcherKind>& kinds) {
+  const CellKey key = cell_key(app);
+  std::vector<SimResult> results(kinds.size());
+  const auto run_one = [&](std::size_t k) {
+    results[k] = run_cell(app, kinds[k],
+                          make_prefetcher_factory(kinds[k], planaria_, bop_,
+                                                  spp_),
+                          key, false);
+  };
+  if (pool_) {
+    pool_->parallel_for(kinds.size(), run_one);
+  } else {
+    for (std::size_t k = 0; k < kinds.size(); ++k) run_one(k);
+  }
+  return results;
 }
 
 std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
@@ -224,12 +275,15 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
     factories.push_back(make_prefetcher_factory(kind, planaria_, bop_, spp_));
   }
 
-  // Warm the trace cache with app-level parallel generation first; without
-  // this, the first kinds.size() cells (all of app 0) would serialize behind
-  // a single generating thread.
+  // Configs may change between sweeps (ablation benches), so the persisted
+  // cells' key is taken per sweep: one fingerprint pass per app, not per
+  // cell.
+  std::vector<CellKey> keys(apps.size());
+  const auto key_app = [&](std::size_t a) { keys[a] = cell_key(apps[a]); };
   if (pool_) {
-    pool_->parallel_for(apps.size(),
-                        [&](std::size_t i) { trace_for(apps[i]); });
+    pool_->parallel_for(apps.size(), key_app);
+  } else {
+    for (std::size_t a = 0; a < apps.size(); ++a) key_app(a);
   }
 
   // Flatten the grid so the pool can claim cells; results land in a
@@ -237,47 +291,26 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
   // completion order. Failure slots are likewise per-cell (unique_ptr, one
   // writer each — never a shared vector push from pooled tasks) and compacted
   // in cell order after the join, so the report is deterministic too.
-  // Configs may change between sweeps (ablation benches), so the persisted
-  // cells' config key is taken per sweep.
-  const std::uint64_t config_key = checkpoint_dir_.empty() ? 0 : config_digest();
   std::vector<SimResult> results(apps.size() * kinds.size());
   std::vector<std::unique_ptr<FailureReport>> failed(results.size());
   const auto attempt_one = [&](std::size_t i) {
-    const std::string& app = apps[i / kinds.size()];
+    const std::size_t a = i / kinds.size();
     const std::size_t k = i % kinds.size();
-    const char* kind_name = prefetcher_kind_name(kinds[k]);
-    // Restarted sweep: a completed cell's persisted result is reloaded
-    // verbatim (bit-identical by the snapshot round-trip guarantee) instead
-    // of re-simulating; anything unreadable or mismatched falls through to a
-    // fresh run.
-    const bool persist = !checkpoint_dir_.empty();
-    const CellKey key =
-        persist ? CellKey{config_key, trace_entry(app).fingerprint} : CellKey{};
-    if (persist && try_load_cell(app, kind_name, key, results[i])) {
-      if (verbose) {
-        std::fprintf(stderr, "  restored %s / %s from checkpoint\n",
-                     app.c_str(), kind_name);
-      }
-      return;
-    }
-    if (verbose) {
-      std::fprintf(stderr, "  running %s / %s...\n", app.c_str(), kind_name);
-    }
-    results[i] = run_cell(app, kinds[k], factories[k]);
-    if (persist) store_cell(app, kind_name, key, results[i]);
+    results[i] = run_cell(apps[a], kinds[k], factories[k], keys[a], verbose);
   };
   if (failures == nullptr) {
-    // Fast path: the first cell exception propagates exactly as before.
+    // Fast path: the first cell exception propagates.
     if (pool_) {
       pool_->parallel_for(results.size(), attempt_one);
     } else {
       for (std::size_t i = 0; i < results.size(); ++i) attempt_one(i);
     }
   } else {
-    // Isolated mode: each failing cell is retried under deterministic seeded
-    // exponential backoff. "Time" here is a scheduler round counter — the
-    // batch sweep's sim-tick analog (the determinism lint bans wall clocks) —
-    // and a cell that fails on attempt a is parked for
+    // Isolated mode: each failing cell is retried, from a fresh stream,
+    // under deterministic seeded exponential backoff. "Time" here is a
+    // scheduler round counter — the batch sweep's sim-tick analog (the
+    // determinism lint bans wall clocks) — and a cell that fails on attempt
+    // a is parked for
     // min(kBase << (a-1), kCap) rounds plus a seeded jitter draw, so
     // correlated transients (e.g. memory pressure across pooled cells) are
     // not retried in lockstep. The schedule is a pure function of
@@ -375,32 +408,6 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
     per_app.try_emplace(prefetcher_kind_name(kinds[i % kinds.size()]),
                         std::move(results[i]));
   }
-  return out;
-}
-
-std::vector<SimResult> run_streamed(const SimConfig& config,
-                                    const trace::AppProfile& app,
-                                    std::uint64_t records,
-                                    const std::vector<PrefetcherKind>& kinds,
-                                    std::size_t chunk_rows,
-                                    common::ThreadPool* pool) {
-  if (chunk_rows == 0) {
-    throw std::invalid_argument("run_streamed: 0-row chunks");
-  }
-  std::vector<Simulator> sims;
-  sims.reserve(kinds.size());
-  for (const PrefetcherKind kind : kinds) {
-    sims.emplace_back(config, make_prefetcher_factory(kind),
-                      prefetcher_kind_name(kind));
-  }
-  trace::AppTraceStream stream(app, records);
-  trace::TraceBatch chunk;
-  while (stream.next(chunk, chunk_rows)) {
-    for (Simulator& sim : sims) sim.run_sharded(chunk, pool);
-  }
-  std::vector<SimResult> out;
-  out.reserve(sims.size());
-  for (Simulator& sim : sims) out.push_back(sim.finish());
   return out;
 }
 

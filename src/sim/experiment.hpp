@@ -1,24 +1,29 @@
 // Experiment runner: the sweep machinery behind every figure bench.
 //
-// Caches generated app traces (generation is a nontrivial fraction of a run)
-// and executes (app x prefetcher) grids, returning SimResults keyed for the
+// Executes (app x prefetcher) grids, returning SimResults keyed for the
 // figure printers. Record counts default to a laptop-friendly length and can
 // be scaled with the PLANARIA_RECORDS environment variable to approach the
 // paper's 67-71M-record traces.
 //
+// There is one simulate path, per (app x kind) cell: a trace::AppTraceStream
+// feeds the cell's Simulator one 2^16-row chunk at a time, so memory is
+// bounded by the chunk and the simulator, never by the record count, and no
+// trace is kept. Exact, because consecutive Simulator::run_sharded calls are
+// bit-identical to one call over their union. Each cell generates its own
+// stream: one simulator per pool lane is live at a time, where sharing one
+// stream among an app's kinds would keep all of their simulators live.
+//
 // The grid is embarrassingly parallel (no state crosses cells, and inside a
 // cell no state crosses channels), so the runner owns an optional
-// common::ThreadPool sized by PLANARIA_THREADS: sweep() fans the cells out
-// over the pool, each cell additionally shards its simulation by channel on
-// the same pool, and the trace cache hands concurrent cells one shared
-// generation per app through std::call_once. Results are bit-identical to the
-// serial path at every thread count (tests/test_parallel.cpp holds this).
+// common::ThreadPool sized by PLANARIA_THREADS: sweep() and run() fan the
+// cells out over the pool, and each cell additionally shards its simulation
+// by channel on the same pool. Results are bit-identical to the serial path
+// at every thread count (tests/test_parallel.cpp holds this).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,9 +38,10 @@ namespace planaria::sim {
 /// Throws std::invalid_argument unless it is an integer >= 1.
 std::uint64_t records_from_env(std::uint64_t fallback);
 
-/// One sweep cell that failed after its bounded retry. The sweep result map
-/// still contains the cell's key with a default-constructed SimResult, so
-/// figure printers keep their shape; consumers that care check the report.
+/// One sweep cell that threw on every one of its bounded attempts. The sweep
+/// result map still contains the cell's key with a default-constructed
+/// SimResult, so figure printers keep their shape; consumers that care check
+/// the report.
 struct FailureReport {
   std::string app;
   std::string kind;
@@ -56,22 +62,26 @@ class ExperimentRunner {
       std::uint64_t records = records_from_env(400000),
       std::size_t threads = common::ThreadPool::threads_from_env(1));
 
-  /// Generated (and cached) bus trace for one paper app. Thread-safe:
-  /// concurrent sweep cells block on one std::call_once generation instead
-  /// of racing to generate their own copies.
-  const trace::TraceBatch& trace_for(const std::string& app);
-
-  /// One cell of the grid (channel-sharded across the pool when one exists).
-  SimResult run(const std::string& app, PrefetcherKind kind);
+  /// The cells (app x kinds), one SimResult per kind in `kinds` order,
+  /// fanned over the pool like sweep()'s, cell files and mid-cell snapshots
+  /// included. The first cell exception propagates; an unknown app throws
+  /// std::out_of_range.
+  std::vector<SimResult> run(const std::string& app,
+                             const std::vector<PrefetcherKind>& kinds);
+  /// One cell of the grid.
+  SimResult run(const std::string& app, PrefetcherKind kind) {
+    return run(app, std::vector<PrefetcherKind>{kind}).front();
+  }
 
   /// Runs `kinds` on every paper app, fanning the (app x kind) cells over the
   /// thread pool when `threads > 1`. Results keyed [app][kind-name] and
   /// bit-identical to the serial sweep at any thread count.
   ///
   /// Failure isolation is opt-in: with `failures` null (the default), the
-  /// first cell exception propagates exactly as before. With a sink supplied,
-  /// each cell runs isolated — a throwing cell gets one bounded retry, and if
-  /// that also throws, the cell's slot stays default-constructed and one
+  /// first cell exception propagates. With a sink supplied, each cell runs
+  /// isolated: a throwing cell is retried, from a fresh stream, under seeded
+  /// backoff, for up to 3 attempts in all; if every attempt throws, the
+  /// cell's slot stays default-constructed and one
   /// FailureReport is appended (deterministic cell order) while every other
   /// cell runs to completion. A 44-cell overnight sweep no longer forfeits 43
   /// results to one poisoned cell.
@@ -82,15 +92,12 @@ class ExperimentRunner {
   const SimConfig& config() const { return config_; }
   std::uint64_t records() const { return records_; }
   std::size_t threads() const { return pool_ ? pool_->size() : 1; }
-  common::ThreadPool* pool() { return pool_.get(); }
 
   /// Planaria table configuration used for the planaria/* kinds; mutable so
   /// ablation benches can sweep its parameters.
   core::PlanariaConfig& planaria_config() { return planaria_; }
   prefetch::BopConfig& bop_config() { return bop_; }
   prefetch::SppConfig& spp_config() { return spp_; }
-
-  void clear_trace_cache();
 
   /// Sweep-level checkpointing (DESIGN.md §11). With a directory set — by
   /// default from PLANARIA_CHECKPOINT_DIR — every completed (app x kind) cell
@@ -100,24 +107,12 @@ class ExperimentRunner {
   /// its own label, so concurrent cells never collide) when
   /// PLANARIA_CHECKPOINT_EVERY is also set. Empty disables everything. A
   /// cell file is reloaded only if it was written for the same record count,
-  /// configuration (SimConfig and the prefetcher configs) and trace.
+  /// configuration (SimConfig and the prefetcher configs) and trace; the
+  /// trace's fingerprint costs one extra generation pass per app.
   void set_checkpoint_dir(std::string dir) { checkpoint_dir_ = std::move(dir); }
   const std::string& checkpoint_dir() const { return checkpoint_dir_; }
 
  private:
-  /// Map node holding one lazily generated trace; std::map guarantees the
-  /// node (and its once_flag) stays put while cells share it.
-  struct TraceEntry {
-    std::once_flag once;
-    trace::TraceBatch batch;
-    std::uint64_t fingerprint = 0;  ///< sim::trace_fingerprint(batch)
-  };
-
-  TraceEntry& trace_entry(const std::string& app);
-
-  SimResult run_cell(const std::string& app, PrefetcherKind kind,
-                     const PrefetcherFactory& factory);
-
   /// What a persisted cell result is valid for, besides the record count,
   /// app and kind its header already names: every configuration knob and
   /// the cell's trace. A stored cell whose key differs is rerun.
@@ -128,6 +123,17 @@ class ExperimentRunner {
 
   /// FNV-1a digest of config_ and the planaria/BOP/SPP configurations.
   std::uint64_t config_digest() const;
+  /// The persisted cells' key for `app`, from one streaming pass over its
+  /// trace; all-zero when no checkpoint dir is set.
+  CellKey cell_key(const std::string& app) const;
+
+  /// The one simulate path: one cell from its own trace stream. With a
+  /// checkpoint dir it reloads a matching cell file, or else resumes from
+  /// its newest intact mid-cell snapshot (current, then .prev) or starts
+  /// cold, and persists its result. `key` is cell_key(app).
+  SimResult run_cell(const std::string& app, PrefetcherKind kind,
+                     const PrefetcherFactory& factory, const CellKey& key,
+                     bool verbose);
 
   std::string cell_path(const std::string& app, const char* kind) const;
   bool try_load_cell(const std::string& app, const char* kind,
@@ -141,26 +147,9 @@ class ExperimentRunner {
   prefetch::BopConfig bop_;
   prefetch::SppConfig spp_;
   std::unique_ptr<common::ThreadPool> pool_;  ///< null when threads == 1
-  std::mutex traces_mutex_;                   ///< guards map shape only
-  std::map<std::string, TraceEntry> traces_;
   std::string checkpoint_dir_;        ///< empty = no sweep checkpointing
   std::uint64_t checkpoint_every_ = 0;  ///< mid-cell interval; 0 = cell-only
 };
-
-/// One SimResult per kind, each equal to ExperimentRunner(config,
-/// records).run(app, kind) at the default prefetcher configurations, without
-/// ever holding the whole trace: every kind's Simulator runs each
-/// `chunk_rows`-row chunk of trace::AppTraceStream(app, records) before the
-/// next chunk is generated. Exact, because consecutive run_sharded calls are
-/// bit-identical to one call over their union. Memory is bounded by the chunk
-/// and the simulators, not by `records`. Throws std::invalid_argument on
-/// chunk_rows == 0 and whatever the stream's constructor throws.
-std::vector<SimResult> run_streamed(const SimConfig& config,
-                                    const trace::AppProfile& app,
-                                    std::uint64_t records,
-                                    const std::vector<PrefetcherKind>& kinds,
-                                    std::size_t chunk_rows,
-                                    common::ThreadPool* pool = nullptr);
 
 /// Geometric-mean helper for "average over apps" rows (the paper's averages
 /// of ratios are reported as arithmetic means of per-app percentages; both

@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hpp"
+
 namespace planaria::trace {
 
 namespace {
@@ -66,20 +68,20 @@ TraceBatch read_dramsim2(std::istream& is, RecoveryPolicy policy,
     }
 
     std::istringstream ls(line);
-    std::string addr_s, type_s;
-    std::uint64_t cycle = 0;
-    if (!(ls >> addr_s >> type_s >> cycle)) {
+    std::string addr_s, type_s, cycle_s;
+    if (!(ls >> addr_s >> type_s >> cycle_s)) {
       defect(policy, rep, line_no, "expected '<address> <type> <cycle>'");
       continue;
     }
-    TraceRecord r;
-    try {
-      r.address = addr::block_align(std::stoull(addr_s, nullptr, 16));
-    } catch (const std::exception&) {
-      defect(policy, rep, line_no, "bad address '" + addr_s + "'");
+    const auto address = parse_address_field(addr_s, 16);  // 0x optional
+    const auto cycle = common::parse_uint(cycle_s);
+    if (!address || !cycle) {
+      defect(policy, rep, line_no, "bad address or cycle in '" + line + "'");
       continue;
     }
-    r.arrival = cycle;
+    TraceRecord r;
+    r.address = addr::block_align(*address);
+    r.arrival = *cycle;
     r.device = DeviceId::kCpuBig;
     if (type_s == "P_MEM_RD" || type_s == "P_FETCH" || type_s == "BOFF") {
       r.type = AccessType::kRead;
@@ -143,15 +145,17 @@ TraceBatch read_champsim_csv(std::istream& is, RecoveryPolicy policy,
       defect(policy, rep, line_no, "expected 'address,is_write,cycle'");
       continue;
     }
-    TraceRecord r;
-    try {
-      r.address = addr::block_align(std::stoull(addr_s, nullptr, 0));
-      r.type = std::stoul(write_s) != 0 ? AccessType::kWrite : AccessType::kRead;
-      r.arrival = std::stoull(cycle_s);
-    } catch (const std::exception&) {
+    const auto address = parse_address_field(addr_s);
+    const auto is_write = common::parse_uint(write_s);
+    const auto cycle = common::parse_uint(cycle_s);
+    if (!address || !is_write || !cycle) {
       defect(policy, rep, line_no, "bad field in '" + line + "'");
       continue;
     }
+    TraceRecord r;
+    r.address = addr::block_align(*address);
+    r.type = *is_write != 0 ? AccessType::kWrite : AccessType::kRead;
+    r.arrival = *cycle;
     r.device = DeviceId::kCpuBig;
     out.push_back(r);
   }

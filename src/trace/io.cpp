@@ -20,6 +20,7 @@
 
 #include "check/contract.hpp"
 #include "common/crc32.hpp"
+#include "common/env.hpp"
 #include "common/huge_pages.hpp"
 #include "io/vfs.hpp"
 
@@ -74,6 +75,15 @@ std::int64_t remaining_bytes(std::istream& is) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_address_field(std::string_view field,
+                                                 int bare_base) {
+  if (field.size() > 2 && field[0] == '0' &&
+      (field[1] == 'x' || field[1] == 'X')) {
+    return common::parse_uint(field.substr(2), 16);
+  }
+  return common::parse_uint(field, bare_base);
+}
 
 void TraceReadReport::note(std::string message) {
   ++errors;
@@ -494,15 +504,14 @@ TraceBatch read_csv(std::istream& is, RecoveryPolicy policy,
       continue;
     }
     TraceRecord r;
-    try {
-      r.address = addr::block_align(std::stoull(addr_s, nullptr, 0));
-      r.arrival = std::stoull(arrival_s);
-    } catch (const std::exception&) {
-      // stoull's own invalid_argument/out_of_range carry no location; rethrow
-      // as the reader's uniform defect with the line number.
+    const auto address = parse_address_field(addr_s);
+    const auto arrival = common::parse_uint(arrival_s);
+    if (!address || !arrival) {
       defect(policy, rep, "csv bad number" + where);
       continue;
     }
+    r.address = addr::block_align(*address);
+    r.arrival = *arrival;
     if (type_s == "R") {
       r.type = AccessType::kRead;
     } else if (type_s == "W") {

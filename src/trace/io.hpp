@@ -21,7 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/batch.hpp"
@@ -51,6 +53,12 @@ inline constexpr std::size_t kMaxReportedErrors = 8;
 /// input (or not a text trace at all), not data — rejecting it early keeps a
 /// binary blob fed to a text reader from ballooning one std::string.
 inline constexpr std::size_t kMaxLineBytes = 4096;
+
+/// A text trace's address field: "0x" or "0X" then hex digits, or bare
+/// digits of `bare_base`, under common::parse_uint's rules (no sign,
+/// whitespace or trailing junk). nullopt for anything else.
+std::optional<std::uint64_t> parse_address_field(std::string_view field,
+                                                 int bare_base = 10);
 
 /// What a kRecover read skipped; also usable with kThrow (stays all-zero on
 /// the success path, since the first defect throws).

@@ -380,6 +380,20 @@ TEST(ParseEnvUint, RejectsSignsSpacesSuffixesOverflowAndRange) {
   EXPECT_THROW(common::parse_env_uint("X", "0", 1, 10), std::invalid_argument);
 }
 
+TEST(ParseUint, TakesExactlyTheDigitsOfItsBase) {
+  EXPECT_EQ(common::parse_uint("0"), 0u);
+  EXPECT_EQ(common::parse_uint("4096"), 4096u);
+  EXPECT_EQ(common::parse_uint("ffFF", 16), 0xFFFFu);
+  EXPECT_EQ(common::parse_uint("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "-5", "+7", " 12", "12 ", "12abc", "0x10",
+                          "18446744073709551616", "1.5"}) {
+    EXPECT_FALSE(common::parse_uint(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(common::parse_uint("fg", 16).has_value());
+  EXPECT_FALSE(common::parse_uint("0x10", 16).has_value());
+  EXPECT_FALSE(common::parse_uint("-1", 16).has_value());
+}
+
 // ------------------------------------------------------------------ CRC-32
 
 std::vector<char> random_bytes(std::size_t n, std::uint64_t seed) {

@@ -292,30 +292,33 @@ TEST(ParallelSimulation, RepeatedParallelRunsAreStable) {
   }
 }
 
-// run_streamed feeds every kind's Simulator one AppTraceStream chunk at a
-// time. With a chunk size that does not divide the length, each result must
-// still equal ExperimentRunner::run over the whole cached trace.
-TEST(StreamedRun, MatchesExperimentRunnerForAllKinds) {
-  constexpr std::uint64_t kRecords = 200000;
-  constexpr std::size_t kChunkRows = 65537;  // 3 whole chunks + 3389 rows
-  static_assert(kRecords % kChunkRows != 0);
+// The runner feeds each cell's Simulator one 2^16-row AppTraceStream chunk
+// at a time, the cells on the pool. At a length that is no multiple of the
+// chunk, each result must still equal one Simulator::run over the whole
+// generated trace, serially and on a pool.
+TEST(StreamedRun, RunnerMatchesWholeTraceForAllKinds) {
+  constexpr std::uint64_t kRecords = 200000;  // 3 whole chunks + 3392 rows
+  static_assert(kRecords % (std::uint64_t{1} << 16) != 0);
   const auto& kinds = sim::all_prefetcher_kinds();
-  ThreadPool pool(4);
-  const std::vector<sim::SimResult> streamed =
-      sim::run_streamed(sim::SimConfig{}, trace::app_by_name("HoK"), kRecords,
-                        kinds, kChunkRows, &pool);
-  ASSERT_EQ(streamed.size(), kinds.size());
-  sim::ExperimentRunner runner(sim::SimConfig{}, kRecords, 4);
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    expect_bit_identical(runner.run("HoK", kinds[k]), streamed[k],
-                         sim::prefetcher_kind_name(kinds[k]));
+  const auto trace =
+      trace::generate_app_trace(trace::app_by_name("HoK"), kRecords);
+  std::vector<sim::SimResult> whole;
+  for (const sim::PrefetcherKind kind : kinds) {
+    whole.push_back(sim::Simulator::run(sim::SimConfig{},
+                                        sim::make_prefetcher_factory(kind),
+                                        sim::prefetcher_kind_name(kind),
+                                        trace));
   }
-}
-
-TEST(StreamedRun, RejectsZeroRowChunks) {
-  EXPECT_THROW(sim::run_streamed(sim::SimConfig{}, trace::app_by_name("HoK"),
-                                 1000, {sim::PrefetcherKind::kNone}, 0),
-               std::invalid_argument);
+  for (const std::size_t threads : {1u, 4u}) {
+    sim::ExperimentRunner runner(sim::SimConfig{}, kRecords, threads);
+    const std::vector<sim::SimResult> streamed = runner.run("HoK", kinds);
+    ASSERT_EQ(streamed.size(), kinds.size());
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      expect_bit_identical(whole[k], streamed[k],
+                           std::string(sim::prefetcher_kind_name(kinds[k])) +
+                               " at " + std::to_string(threads) + " threads");
+    }
+  }
 }
 
 TEST(ParallelSweep, MatchesSerialSweepBitForBit) {
@@ -339,19 +342,6 @@ TEST(ParallelSweep, MatchesSerialSweepBitForBit) {
                            app + "/" + kind_name);
     }
   }
-}
-
-TEST(ParallelSweep, SharedTraceCacheGeneratesOncePerApp) {
-  // trace_for from many threads must hand back the same generated trace
-  // object (one call_once generation per app, no racing copies).
-  sim::ExperimentRunner runner(sim::SimConfig{}, 5000, 4);
-  const std::string app = trace::app_names().front();
-  std::vector<const trace::TraceBatch*> seen(16, nullptr);
-  runner.pool()->parallel_for(seen.size(), [&](std::size_t i) {
-    seen[i] = &runner.trace_for(app);
-  });
-  for (const auto* p : seen) EXPECT_EQ(p, seen.front());
-  EXPECT_EQ(seen.front()->size(), 5000u);
 }
 
 TEST(ParallelSimulation, RunnerRejectsZeroThreads) {

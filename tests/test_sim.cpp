@@ -208,20 +208,17 @@ TEST(Experiment, KindNamesRoundTrip) {
   EXPECT_THROW(prefetcher_kind_from_name("doom"), std::invalid_argument);
 }
 
-TEST(Experiment, TraceCacheReturnsSameObject) {
-  ExperimentRunner runner(small_config(), 5000);
-  const auto* first = &runner.trace_for("HoK");
-  const auto* second = &runner.trace_for("HoK");
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(first->size(), 5000u);
-}
-
 TEST(Experiment, RunProducesNamedResult) {
   ExperimentRunner runner(small_config(), 20000);
   const auto r = runner.run("HoK", PrefetcherKind::kPlanaria);
   EXPECT_EQ(r.prefetcher, "planaria");
   EXPECT_GT(r.demand_reads, 1000u);
   EXPECT_GT(r.storage_bits, 0u);
+}
+
+TEST(Experiment, UnknownAppThrows) {
+  ExperimentRunner runner(small_config(), 1000);
+  EXPECT_THROW(runner.run("DOOM", PrefetcherKind::kNone), std::out_of_range);
 }
 
 TEST(Experiment, AblationKindsDiffer) {

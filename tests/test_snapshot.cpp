@@ -1019,6 +1019,69 @@ TEST_F(SnapshotFileTest, PoisonedSweepCellBacksOffThenReportsOthersLand) {
   EXPECT_EQ(failures2.front().backoff_rounds, report.backoff_rounds);
 }
 
+// The runner keys cell files on a fingerprint it computes while the trace
+// streams past; it must equal the whole-batch fingerprint bit for bit, at
+// lengths below, at and past the 4096-sample stride change and across
+// stream chunks.
+TEST(TraceFingerprint, StreamedEqualsBatchForEveryApp) {
+  for (const trace::AppProfile& app : trace::paper_apps()) {
+    for (const std::uint64_t n : {1u, 4095u, 4096u, 200000u}) {
+      EXPECT_EQ(sim::trace_fingerprint(app, n),
+                sim::trace_fingerprint(trace::generate_app_trace(app, n)))
+          << app.name << " at " << n;
+    }
+  }
+}
+
+// One app's cells mixing all three starts: `none` reloads its cell file,
+// `bop` resumes from a mid-cell snapshot at cursor 12000, which the
+// runner's 5000-row interval does not divide (as after a restart with
+// another interval), so its stream skips the rows before it mid-chunk;
+// `planaria` starts cold. The result must equal a fresh sweep.
+TEST_F(SnapshotFileTest, SweepMixesCellFileSnapshotAndColdStart) {
+  constexpr std::uint64_t kRecords = 20000;
+  constexpr std::uint64_t kEvery = 5000;
+  constexpr std::uint64_t kCursor = 12000;
+  const std::vector<sim::PrefetcherKind> kinds = {
+      sim::PrefetcherKind::kNone, sim::PrefetcherKind::kBop,
+      sim::PrefetcherKind::kPlanaria};
+  sim::ExperimentRunner fresh(sim::SimConfig{}, kRecords, 1);
+  fresh.set_checkpoint_dir("");
+  const auto want = fresh.sweep(kinds);
+
+  sim::ExperimentRunner cells(sim::SimConfig{}, kRecords, 1);
+  cells.set_checkpoint_dir(dir_.string());
+  cells.sweep({sim::PrefetcherKind::kNone});
+  for (const std::string& app : trace::app_names()) {
+    const auto t = trace::generate_app_trace(trace::app_by_name(app), kRecords);
+    sim::Simulator part(sim::SimConfig{},
+                        sim::make_prefetcher_factory(sim::PrefetcherKind::kBop),
+                        "bop");
+    part.run_sharded(t, 0, kCursor);
+    sim::CheckpointConfig ckpt;
+    ckpt.dir = dir_.string();
+    ckpt.every = kEvery;
+    ckpt.label = "cell_" + app + "_bop";
+    sim::write_checkpoint(part, ckpt, kCursor, sim::trace_fingerprint(t));
+  }
+
+  // The mid-cell interval reaches a runner only through its environment.
+  setenv("PLANARIA_CHECKPOINT_EVERY", std::to_string(kEvery).c_str(), 1);
+  sim::ExperimentRunner mixed(sim::SimConfig{}, kRecords, 4);
+  unsetenv("PLANARIA_CHECKPOINT_EVERY");
+  mixed.set_checkpoint_dir(dir_.string());
+  const auto got = mixed.sweep(kinds);
+  for (const auto& [app, per_kind] : want) {
+    for (const auto& [kind_name, result] : per_kind) {
+      EXPECT_TRUE(got.at(app).at(kind_name) == result)
+          << app << "/" << kind_name;
+    }
+    // Every cell completed, so its mid-cell snapshots are gone.
+    EXPECT_FALSE(fs::exists(dir_ / ("cell_" + app + "_bop.snap"))) << app;
+    EXPECT_FALSE(fs::exists(dir_ / ("cell_" + app + "_planaria.snap"))) << app;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden snapshot: format stability across commits.
 // ---------------------------------------------------------------------------

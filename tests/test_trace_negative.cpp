@@ -321,6 +321,74 @@ TEST(ImportNegative, ChampsimWindowsLineEndingsParseClean) {
   EXPECT_EQ(out.record(1).type, AccessType::kWrite);
 }
 
+// Signs, padding and trailing junk in a numeric field are defects, never a
+// wrapped or truncated number: "-5" must not read as 2^64-5, "12abc" as 12,
+// and a ChampSim is_write of "-1" must not make a write. Each bad row sits
+// between two good ones: kThrow rejects the stream, kRecover keeps the good
+// rows and counts exactly one defect.
+using Reader = TraceBatch (*)(std::istream&, RecoveryPolicy, TraceReadReport*);
+
+void expect_each_row_rejected(Reader read, const std::string& head,
+                              const std::string& good,
+                              const std::vector<std::string>& bad_rows) {
+  for (const std::string& bad : bad_rows) {
+    const std::string text = head + good + "\n" + bad + "\n" + good + "\n";
+    std::istringstream throwing(text);
+    EXPECT_THROW(read(throwing, RecoveryPolicy::kThrow, nullptr),
+                 std::runtime_error)
+        << bad;
+    std::istringstream recovering(text);
+    TraceReadReport report;
+    const TraceBatch out = read(recovering, RecoveryPolicy::kRecover, &report);
+    EXPECT_EQ(out.size(), 2u) << bad;
+    EXPECT_EQ(report.errors, 1u) << bad;
+  }
+}
+
+TEST(TextFieldNegative, CsvRejectsSignsPaddingAndTrailingJunk) {
+  expect_each_row_rejected(
+      &trace::read_csv, "address,arrival,type,device\n", "0x1000,5,R,cpu-big",
+      {"-4096,5,R,cpu-big", "+4096,5,R,cpu-big", " 4096,5,R,cpu-big",
+       "4096abc,5,R,cpu-big", "0x10zz,5,R,cpu-big", "0x1000,-5,R,cpu-big",
+       "0x1000,+7,R,cpu-big", "0x1000, 12,R,cpu-big", "0x1000,12abc,R,cpu-big",
+       "0x1000,18446744073709551616,R,cpu-big"});
+}
+
+TEST(TextFieldNegative, DramSim2RejectsSignsAndTrailingJunk) {
+  expect_each_row_rejected(
+      &trace::read_dramsim2, "", "0x1000 P_MEM_RD 5",
+      {"-0x1000 P_MEM_RD 5", "+1000 P_MEM_RD 5", "0x10zz P_MEM_RD 5",
+       "0x1000 P_MEM_RD -3", "0x1000 P_MEM_RD +7", "0x1000 P_MEM_RD 12abc"});
+}
+
+TEST(TextFieldNegative, ChampSimRejectsSignsPaddingAndTrailingJunk) {
+  expect_each_row_rejected(
+      &trace::read_champsim_csv, "address,is_write,cycle\n", "0x1000,0,5",
+      {"-4096,0,5", "+4096,0,5", "4096abc,0,5", "0x1000,-1,5", "0x1000,+1,5",
+       "0x1000, 1,5", "0x1000,1abc,5", "0x1000,0,-3", "0x1000,0,+7",
+       "0x1000,0, 12", "0x1000,0,12abc"});
+}
+
+TEST(TextFieldNegative, AddressBasesStayDecimalOrHex) {
+  // Decimal, or hex after 0x/0X; DRAMSim2 addresses are hex either way.
+  std::istringstream csv("address,arrival,type,device\n4096,5,R,cpu-big\n"
+                         "0X2000,6,W,cpu-big\n");
+  const TraceBatch a = trace::read_csv(csv, RecoveryPolicy::kThrow);
+  ASSERT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.addresses()[0], 0x1000u);
+  EXPECT_EQ(a.addresses()[1], 0x2000u);
+  std::istringstream trc("1000 P_MEM_RD 5\n0x2000 P_MEM_WR 6\n");
+  const TraceBatch b = trace::read_dramsim2(trc, RecoveryPolicy::kThrow);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.addresses()[0], 0x1000u);
+  EXPECT_EQ(b.addresses()[1], 0x2000u);
+  std::istringstream champ("4096,1,5\n0x2000,0,6\n");
+  const TraceBatch c = trace::read_champsim_csv(champ, RecoveryPolicy::kThrow);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.addresses()[0], 0x1000u);
+  EXPECT_EQ(c.record(0).type, AccessType::kWrite);
+}
+
 TEST(ImportNegative, EmptyStreamsYieldEmptyTraces) {
   // Text formats treat an empty stream as an empty capture, not an error —
   // only the binary format (whose header is mandatory) rejects it.

@@ -69,6 +69,7 @@
 #endif
 
 #include "check/contract.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "lint/lint.hpp"
 #include "common/thread_pool.hpp"
@@ -1192,10 +1193,15 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0xA0D17;
   std::string stage = "all";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--records") == 0 && i + 1 < argc) {
-      records = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+    const bool is_records = std::strcmp(argv[i], "--records") == 0;
+    if ((is_records || std::strcmp(argv[i], "--seed") == 0) && i + 1 < argc) {
+      const auto v = planaria::common::parse_uint(argv[++i]);
+      if (!v) {
+        std::fprintf(stderr, "planaria-audit: %s takes a decimal integer, "
+                     "got \"%s\"\n", argv[i - 1], argv[i]);
+        return 1;
+      }
+      (is_records ? records : seed) = *v;
     } else if (std::strcmp(argv[i], "--stage") == 0 && i + 1 < argc) {
       stage = argv[++i];
     } else {
