@@ -1,10 +1,10 @@
 // Set-associative lookup table with per-set LRU.
 //
 // The larger hardware tables (SLP's Pattern History Table at thousands of
-// entries, SPP's Signature Table) are set-associative in real designs, and a
-// full CAM scan of that many entries would also be a simulation bottleneck.
-// Keys are hashed to a set with a strong 64-bit mixer; each set holds `ways`
-// entries replaced LRU. Same payload-centric interface as LruTable.
+// entries) are set-associative in real designs, and a full CAM scan of that
+// many entries would also be a simulation bottleneck. Keys are hashed to a
+// set with a strong 64-bit mixer; each set holds `ways` entries replaced
+// LRU. Prefetchers describe only their payload.
 //
 // Lookups compare only the key's set, as the hardware does. The table is
 // stored as columns: keys, recency stamps and payloads, one slot per way, plus
@@ -139,7 +139,7 @@ class SetAssocTable {
   /// timestamps — replacement decisions after a restore match the
   /// uninterrupted run bit for bit. `sp(w, payload)` encodes one payload.
   /// Templated on the writer type so the common layer never depends on the
-  /// snapshot module (see common/table.hpp).
+  /// snapshot module (snapshot::Reader::fail).
   template <typename Writer, typename SavePayload>
   void save_state(Writer& w, SavePayload&& sp) const {
     w.u64(tick_);

@@ -1,10 +1,11 @@
 // Open-addressing key -> slot index for the fully-associative tables.
 //
-// The hardware tables (LruTable, TLP's Recent Page Table) are CAMs: a probe
-// compares every entry. Exact at hardware scale, but a simulation bottleneck
-// once the probe sits on the per-record spine. This index shadows a table's
-// valid entries with an open-addressing hash (linear probing, backward-shift
-// deletion) so lookups cost O(1) while the table itself keeps its slot array
+// The hardware tables (SPP's Signature Table, TLP's Recent Page Table) are
+// CAMs: a probe compares every entry. Exact at hardware scale, but a
+// simulation bottleneck once the probe sits on the per-record spine. This
+// index shadows a table's valid entries with an open-addressing hash (linear
+// probing, backward-shift deletion) so lookups cost O(1) while the table
+// itself keeps its slot array
 // — and therefore its eviction order and PLNSNAP1 serialization —
 // byte-for-byte unchanged. Set-associative tables (SetAssocTable, the SC tag
 // array) need no index: they scan the ways of one set.

@@ -89,7 +89,13 @@ bool DramChannel::submit(const DramRequest& request) {
   return true;
 }
 
-Cycle DramChannel::rank_act_ready(Cycle t, int rank) const {
+// ---------------------------------------------------------------------------
+// The command kernel. Everything advance() runs per command is defined
+// inline here and compiles into advance() itself: the per-command call
+// boundaries, not the FR-FCFS scan, held most of a command's fixed cost.
+// Refresh and drain below stay out of line as cold paths.
+// ---------------------------------------------------------------------------
+inline Cycle DramChannel::rank_act_ready(Cycle t, int rank) const {
   const RankState& rs = ranks_[static_cast<std::size_t>(rank)];
   Cycle ready = t;
   if (rs.have_last_act) {
@@ -102,7 +108,7 @@ Cycle DramChannel::rank_act_ready(Cycle t, int rank) const {
   return ready;
 }
 
-Cycle DramChannel::rank_turnaround(Cycle t, int rank) const {
+inline Cycle DramChannel::rank_turnaround(Cycle t, int rank) const {
   // Switching the data bus between ranks costs tRTRS after the previous
   // burst; same-rank bursts are paced by tCCD alone. With 1 rank (Table 1)
   // this never fires.
@@ -110,7 +116,8 @@ Cycle DramChannel::rank_turnaround(Cycle t, int rank) const {
   return std::max(t, last_burst_end_ + static_cast<Cycle>(config_.timing.tRTRS));
 }
 
-DramChannel::Candidate DramChannel::earliest_command(const Queued& q) const {
+inline DramChannel::Candidate DramChannel::earliest_command(
+    const Queued& q) const {
   const Bank& b = bank_of(q.loc);
   const Cycle base = std::max({now_, q.req.arrival, next_cmd_ok_});
   Candidate c;
@@ -131,8 +138,8 @@ DramChannel::Candidate DramChannel::earliest_command(const Queued& q) const {
   return c;
 }
 
-bool DramChannel::pick(const std::vector<Queued>& queue, Candidate& out,
-                       Cycle& min_when) const {
+inline bool DramChannel::pick(const std::vector<Queued>& queue,
+                              Candidate& out, Cycle& min_when) const {
   if (queue.empty()) return false;
 
   // Anti-starvation: a request past the age cap preempts FR-FCFS ordering.
@@ -248,12 +255,40 @@ bool DramChannel::pick_matches_reference(const std::vector<Queued>& queue,
          ref.index == out.index && ref.row_hit == out.row_hit;
 }
 
-void DramChannel::issue(std::vector<Queued>& queue, const Candidate& cand) {
+inline Cycle DramChannel::exit_powerdown(Cycle when) {
+  // Controller policy: enter CKE-low after powerdown_idle_threshold idle
+  // cycles (a policy knob well above tCKE's minimum pulse width); exiting
+  // costs tXP before the next command. The pre-first-command state is not
+  // billed — the device has not been initialized into active standby yet.
+  if (!ever_issued_) return when;
+  const Cycle pd_entry =
+      last_cmd_time_ +
+      static_cast<Cycle>(config_.controller.powerdown_idle_threshold);
+  if (when <= pd_entry) return when;
+  counters_.powerdown_cycles += when - pd_entry;
+  ++counters_.powerdown_entries;
+  if (log_ != nullptr) {
+    log_command(pd_entry, Command::kPowerDownEntry, -1, -1);
+    log_command(when, Command::kPowerDownExit, -1, -1);
+  }
+  return when + static_cast<Cycle>(config_.timing.tXP);
+}
+
+inline void DramChannel::issue(std::vector<Queued>& queue,
+                               const Candidate& cand) {
   Queued& q = queue[cand.index];
   Bank& b = bank_of(q.loc);
   const auto& t = config_.timing;
   const Cycle when = cand.when;
   const auto burst = static_cast<Cycle>(t.burst_cycles());
+  if (log_ != nullptr) {
+    const Command command =
+        cand.kind == CmdKind::kActivate    ? Command::kActivate
+        : cand.kind == CmdKind::kPrecharge ? Command::kPrecharge
+        : q.req.is_write                   ? Command::kWrite
+                                           : Command::kRead;
+    log_command(when, command, q.loc.rank, q.loc.bank, q.loc.row);
+  }
 
   switch (cand.kind) {
     case CmdKind::kActivate: {
@@ -332,80 +367,6 @@ void DramChannel::issue(std::vector<Queued>& queue, const Candidate& cand) {
   last_cmd_time_ = when;
   ever_issued_ = true;
   now_ = when;
-}
-
-void DramChannel::perform_bank_refresh(Cycle at) {
-  const auto& t = config_.timing;
-  // Refresh one bank (round-robin across ranks x banks); the rest of the
-  // channel keeps serving. The bank must be precharged first.
-  Bank& b = banks_[static_cast<std::size_t>(refresh_bank_rr_)];
-  refresh_bank_rr_ = (refresh_bank_rr_ + 1) % static_cast<int>(banks_.size());
-  Cycle start = exit_powerdown(std::max(at, next_cmd_ok_));
-  if (b.row_open) {
-    start = std::max(start, b.pre_allowed);
-    ++counters_.precharges;
-    start += static_cast<Cycle>(t.tRP);
-    b.row_open = false;
-  }
-  const Cycle done = start + static_cast<Cycle>(t.tRFCpb);
-  b.act_allowed = std::max(b.act_allowed, done);
-  next_cmd_ok_ = std::max(next_cmd_ok_, start + static_cast<Cycle>(t.tCMD));
-  last_cmd_time_ = std::max(last_cmd_time_, done);
-  ever_issued_ = true;
-  now_ = std::max(now_, start);
-  ++counters_.refreshes_pb;
-}
-
-void DramChannel::perform_refresh(Cycle at) {
-  if (config_.controller.per_bank_refresh) {
-    perform_bank_refresh(at);
-    return;
-  }
-  const auto& t = config_.timing;
-  // All banks must be precharged before REFab; a powered-down channel exits
-  // first (self-refresh is not modelled separately — idle refresh cadence is
-  // identical and the power model prices power-down time uniformly).
-  Cycle start = exit_powerdown(std::max(at, next_cmd_ok_));
-  bool any_open = false;
-  for (const auto& b : banks_) {
-    if (b.row_open) {
-      any_open = true;
-      start = std::max(start, b.pre_allowed);
-    }
-  }
-  if (any_open) {
-    ++counters_.precharges;  // modelled as one PREab
-    start += static_cast<Cycle>(t.tRP);
-  }
-  const Cycle done = start + static_cast<Cycle>(t.tRFC);
-  for (auto& b : banks_) {
-    b.row_open = false;
-    b.act_allowed = std::max(b.act_allowed, done);
-  }
-  next_cmd_ok_ = std::max(next_cmd_ok_, start + static_cast<Cycle>(t.tCMD));
-  // The device is busy until tRFC completes; that interval is not idle time
-  // for power-down accounting.
-  last_cmd_time_ = std::max(last_cmd_time_, done);
-  ever_issued_ = true;
-  now_ = std::max(now_, start);
-  ++counters_.refreshes;
-}
-
-bool DramChannel::write_drain_mode() const { return draining_writes_; }
-
-Cycle DramChannel::exit_powerdown(Cycle when) {
-  // Controller policy: enter CKE-low after powerdown_idle_threshold idle
-  // cycles (a policy knob well above tCKE's minimum pulse width); exiting
-  // costs tXP before the next command. The pre-first-command state is not
-  // billed — the device has not been initialized into active standby yet.
-  if (!ever_issued_) return when;
-  const Cycle pd_entry =
-      last_cmd_time_ +
-      static_cast<Cycle>(config_.controller.powerdown_idle_threshold);
-  if (when <= pd_entry) return when;
-  counters_.powerdown_cycles += when - pd_entry;
-  ++counters_.powerdown_entries;
-  return when + static_cast<Cycle>(config_.timing.tXP);
 }
 
 void DramChannel::advance(Cycle until) {
@@ -500,6 +461,73 @@ void DramChannel::advance(Cycle until) {
                       "channel clock regressed in advance()");
 }
 
+// ---------------------------------------------------------------------------
+// Cold paths: refresh (once per tREFI, or per tREFI/banks with REFpb), drain
+// and the test-only command log.
+// ---------------------------------------------------------------------------
+void DramChannel::perform_bank_refresh(Cycle at) {
+  const auto& t = config_.timing;
+  // Refresh one bank (round-robin across ranks x banks); the rest of the
+  // channel keeps serving. The bank must be precharged first.
+  Bank& b = banks_[static_cast<std::size_t>(refresh_bank_rr_)];
+  const int rank = refresh_bank_rr_ / config_.geometry.banks;
+  const int bank = refresh_bank_rr_ % config_.geometry.banks;
+  refresh_bank_rr_ = (refresh_bank_rr_ + 1) % static_cast<int>(banks_.size());
+  Cycle start = exit_powerdown(std::max(at, next_cmd_ok_));
+  if (b.row_open) {
+    start = std::max(start, b.pre_allowed);
+    if (log_ != nullptr) log_command(start, Command::kPrecharge, rank, bank);
+    ++counters_.precharges;
+    start += static_cast<Cycle>(t.tRP);
+    b.row_open = false;
+  }
+  if (log_ != nullptr) log_command(start, Command::kRefreshBank, rank, bank);
+  const Cycle done = start + static_cast<Cycle>(t.tRFCpb);
+  b.act_allowed = std::max(b.act_allowed, done);
+  next_cmd_ok_ = std::max(next_cmd_ok_, start + static_cast<Cycle>(t.tCMD));
+  last_cmd_time_ = std::max(last_cmd_time_, done);
+  ever_issued_ = true;
+  now_ = std::max(now_, start);
+  ++counters_.refreshes_pb;
+}
+
+void DramChannel::perform_refresh(Cycle at) {
+  if (config_.controller.per_bank_refresh) {
+    perform_bank_refresh(at);
+    return;
+  }
+  const auto& t = config_.timing;
+  // All banks must be precharged before REFab; a powered-down channel exits
+  // first (self-refresh is not modelled separately — idle refresh cadence is
+  // identical and the power model prices power-down time uniformly).
+  Cycle start = exit_powerdown(std::max(at, next_cmd_ok_));
+  bool any_open = false;
+  for (const auto& b : banks_) {
+    if (b.row_open) {
+      any_open = true;
+      start = std::max(start, b.pre_allowed);
+    }
+  }
+  if (any_open) {
+    if (log_ != nullptr) log_command(start, Command::kPrechargeAll, -1, -1);
+    ++counters_.precharges;  // modelled as one PREab
+    start += static_cast<Cycle>(t.tRP);
+  }
+  if (log_ != nullptr) log_command(start, Command::kRefresh, -1, -1);
+  const Cycle done = start + static_cast<Cycle>(t.tRFC);
+  for (auto& b : banks_) {
+    b.row_open = false;
+    b.act_allowed = std::max(b.act_allowed, done);
+  }
+  next_cmd_ok_ = std::max(next_cmd_ok_, start + static_cast<Cycle>(t.tCMD));
+  // The device is busy until tRFC completes; that interval is not idle time
+  // for power-down accounting.
+  last_cmd_time_ = std::max(last_cmd_time_, done);
+  ever_issued_ = true;
+  now_ = std::max(now_, start);
+  ++counters_.refreshes;
+}
+
 void DramChannel::drain() {
   // Small steps bound the time overshoot past the last completion; queues
   // being non-empty keeps the idle refresh fast-forward out of the loop.
@@ -510,6 +538,11 @@ void DramChannel::drain() {
   PLANARIA_ENSURE_MSG(kTimingMonotonicity,
                       read_q_.empty() && write_q_.empty(),
                       "drain() returned with queued requests");
+}
+
+void DramChannel::log_command(Cycle at, Command command, int rank, int bank,
+                              std::uint32_t row) {
+  log_->push_back(CommandRecord{at, command, rank, bank, row});
 }
 
 void DramChannel::take_completions(std::vector<DramCompletion>& out) {

@@ -65,6 +65,29 @@ struct ChannelCounters {
   Cycle busy_data_cycles = 0;       ///< cycles the data bus carried a burst
 };
 
+/// What one command-log entry records (DramChannel::set_command_log).
+enum class Command : std::uint8_t {
+  kActivate,
+  kPrecharge,
+  kPrechargeAll,   ///< PREab ahead of an all-bank refresh
+  kRead,
+  kWrite,
+  kRefresh,        ///< REFab
+  kRefreshBank,    ///< REFpb
+  kPowerDownEntry, ///< CKE low
+  kPowerDownExit,  ///< CKE high; the next command waits tXP
+};
+
+/// One command-log entry. All-bank commands and power-down transitions
+/// cover the whole channel and carry rank = bank = -1.
+struct CommandRecord {
+  Cycle cycle = 0;
+  Command command = Command::kActivate;
+  int rank = -1;
+  int bank = -1;
+  std::uint32_t row = 0;  ///< ACT/RD/WR only
+};
+
 class DramChannel {
  public:
   explicit DramChannel(const DramConfig& config);
@@ -99,6 +122,13 @@ class DramChannel {
   /// take_completions(). Lets the per-record step skip the drain call on the
   /// many steps where nothing finished.
   bool has_completions() const { return !completions_.empty(); }
+
+  /// Test hook: while `log` is non-null, every command the channel issues
+  /// and every power-down entry and exit is appended to it in issue order,
+  /// so a checker can replay the command stream against the timing rules
+  /// without the scheduler's own horizons. Off (null, the default), a
+  /// command pays one null-pointer test. Not part of the snapshot.
+  void set_command_log(std::vector<CommandRecord>* log) { log_ = log; }
 
   Cycle now() const { return now_; }
   const ChannelCounters& counters() const { return counters_; }
@@ -138,6 +168,10 @@ class DramChannel {
     bool row_hit = false;
   };
 
+  // earliest_command, pick, issue, exit_powerdown, rank_act_ready and
+  // rank_turnaround are advance()'s command kernel: defined inline in
+  // channel.cpp, which says why.
+
   /// Earliest cycle the next command needed by `q` can issue.
   Candidate earliest_command(const Queued& q) const;
 
@@ -173,8 +207,10 @@ class DramChannel {
   /// since the last command, it entered CKE-low power-down and the next
   /// command at `when` pays the tXP exit penalty. Returns the adjusted time.
   Cycle exit_powerdown(Cycle when);
-  bool write_drain_mode() const;
   Cycle rank_act_ready(Cycle t, int rank) const;
+  /// Appends to the command log; callers test log_ first.
+  void log_command(Cycle at, Command command, int rank, int bank,
+                   std::uint32_t row = 0);
 
   DramConfig config_;
   AddressMapper mapper_;
@@ -263,6 +299,9 @@ class DramChannel {
   /// A prefetch only issues when no demand could go within this many cycles
   /// of it (prefetches fill idle slots; they never displace demand service).
   static constexpr Cycle kPrefetchSlack = 0;
+
+  // lint: volatile(log_): a test-only observer, not channel state; the records go to the caller's vector and a restore leaves the log as the test armed it
+  std::vector<CommandRecord>* log_ = nullptr;  ///< test-only command log
 };
 
 }  // namespace planaria::dram

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "common/table.hpp"
 #include "prefetch/prefetcher.hpp"
 
 namespace planaria::prefetch {

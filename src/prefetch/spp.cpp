@@ -1,10 +1,143 @@
 #include "prefetch/spp.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/assert.hpp"
 
 namespace planaria::prefetch {
+
+SignatureTable::SignatureTable(std::size_t capacity)
+    : keys_(capacity),
+      entries_(capacity),
+      last_use_(capacity),
+      valid_(capacity),
+      prev_(capacity),
+      next_(capacity),
+      index_(capacity) {
+  PLANARIA_ASSERT(capacity > 0 && capacity < kNil);
+  // Empty: every slot is invalid, so the list is slot order.
+  for (std::size_t i = 0; i < capacity; ++i) {
+    prev_[i] = i == 0 ? kNil : static_cast<std::uint32_t>(i - 1);
+    next_[i] = i + 1 == capacity ? kNil : static_cast<std::uint32_t>(i + 1);
+  }
+  head_ = 0;
+  tail_ = static_cast<std::uint32_t>(capacity - 1);
+}
+
+void SignatureTable::touch(std::uint32_t s) {
+  if (s == tail_) return;
+  // Not the tail, so next_[s] is a real slot.
+  const std::uint32_t p = prev_[s];
+  const std::uint32_t nx = next_[s];
+  prev_[nx] = p;
+  if (p == kNil) {
+    head_ = nx;
+  } else {
+    next_[p] = nx;
+  }
+  prev_[s] = tail_;
+  next_[s] = kNil;
+  next_[tail_] = s;
+  tail_ = s;
+}
+
+SignatureTable::Entry* SignatureTable::find(PageNumber page) {
+  const std::uint32_t s = index_.find(page);
+  if (s == TagIndex::npos) return nullptr;
+  last_use_[s] = ++tick_;
+  touch(s);
+  return &entries_[s];
+}
+
+const SignatureTable::Entry* SignatureTable::peek(PageNumber page) const {
+  const std::uint32_t s = index_.find(page);
+  return s == TagIndex::npos ? nullptr : &entries_[s];
+}
+
+std::optional<PageNumber> SignatureTable::insert(PageNumber page,
+                                                 const Entry& entry) {
+  std::uint32_t s = index_.find(page);
+  std::optional<PageNumber> evicted;
+  if (s == TagIndex::npos) {
+    s = head_;
+    if (valid_[s] != 0) {
+      evicted = keys_[s];
+      index_.erase(keys_[s]);
+    } else {
+      valid_[s] = 1;
+      ++live_;
+    }
+    keys_[s] = page;
+    index_.insert(page, s);
+  }
+  entries_[s] = entry;
+  last_use_[s] = ++tick_;
+  touch(s);
+  return evicted;
+}
+
+void SignatureTable::save_state(snapshot::Writer& w) const {
+  w.u64(tick_);
+  w.u64(static_cast<std::uint64_t>(live_));
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (valid_[i] == 0) continue;
+    w.u64(static_cast<std::uint64_t>(i));
+    w.u64(keys_[i]);
+    w.u64(last_use_[i]);
+    w.u16(entries_[i].signature);
+    w.i64(entries_[i].last_offset);
+  }
+}
+
+void SignatureTable::load_state(snapshot::Reader& r) {
+  std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
+  index_.clear();
+  tick_ = r.u64();
+  const std::uint64_t count = r.u64();
+  if (count > keys_.size()) {
+    r.fail("signature table live count exceeds capacity");
+  }
+  std::uint64_t prev = 0;
+  for (std::uint64_t n = 0; n < count; ++n) {
+    const std::uint64_t i = r.u64();
+    if (i >= keys_.size() || (n > 0 && i <= prev)) {
+      r.fail("signature table slot index out of order");
+    }
+    prev = i;
+    const PageNumber page = r.u64();
+    if (index_.find(page) != TagIndex::npos) {
+      r.fail("signature table page resident twice");
+    }
+    last_use_[i] = r.u64();
+    if (last_use_[i] > tick_) {
+      r.fail("signature table last use is ahead of the table tick");
+    }
+    entries_[i].signature = r.u16();
+    entries_[i].last_offset = static_cast<int>(r.i64());
+    keys_[i] = page;
+    valid_[i] = 1;
+    index_.insert(page, static_cast<std::uint32_t>(i));
+  }
+  live_ = static_cast<std::size_t>(count);
+  // Victim order: invalid slots ascending, then valid slots by (stamp,
+  // slot), which is the linear scan's minimum-stamp, lowest-slot rule.
+  std::vector<std::uint32_t> order(keys_.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<std::uint32_t>(i);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::uint32_t a, std::uint32_t b) {
+                     if (valid_[a] != valid_[b]) return valid_[a] < valid_[b];
+                     return valid_[a] != 0 && last_use_[a] < last_use_[b];
+                   });
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    prev_[order[k]] = k == 0 ? kNil : order[k - 1];
+    next_[order[k]] = k + 1 == order.size() ? kNil : order[k + 1];
+  }
+  head_ = order.front();
+  tail_ = order.back();
+}
 
 void SppConfig::validate() const {
   if (st_entries <= 0 || pt_entries <= 0 || deltas_per_entry <= 0 ||
@@ -17,37 +150,49 @@ void SppConfig::validate() const {
   }
 }
 
-SignaturePathPrefetcher::SignaturePathPrefetcher(const SppConfig& config)
-    : config_(config),
-      st_(static_cast<std::size_t>(config.st_entries)),
-      pt_(static_cast<std::size_t>(config.pt_entries)),
-      ghr_(static_cast<std::size_t>(config.ghr_entries)) {
-  config_.validate();
-  for (auto& e : pt_) e.slots.reserve(static_cast<std::size_t>(config_.deltas_per_entry));
+namespace {
+
+SppConfig validated(SppConfig config) {
+  config.validate();
+  return config;
 }
 
+}  // namespace
+
+SignaturePathPrefetcher::SignaturePathPrefetcher(const SppConfig& config)
+    : config_(validated(config)),
+      st_(static_cast<std::size_t>(config_.st_entries)),
+      pt_(static_cast<std::size_t>(config_.pt_entries)),
+      per_entry_(static_cast<std::size_t>(config_.deltas_per_entry)),
+      pt_slots_(pt_.size() * per_entry_),
+      ghr_(static_cast<std::size_t>(config_.ghr_entries)) {}
+
 void SignaturePathPrefetcher::learn(std::uint16_t sig, int delta) {
-  PtEntry& entry = pattern(sig);
+  const std::size_t e = pattern(sig);
+  PtEntry& entry = pt_[e];
+  DeltaSlot* const slots = slots_of(e);
+  DeltaSlot* const end = slots + entry.used;
   if (entry.sig_counter >= config_.counter_max) {
     // Saturating: age everything so newer behaviour can displace stale deltas.
     entry.sig_counter /= 2;
-    for (auto& s : entry.slots) s.counter /= 2;
+    for (DeltaSlot* s = slots; s != end; ++s) s->counter /= 2;
   }
   ++entry.sig_counter;
-  for (auto& s : entry.slots) {
-    if (s.delta == delta) {
-      if (s.counter < config_.counter_max) ++s.counter;
+  for (DeltaSlot* s = slots; s != end; ++s) {
+    if (s->delta == delta) {
+      if (s->counter < config_.counter_max) ++s->counter;
       return;
     }
   }
-  if (entry.slots.size() < static_cast<std::size_t>(config_.deltas_per_entry)) {
-    entry.slots.push_back(DeltaSlot{delta, 1});
+  if (static_cast<std::size_t>(entry.used) < per_entry_) {
+    *end = DeltaSlot{delta, 1};
+    ++entry.used;
     return;
   }
   // Replace the weakest delta slot.
-  DeltaSlot* weakest = &entry.slots[0];
-  for (auto& s : entry.slots) {
-    if (s.counter < weakest->counter) weakest = &s;
+  DeltaSlot* weakest = slots;
+  for (DeltaSlot* s = slots; s != end; ++s) {
+    if (s->counter < weakest->counter) weakest = s;
   }
   *weakest = DeltaSlot{delta, 1};
 }
@@ -60,7 +205,7 @@ void SignaturePathPrefetcher::on_demand(const DemandEvent& event,
   std::uint16_t sig;
   double conf = 1.0;
 
-  if (StEntry* st = st_.find(event.page); st != nullptr) {
+  if (SignatureTable::Entry* st = st_.find(event.page); st != nullptr) {
     const int delta = offset - st->last_offset;
     if (delta == 0) return;  // same block re-touch carries no pattern info
     learn(st->signature, delta);
@@ -78,18 +223,20 @@ void SignaturePathPrefetcher::on_demand(const DemandEvent& event,
         break;
       }
     }
-    st_.insert(event.page, StEntry{sig, offset});
+    st_.insert(event.page, SignatureTable::Entry{sig, offset});
   }
 
   // Lookahead walk: follow the strongest delta chain while confident.
   int pf_offset = offset;
   std::uint16_t path_sig = sig;
   for (int depth = 0; depth < config_.max_lookahead; ++depth) {
-    const PtEntry& entry = pattern(path_sig);
-    if (entry.sig_counter == 0 || entry.slots.empty()) break;
-    const DeltaSlot* best = &entry.slots[0];
-    for (const auto& s : entry.slots) {
-      if (s.counter > best->counter) best = &s;
+    const std::size_t e = pattern(path_sig);
+    const PtEntry& entry = pt_[e];
+    if (entry.sig_counter == 0 || entry.used == 0) break;
+    const DeltaSlot* const slots = slots_of(e);
+    const DeltaSlot* best = slots;
+    for (const DeltaSlot* s = slots; s != slots + entry.used; ++s) {
+      if (s->counter > best->counter) best = s;
     }
     conf *= config_.global_accuracy * static_cast<double>(best->counter) /
             static_cast<double>(entry.sig_counter);
@@ -129,17 +276,15 @@ std::uint64_t SignaturePathPrefetcher::storage_bits() const {
 
 void SignaturePathPrefetcher::save_state(snapshot::Writer& w) const {
   w.tag(snapshot::tag4("SPP0"));
-  st_.save_state(w, [](snapshot::Writer& o, const StEntry& e) {
-    o.u16(e.signature);
-    o.i64(e.last_offset);
-  });
+  st_.save_state(w);
   w.u64(static_cast<std::uint64_t>(pt_.size()));
-  for (const PtEntry& e : pt_) {
-    w.i64(e.sig_counter);
-    w.u32(static_cast<std::uint32_t>(e.slots.size()));
-    for (const DeltaSlot& s : e.slots) {
-      w.i64(s.delta);
-      w.i64(s.counter);
+  for (std::size_t e = 0; e < pt_.size(); ++e) {
+    w.i64(pt_[e].sig_counter);
+    w.u32(static_cast<std::uint32_t>(pt_[e].used));
+    const DeltaSlot* const slots = slots_of(e);
+    for (int i = 0; i < pt_[e].used; ++i) {
+      w.i64(slots[i].delta);
+      w.i64(slots[i].counter);
     }
   }
   w.u64(static_cast<std::uint64_t>(ghr_.size()));
@@ -155,25 +300,21 @@ void SignaturePathPrefetcher::save_state(snapshot::Writer& w) const {
 
 void SignaturePathPrefetcher::load_state(snapshot::Reader& r) {
   r.expect_tag(snapshot::tag4("SPP0"));
-  st_.load_state(r, [](snapshot::Reader& i) {
-    StEntry e;
-    e.signature = i.u16();
-    e.last_offset = static_cast<int>(i.i64());
-    return e;
-  });
+  st_.load_state(r);
   if (r.u64() != pt_.size()) {
     throw snapshot::SnapshotError("SPP pattern table size mismatch");
   }
-  for (PtEntry& e : pt_) {
-    e.sig_counter = static_cast<int>(r.i64());
+  for (std::size_t e = 0; e < pt_.size(); ++e) {
+    pt_[e].sig_counter = static_cast<int>(r.i64());
     const std::uint32_t n = r.u32();
-    if (n > static_cast<std::uint32_t>(config_.deltas_per_entry)) {
+    if (n > per_entry_) {
       throw snapshot::SnapshotError("SPP delta slot count exceeds config");
     }
-    e.slots.assign(n, DeltaSlot{});
-    for (DeltaSlot& s : e.slots) {
-      s.delta = static_cast<int>(r.i64());
-      s.counter = static_cast<int>(r.i64());
+    pt_[e].used = static_cast<int>(n);
+    DeltaSlot* const slots = slots_of(e);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      slots[i].delta = static_cast<int>(r.i64());
+      slots[i].counter = static_cast<int>(r.i64());
     }
   }
   if (r.u64() != ghr_.size()) {

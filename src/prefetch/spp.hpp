@@ -21,12 +21,68 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "common/table.hpp"
+#include "common/tag_index.hpp"
 #include "prefetch/prefetcher.hpp"
 
 namespace planaria::prefetch {
+
+/// SPP's signature table (ST): page -> (signature, last offset), fully
+/// associative, replaced LRU. The victim is the first invalid slot in slot
+/// order, else the least recently used entry.
+///
+/// Every operation is O(1). A TagIndex maps page -> slot, and an intrusive
+/// recency list over the slots runs victim first: invalid slots in
+/// ascending slot order, then valid slots from least to most recent, so
+/// the victim is always the list head. The per-slot stamps exist for the
+/// snapshot (tick, live count, then slot, page, stamp, signature and offset
+/// per valid slot in slot order); load_state rebuilds the list from them.
+class SignatureTable {
+ public:
+  struct Entry {
+    std::uint16_t signature = 0;
+    int last_offset = 0;
+  };
+
+  explicit SignatureTable(std::size_t capacity);
+
+  std::size_t capacity() const { return keys_.size(); }
+  std::size_t size() const { return live_; }
+
+  /// Looks up `page` and makes it the most recent entry; nullptr on a miss.
+  Entry* find(PageNumber page);
+  /// Lookup that leaves recency alone.
+  const Entry* peek(PageNumber page) const;
+  /// Inserts or overwrites `page` as the most recent entry. Returns the
+  /// page it evicted, if the victim slot was valid.
+  std::optional<PageNumber> insert(PageNumber page, const Entry& entry);
+
+  void save_state(snapshot::Writer& w) const;
+  /// Rejects, through SnapshotError, a live count over capacity, slot
+  /// indices out of range or not ascending, a page resident twice, and a
+  /// stamp ahead of the table tick.
+  void load_state(snapshot::Reader& r);
+
+ private:
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+  /// Moves slot `s` to the most recent end of the list.
+  void touch(std::uint32_t s);
+
+  std::vector<PageNumber> keys_;
+  std::vector<Entry> entries_;
+  std::vector<std::uint64_t> last_use_;  ///< stamp of the slot's last touch
+  std::vector<std::uint8_t> valid_;
+  std::vector<std::uint32_t> prev_;  ///< recency link toward head_
+  std::vector<std::uint32_t> next_;  ///< recency link toward tail_
+  std::uint32_t head_ = kNil;        ///< the victim
+  std::uint32_t tail_ = kNil;        ///< most recently used
+  TagIndex index_;
+  std::uint64_t tick_ = 0;
+  std::size_t live_ = 0;
+};
 
 struct SppConfig {
   int st_entries = 256;         ///< signature table (page -> sig, last offset)
@@ -55,19 +111,16 @@ class SignaturePathPrefetcher final : public Prefetcher {
   void load_state(snapshot::Reader& r) override;
 
  private:
-  struct StEntry {
-    std::uint16_t signature = 0;
-    int last_offset = 0;
-  };
-
   struct DeltaSlot {
     int delta = 0;
     int counter = 0;
   };
 
+  /// A pattern-table entry; its delta slots are the `used` first of its
+  /// deltas_per_entry-wide row in pt_slots_.
   struct PtEntry {
     int sig_counter = 0;
-    std::vector<DeltaSlot> slots;
+    int used = 0;
   };
 
   struct GhrEntry {
@@ -83,15 +136,21 @@ class SignaturePathPrefetcher final : public Prefetcher {
     return static_cast<std::uint16_t>(((sig << 3) ^ d) & 0xFFF);
   }
 
-  PtEntry& pattern(std::uint16_t sig) {
-    return pt_[sig % pt_.size()];
+  std::size_t pattern(std::uint16_t sig) const { return sig % pt_.size(); }
+  DeltaSlot* slots_of(std::size_t entry) {
+    return pt_slots_.data() + entry * per_entry_;
+  }
+  const DeltaSlot* slots_of(std::size_t entry) const {
+    return pt_slots_.data() + entry * per_entry_;
   }
 
   void learn(std::uint16_t sig, int delta);
 
   SppConfig config_;
-  LruTable<PageNumber, StEntry> st_;
+  SignatureTable st_;
   std::vector<PtEntry> pt_;
+  std::size_t per_entry_;            ///< deltas_per_entry
+  std::vector<DeltaSlot> pt_slots_;  ///< pt_entries x deltas_per_entry
   std::vector<GhrEntry> ghr_;
   std::size_t ghr_next_ = 0;
 };

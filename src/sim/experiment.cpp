@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/block_map.hpp"
 #include "common/env.hpp"
 #include "trace/generator.hpp"
 
@@ -117,6 +118,10 @@ std::uint64_t ExperimentRunner::config_digest() const {
   return h;
 }
 
+std::uint64_t ExperimentRunner::CellKey::snapshot_key() const {
+  return trace_fingerprint ^ common::mix_block(config_digest);
+}
+
 std::string ExperimentRunner::cell_path(const std::string& app,
                                         const char* kind) const {
   return checkpoint_dir_ + "/cell_" + app + "_" + kind + ".result";
@@ -205,9 +210,10 @@ SimResult ExperimentRunner::run_cell(const std::string& app,
   }
   std::uint64_t cursor = 0;
   RecoveryReport report;
+  const std::uint64_t snapshot_key = key.snapshot_key();
   const std::unique_ptr<Simulator> sim =
-      restore_or_start(config_, factory, kind_name, ckpt,
-                       key.trace_fingerprint, records_, cursor, report);
+      restore_or_start(config_, factory, kind_name, ckpt, snapshot_key,
+                       records_, cursor, report);
   // The stream starts at row 0 and rows before a resumed cursor are skipped.
   // With mid-cell snapshots on, chunks also end at every multiple of the
   // interval, where the cell checkpoints as run_checkpointed would.
@@ -226,7 +232,7 @@ SimResult ExperimentRunner::run_cell(const std::string& app,
     cursor = end;
     if (ckpt.enabled() && end < records_ && end % ckpt.every == 0) {
       try {
-        write_checkpoint(*sim, ckpt, end, key.trace_fingerprint);
+        write_checkpoint(*sim, ckpt, end, snapshot_key);
       } catch (const snapshot::SnapshotError&) {
         // A failed write costs resumability, never the result.
       }

@@ -112,6 +112,15 @@ class ExperimentRunner {
   void set_checkpoint_dir(std::string dir) { checkpoint_dir_ = std::move(dir); }
   const std::string& checkpoint_dir() const { return checkpoint_dir_; }
 
+  /// The key `app`'s mid-cell snapshots are written and resumed under: the
+  /// trace fingerprint mixed with the configuration digest, so a snapshot a
+  /// killed run left under another configuration is never resumed (the
+  /// cell falls back to .prev, then to a cold start). Needs a checkpoint
+  /// dir. It rides in the CKPT envelope's fingerprint field.
+  std::uint64_t snapshot_key(const std::string& app) const {
+    return cell_key(app).snapshot_key();
+  }
+
  private:
   /// What a persisted cell result is valid for, besides the record count,
   /// app and kind its header already names: every configuration knob and
@@ -119,6 +128,8 @@ class ExperimentRunner {
   struct CellKey {
     std::uint64_t config_digest = 0;
     std::uint64_t trace_fingerprint = 0;
+
+    std::uint64_t snapshot_key() const;
   };
 
   /// FNV-1a digest of config_ and the planaria/BOP/SPP configurations.

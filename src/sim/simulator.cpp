@@ -743,6 +743,11 @@ const prefetch::Prefetcher& Simulator::prefetcher(int channel) const {
   return *channels_.at(static_cast<std::size_t>(channel)).pf;
 }
 
+void Simulator::set_dram_command_log(int channel,
+                                     std::vector<dram::CommandRecord>* log) {
+  channels_.at(static_cast<std::size_t>(channel)).dram->set_command_log(log);
+}
+
 double SimResult::traffic_overhead_vs(const SimResult& baseline) const {
   if (baseline.dram_traffic_blocks == 0) return 0.0;
   return static_cast<double>(dram_traffic_blocks) /

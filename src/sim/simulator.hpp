@@ -149,6 +149,9 @@ class Simulator {
 
   const cache::SystemCache& cache_slice(int channel) const;
   const prefetch::Prefetcher& prefetcher(int channel) const;
+  /// Test hook: arms (or, with null, disarms) `channel`'s DRAM command log
+  /// (dram::DramChannel::set_command_log).
+  void set_dram_command_log(int channel, std::vector<dram::CommandRecord>* log);
 
   /// Checkpoint/restore (DESIGN.md §11). Captures mid-run state: the ingest
   /// clock and its fault stream, and per channel the SC slice, the prefetcher

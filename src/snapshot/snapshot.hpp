@@ -167,8 +167,8 @@ class Reader {
   std::size_t remaining() const { return size_ - pos_; }
   bool at_end() const { return pos_ == size_; }
   /// Rejects the snapshot with a decode error. Generic container templates
-  /// (common/table.hpp, common/set_table.hpp) call this instead of naming
-  /// SnapshotError so they stay independent of the snapshot module.
+  /// (common/set_table.hpp) call this instead of naming SnapshotError so
+  /// they stay independent of the snapshot module.
   [[noreturn]] void fail(const std::string& what) const {
     throw SnapshotError(what);
   }

@@ -15,7 +15,6 @@
 #include "common/huge_pages.hpp"
 #include "common/rng.hpp"
 #include "common/set_table.hpp"
-#include "common/table.hpp"
 #include "common/types.hpp"
 #include "reference_crc32.hpp"
 
@@ -230,74 +229,6 @@ TEST(Rng, BurstLengthRespectsCap) {
     EXPECT_GE(len, 1);
     EXPECT_LE(len, 5);
   }
-}
-
-// --------------------------------------------------------------- LruTable
-
-TEST(LruTable, FindMissOnEmpty) {
-  LruTable<int, int> t(4);
-  EXPECT_EQ(t.find(1), nullptr);
-  EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(LruTable, InsertThenFind) {
-  LruTable<int, int> t(4);
-  EXPECT_FALSE(t.insert(1, 100).has_value());
-  ASSERT_NE(t.find(1), nullptr);
-  EXPECT_EQ(*t.find(1), 100);
-}
-
-TEST(LruTable, InsertOverwritesExistingKey) {
-  LruTable<int, int> t(4);
-  t.insert(1, 100);
-  EXPECT_FALSE(t.insert(1, 200).has_value());
-  EXPECT_EQ(*t.find(1), 200);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(LruTable, EvictsLeastRecentlyUsed) {
-  LruTable<int, int> t(2);
-  t.insert(1, 10);
-  t.insert(2, 20);
-  t.find(1);  // refresh 1; victim should be 2
-  const auto evicted = t.insert(3, 30);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(evicted->key, 2);
-  EXPECT_EQ(evicted->payload, 20);
-  EXPECT_NE(t.find(1), nullptr);
-  EXPECT_EQ(t.find(2), nullptr);
-}
-
-TEST(LruTable, EraseReturnsPayload) {
-  LruTable<int, int> t(2);
-  t.insert(5, 55);
-  const auto erased = t.erase(5);
-  ASSERT_TRUE(erased.has_value());
-  EXPECT_EQ(*erased, 55);
-  EXPECT_EQ(t.find(5), nullptr);
-  EXPECT_FALSE(t.erase(5).has_value());
-}
-
-TEST(LruTable, EvictIfRemovesMatching) {
-  LruTable<int, int> t(4);
-  for (int i = 0; i < 4; ++i) t.insert(i, i * 10);
-  std::vector<int> evicted;
-  t.evict_if([](int k, const int&) { return k % 2 == 0; },
-             [&](int k, int&&) { evicted.push_back(k); });
-  EXPECT_EQ(evicted.size(), 2u);
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.find(0), nullptr);
-  EXPECT_NE(t.find(1), nullptr);
-}
-
-TEST(LruTable, PeekDoesNotRefreshLru) {
-  LruTable<int, int> t(2);
-  t.insert(1, 10);
-  t.insert(2, 20);
-  t.peek(1);  // does NOT refresh: 1 stays LRU
-  const auto evicted = t.insert(3, 30);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(evicted->key, 1);
 }
 
 // ----------------------------------------------------------- SetAssocTable

@@ -2,12 +2,18 @@
 // bank timing, scheduling policy, refresh, write handling, and power.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 #include <set>
+#include <string>
 
 #include "dram/channel.hpp"
 #include "dram/config.hpp"
 #include "dram/power.hpp"
+#include "dram_timing_checker.hpp"
+#include "sim/simulator.hpp"
+#include "trace/apps.hpp"
+#include "trace/generator.hpp"
 
 namespace planaria::dram {
 namespace {
@@ -690,6 +696,351 @@ TEST(DramPower, MorePrefetchTrafficMorePower) {
   noisy.reads += 2340;  // +23.4% reads (the paper's BOP overhead)
   noisy.activates += 700;
   EXPECT_GT(model.average_power_mw(noisy), model.average_power_mw(base));
+}
+
+// ------------------------------------------------------------ timing checker
+// The channel's command log replayed through tests/dram_timing_checker.hpp,
+// which rebuilds bank and rank state from the commands alone and asserts
+// every Table 1 constraint without the scheduler's horizons.
+
+using testing::check_timing;
+using testing::TimingViolation;
+
+std::string describe(const std::vector<TimingViolation>& violations,
+                     const std::vector<CommandRecord>& log) {
+  std::map<std::string, int> per_rule;
+  for (const TimingViolation& v : violations) ++per_rule[v.rule];
+  std::string out;
+  for (const auto& [rule, n] : per_rule) {
+    out += rule + " x" + std::to_string(n) + " ";
+  }
+  for (std::size_t i = 0; i < violations.size() && i < 4; ++i) {
+    const TimingViolation& v = violations[i];
+    out += "\n  " + v.rule + " at entry " + std::to_string(v.index) +
+           " cycle " + std::to_string(v.cycle) + " command " +
+           std::to_string(static_cast<int>(log[v.index].command));
+  }
+  return out;
+}
+
+/// Rules the channel model is known to break (CHANGES.md, FOUND lines).
+/// Mending any of them moves SimResult, so they wait for a change that
+/// re-pins the results; until then exactly these (rule, command) pairs are
+/// set aside and everything else must be clean. KnownModelFaultsReproduce
+/// fails once a fix lands, so the allowance cannot outlive the fault.
+///  - tCKE at a power-down exit: a command that finds the channel powered
+///    down raises CKE at once, so the CKE-low pulse can be shorter than
+///    tCKE (exit_powerdown).
+///  - tRFC at REFab: owed refreshes performed back to back start one tCMD
+///    apart instead of one tRFC apart (perform_refresh).
+///  - tRP at REFpb: a bank refresh may start within tRP of an ordinary PRE
+///    to that bank (perform_bank_refresh). perform_refresh has the same
+///    gap for REFab with every bank closed, but no test trace reaches it.
+bool known_model_fault(const TimingViolation& v,
+                       const std::vector<CommandRecord>& log) {
+  const Command c = log[v.index].command;
+  return (v.rule == "tCKE" && c == Command::kPowerDownExit) ||
+         (v.rule == "tRFC" && c == Command::kRefresh) ||
+         (v.rule == "tRP" && c == Command::kRefreshBank);
+}
+
+std::vector<TimingViolation> unexplained(
+    const std::vector<TimingViolation>& violations,
+    const std::vector<CommandRecord>& log) {
+  std::vector<TimingViolation> rest;
+  for (const TimingViolation& v : violations) {
+    if (!known_model_fault(v, log)) rest.push_back(v);
+  }
+  return rest;
+}
+
+/// Command counts per kind in one log.
+std::map<Command, std::uint64_t> census(const std::vector<CommandRecord>& log) {
+  std::map<Command, std::uint64_t> n;
+  for (const CommandRecord& c : log) ++n[c.command];
+  return n;
+}
+
+/// Runs `trace` through a Simulator of `kind` with every channel's command
+/// log armed, and checks each log. Returns the merged census.
+std::map<Command, std::uint64_t> run_and_check(const sim::SimConfig& config,
+                                               sim::PrefetcherKind kind,
+                                               const trace::TraceBatch& trace) {
+  std::vector<std::vector<CommandRecord>> logs(kChannels);
+  sim::Simulator sim(config, sim::make_prefetcher_factory(kind),
+                     sim::prefetcher_kind_name(kind));
+  for (int ch = 0; ch < kChannels; ++ch) {
+    sim.set_dram_command_log(ch, &logs[static_cast<std::size_t>(ch)]);
+  }
+  sim.run_sharded(trace);
+  const sim::SimResult result = sim.finish();
+  std::map<Command, std::uint64_t> total;
+  for (const auto& log : logs) {
+    const auto violations =
+        unexplained(check_timing(log, config.dram), log);
+    EXPECT_TRUE(violations.empty())
+        << sim::prefetcher_kind_name(kind) << ": " << violations.size()
+        << " violations\n" << describe(violations, log);
+    for (const auto& [command, n] : census(log)) total[command] += n;
+  }
+  // The log misses no burst: every write, and every read the write queue
+  // did not forward (dram_reads counts those too).
+  EXPECT_EQ(total[Command::kWrite], result.dram_writes)
+      << sim::prefetcher_kind_name(kind);
+  EXPECT_LE(total[Command::kRead], result.dram_reads)
+      << sim::prefetcher_kind_name(kind);
+  return total;
+}
+
+TEST(DramTimingChecker, EveryKindHonoursTable1OnShortTraces) {
+  for (const char* app : {"Fort", "HoK"}) {
+    const auto trace =
+        trace::generate_app_trace(trace::app_by_name(app), 20000);
+    for (const sim::PrefetcherKind kind : sim::all_prefetcher_kinds()) {
+      const auto n = run_and_check(sim::SimConfig{}, kind, trace);
+      EXPECT_GT(n.at(Command::kActivate), 0u) << app;
+      EXPECT_GT(n.at(Command::kRead), 0u) << app;
+    }
+  }
+}
+
+/// Sparse traffic on one channel: bursts of random reads and writes
+/// separated by idle gaps of up to several tREFI, then a saturating phase
+/// long enough that refresh debt reaches the postponement cap under load.
+/// Checks the log and that it accounts for every counted command; returns
+/// the (rule, command) pairs of every violation, known faults included.
+std::set<std::pair<std::string, Command>> sparse_run_and_check(
+    const DramConfig& config, std::uint64_t seed) {
+  DramChannel channel(config);
+  std::vector<CommandRecord> log;
+  channel.set_command_log(&log);
+  std::mt19937_64 rng(seed);
+  const auto refi = static_cast<Cycle>(config.timing.tREFI);
+  Cycle t = 0;
+  std::uint64_t tag = 0;
+  const auto submit = [&](std::uint64_t block, bool write) {
+    channel.advance(t);
+    DramRequest req;
+    req.local_block = block;
+    req.arrival = t;
+    req.is_write = write;
+    req.is_prefetch = !write && rng() % 4 == 0;
+    req.tag = ++tag;
+    channel.submit(req);
+  };
+  for (int burst = 0; burst < 40; ++burst) {
+    t += rng() % (3 * refi) + 1;  // idle: power-down, idle refresh
+    const int n = static_cast<int>(rng() % 12) + 1;
+    const std::uint64_t base = rng() % 40000;
+    for (int i = 0; i < n; ++i) {
+      t += rng() % 60;
+      submit(base + rng() % 96, rng() % 3 == 0);
+    }
+  }
+  // Saturation: a request every 4 cycles for 12 tREFI keeps both queues
+  // busy, so refreshes are postponed to the cap and then forced.
+  for (Cycle end = t + 12 * refi; t < end; t += 4) {
+    submit(rng() % 200000, rng() % 4 == 0);
+  }
+  channel.drain();
+  channel.advance(channel.now() + 3 * refi);
+
+  const auto n = census(log);
+  const auto count = [&](Command c) {
+    const auto it = n.find(c);
+    return it == n.end() ? std::uint64_t{0} : it->second;
+  };
+  const ChannelCounters& k = channel.counters();
+  EXPECT_EQ(count(Command::kActivate), k.activates);
+  EXPECT_EQ(count(Command::kPrecharge) + count(Command::kPrechargeAll),
+            k.precharges);
+  EXPECT_EQ(count(Command::kRead), k.reads);
+  EXPECT_EQ(count(Command::kWrite), k.writes);
+  EXPECT_EQ(count(Command::kRefresh), k.refreshes);
+  EXPECT_EQ(count(Command::kRefreshBank), k.refreshes_pb);
+  EXPECT_EQ(count(Command::kPowerDownEntry), k.powerdown_entries);
+  EXPECT_EQ(count(Command::kPowerDownExit), k.powerdown_entries);
+  EXPECT_GT(k.powerdown_entries, 0u);
+  EXPECT_GT(k.refreshes + k.refreshes_pb, 0u);
+  EXPECT_GT(k.writes, 0u);
+
+  const auto all = check_timing(log, config);
+  const auto violations = unexplained(all, log);
+  EXPECT_TRUE(violations.empty()) << describe(violations, log);
+  std::set<std::pair<std::string, Command>> seen;
+  for (const TimingViolation& v : all) {
+    seen.emplace(v.rule, log[v.index].command);
+  }
+  return seen;
+}
+
+TEST(DramTimingChecker, SparseTrafficExercisesRefreshAndPowerDown) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    sparse_run_and_check(test_config(), seed);
+    DramConfig per_bank = test_config();
+    per_bank.controller.per_bank_refresh = true;
+    sparse_run_and_check(per_bank, seed);
+    DramConfig two_ranks = test_config();
+    two_ranks.geometry.ranks = 2;
+    sparse_run_and_check(two_ranks, seed);
+  }
+}
+
+// Each allowance in known_model_fault must still describe the model. When
+// a fix lands this fails, and the allowance goes with it.
+TEST(DramTimingChecker, KnownModelFaultsReproduce) {
+  DramConfig per_bank = test_config();
+  per_bank.controller.per_bank_refresh = true;
+  const auto all_bank = sparse_run_and_check(test_config(), 1);
+  const auto bank = sparse_run_and_check(per_bank, 1);
+  EXPECT_TRUE(all_bank.count({"tRFC", Command::kRefresh}));
+  EXPECT_TRUE(bank.count({"tRP", Command::kRefreshBank}));
+
+  // A read that arrives 3 cycles after the channel powered down.
+  DramChannel channel(test_config());
+  std::vector<CommandRecord> log;
+  channel.set_command_log(&log);
+  one_read(channel, 0, 100);
+  const Cycle last = log.back().cycle;
+  one_read(channel, 1,
+           last + static_cast<Cycle>(
+                      test_config().controller.powerdown_idle_threshold) + 3);
+  std::set<std::string> rules;
+  for (const TimingViolation& v : check_timing(log, test_config())) {
+    EXPECT_TRUE(known_model_fault(v, log));
+    rules.insert(v.rule);
+  }
+  EXPECT_EQ(rules, std::set<std::string>{"tCKE"});
+}
+
+CommandRecord cmd(Cycle at, Command c, int bank = -1, std::uint32_t row = 1,
+                  int rank = 0) {
+  return CommandRecord{at, c, bank < 0 ? -1 : rank, bank, row};
+}
+
+// A hand-made log that uses every command kind and meets every bound with
+// equality where it can: the checker must find nothing.
+TEST(DramTimingChecker, LegalHandMadeLogIsClean) {
+  const std::vector<CommandRecord> log = {
+      cmd(0, Command::kActivate, 0, 1),
+      cmd(16, Command::kRead, 0, 1),          // tRCD
+      cmd(40, Command::kWrite, 0, 1),         // read data end + tRTRS
+      cmd(84, Command::kPrecharge, 0),        // write data end + tWR
+      cmd(100, Command::kActivate, 0, 2),     // PRE + tRP
+      cmd(160, Command::kPrechargeAll),
+      cmd(176, Command::kRefresh),            // PREab + tRP
+      cmd(400, Command::kPowerDownEntry),
+      cmd(420, Command::kPowerDownExit),
+      cmd(429, Command::kActivate, 1, 3),     // PDX + tXP, REF + tRFC
+      cmd(441, Command::kRefreshBank, 2),
+      cmd(549, Command::kActivate, 2, 1),     // REFpb + tRFCpb
+  };
+  const auto violations = check_timing(log, test_config());
+  EXPECT_TRUE(violations.empty()) << describe(violations, log);
+}
+
+// One hand-made log per rule, each breaking that rule and no other, so
+// every check is shown to fire on its own.
+TEST(DramTimingChecker, EveryRuleFiresOnAHandMadeViolation) {
+  struct Case {
+    const char* rule;
+    std::vector<CommandRecord> log;
+    void (*tweak)(DramConfig&) = nullptr;
+  };
+  const std::vector<Case> cases = {
+      {"tRCD", {cmd(0, Command::kActivate, 0), cmd(10, Command::kRead, 0)}},
+      {"tRP",
+       {cmd(0, Command::kActivate, 0), cmd(100, Command::kPrecharge, 0),
+        cmd(110, Command::kActivate, 0)}},
+      {"tRAS", {cmd(0, Command::kActivate, 0), cmd(40, Command::kPrecharge, 0)}},
+      {"tRC",
+       {cmd(0, Command::kActivate, 0), cmd(51, Command::kPrecharge, 0),
+        cmd(70, Command::kActivate, 0)}},
+      {"tRRD", {cmd(0, Command::kActivate, 0), cmd(5, Command::kActivate, 1)}},
+      {"tFAW",
+       {cmd(0, Command::kActivate, 0), cmd(4, Command::kActivate, 1),
+        cmd(8, Command::kActivate, 2), cmd(12, Command::kActivate, 3),
+        cmd(16, Command::kActivate, 4)},
+       [](DramConfig& c) { c.timing.tRRD = 4; }},
+      {"tCCD",
+       {cmd(0, Command::kActivate, 0), cmd(12, Command::kActivate, 1),
+        cmd(30, Command::kRead, 0), cmd(40, Command::kRead, 1)},
+       [](DramConfig& c) { c.timing.tCCD = 12; }},
+      {"tRTP",
+       {cmd(0, Command::kActivate, 0), cmd(45, Command::kRead, 0),
+        cmd(51, Command::kPrecharge, 0)}},
+      {"tWTR",
+       {cmd(0, Command::kActivate, 0), cmd(16, Command::kWrite, 0),
+        cmd(40, Command::kRead, 0)}},
+      {"tWR",
+       {cmd(0, Command::kActivate, 0), cmd(16, Command::kWrite, 0),
+        cmd(55, Command::kPrecharge, 0)}},
+      {"tRTRS",  // write data right behind read data
+       {cmd(0, Command::kActivate, 0), cmd(16, Command::kRead, 0),
+        cmd(39, Command::kWrite, 0)}},
+      {"tRTRS",  // rank switch with no idle bus cycle
+       {cmd(0, Command::kActivate, 0, 1, 0), cmd(12, Command::kActivate, 0, 1, 1),
+        cmd(20, Command::kRead, 0, 1, 0), cmd(28, Command::kRead, 0, 1, 1)},
+       [](DramConfig& c) { c.geometry.ranks = 2; }},
+      {"burst",
+       {cmd(0, Command::kActivate, 0), cmd(12, Command::kActivate, 1),
+        cmd(28, Command::kWrite, 0), cmd(32, Command::kWrite, 1)},
+       [](DramConfig& c) { c.timing.tCCD = 4; }},
+      {"tRFC", {cmd(0, Command::kRefresh), cmd(100, Command::kActivate, 0)}},
+      {"tRFC", {cmd(0, Command::kRefresh), cmd(100, Command::kRefresh)}},
+      {"tRFCpb",
+       {cmd(0, Command::kRefreshBank, 0), cmd(50, Command::kActivate, 0)}},
+      {"tRP",
+       {cmd(0, Command::kActivate, 0), cmd(60, Command::kPrecharge, 0),
+        cmd(70, Command::kRefresh)}},
+      {"tCKE",
+       {cmd(100, Command::kPowerDownEntry), cmd(104, Command::kPowerDownExit),
+        cmd(120, Command::kActivate, 0)}},
+      {"tCKE",  // CKE high for less than tCKE between two power-downs
+       {cmd(100, Command::kPowerDownEntry), cmd(120, Command::kPowerDownExit),
+        cmd(125, Command::kPowerDownEntry), cmd(140, Command::kPowerDownExit)}},
+      {"tXP",
+       {cmd(100, Command::kPowerDownEntry), cmd(120, Command::kPowerDownExit),
+        cmd(123, Command::kActivate, 0)}},
+      {"state",  // RD to a row that is not open
+       {cmd(0, Command::kActivate, 0, 1), cmd(20, Command::kRead, 0, 2)}},
+      {"state",  // a command while powered down
+       {cmd(100, Command::kPowerDownEntry), cmd(110, Command::kActivate, 0)}},
+      {"state",  // ACT to a bank with a row open
+       {cmd(0, Command::kActivate, 0, 1), cmd(80, Command::kActivate, 0, 2)}},
+      {"state",  // REFab with a row open
+       {cmd(0, Command::kActivate, 0, 1), cmd(300, Command::kRefresh)}},
+  };
+  for (const Case& c : cases) {
+    DramConfig config = test_config();
+    if (c.tweak != nullptr) c.tweak(config);
+    const auto violations = check_timing(c.log, config);
+    std::set<std::string> rules;
+    for (const TimingViolation& v : violations) rules.insert(v.rule);
+    EXPECT_EQ(rules, std::set<std::string>{c.rule})
+        << c.rule << ": " << describe(violations, c.log);
+  }
+}
+
+TEST(DramTimingChecker, SparseTraceThroughTheSimulator) {
+  // A few records per idle stretch, far apart: every channel powers down
+  // and refreshes while idle.
+  trace::TraceBatch trace;
+  std::mt19937_64 rng(7);
+  Cycle t = 0;
+  for (int i = 0; i < 3000; ++i) {
+    t += i % 20 == 0 ? rng() % 20000 : rng() % 200;
+    trace::TraceRecord rec;
+    rec.address = (rng() % (1u << 26)) & ~Address{63};
+    rec.arrival = t;
+    rec.type = rng() % 5 == 0 ? AccessType::kWrite : AccessType::kRead;
+    trace.push_back(rec);
+  }
+  for (const sim::PrefetcherKind kind : sim::all_prefetcher_kinds()) {
+    auto n = run_and_check(sim::SimConfig{}, kind, trace);
+    EXPECT_GT(n[Command::kRefresh], 0u);
+    EXPECT_GT(n[Command::kPowerDownEntry], 0u);
+  }
 }
 
 }  // namespace

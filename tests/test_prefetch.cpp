@@ -242,5 +242,65 @@ TEST(Spp, ConfidenceDecaysOnNoisyPatterns) {
   EXPECT_GT(seq_out.size(), 2 * noise_out.size());
 }
 
+// ---------------------------------------------------------- signature table
+
+SignatureTable::Entry st(std::uint16_t signature, int last_offset = 0) {
+  return SignatureTable::Entry{signature, last_offset};
+}
+
+TEST(SignatureTable, FindMissOnEmpty) {
+  SignatureTable t(4);
+  EXPECT_EQ(t.find(1), nullptr);
+  EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(SignatureTable, InsertThenFind) {
+  SignatureTable t(4);
+  EXPECT_FALSE(t.insert(1, st(100, 3)).has_value());
+  ASSERT_NE(t.find(1), nullptr);
+  EXPECT_EQ(t.find(1)->signature, 100);
+  EXPECT_EQ(t.find(1)->last_offset, 3);
+}
+
+TEST(SignatureTable, InsertOverwritesExistingKey) {
+  SignatureTable t(4);
+  t.insert(1, st(100));
+  EXPECT_FALSE(t.insert(1, st(200)).has_value());
+  EXPECT_EQ(t.find(1)->signature, 200);
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(SignatureTable, EvictsLeastRecentlyUsed) {
+  SignatureTable t(2);
+  t.insert(1, st(10));
+  t.insert(2, st(20));
+  t.find(1);  // refresh 1; victim should be 2
+  const auto evicted = t.insert(3, st(30));
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(*evicted, 2u);
+  EXPECT_NE(t.find(1), nullptr);
+  EXPECT_EQ(t.find(2), nullptr);
+}
+
+TEST(SignatureTable, PeekDoesNotRefreshLru) {
+  SignatureTable t(2);
+  t.insert(1, st(10));
+  t.insert(2, st(20));
+  t.peek(1);  // does NOT refresh: 1 stays LRU
+  const auto evicted = t.insert(3, st(30));
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(*evicted, 1u);
+}
+
+TEST(SignatureTable, SingleSlotTableAlwaysEvictsItsOnlyEntry) {
+  SignatureTable t(1);
+  EXPECT_FALSE(t.insert(1, st(10)).has_value());
+  EXPECT_NE(t.find(1), nullptr);
+  EXPECT_EQ(t.insert(2, st(20)), std::optional<PageNumber>{1});
+  EXPECT_EQ(t.find(1), nullptr);
+  EXPECT_EQ(t.find(2)->signature, 20);
+  EXPECT_EQ(t.size(), 1u);
+}
+
 }  // namespace
 }  // namespace planaria::prefetch

@@ -14,8 +14,8 @@
 #include "common/bitmap.hpp"
 #include "common/rng.hpp"
 #include "common/set_table.hpp"
-#include "common/table.hpp"
 #include "core/planaria.hpp"
+#include "prefetch/spp.hpp"
 #include "dram/channel.hpp"
 #include "trace/apps.hpp"
 #include "trace/generator.hpp"
@@ -71,22 +71,21 @@ TEST_P(SeededProperty, BitmapSetAlgebra) {
 
 // ------------------------------------------------ tables vs map references
 
-TEST_P(SeededProperty, LruTableNeverLosesMostRecent) {
+TEST_P(SeededProperty, SignatureTableNeverLosesMostRecent) {
   Rng rng(GetParam());
-  LruTable<std::uint64_t, std::uint64_t> table(8);
+  prefetch::SignatureTable table(8);
   std::uint64_t last_key = 0;
   bool have_last = false;
   for (int step = 0; step < 3000; ++step) {
     const std::uint64_t key = rng.next_below(32);
-    if (rng.chance(0.7)) {
-      table.insert(key, key * 10);
+    if (rng.chance(0.6)) {
+      table.insert(key, {static_cast<std::uint16_t>(key * 10),
+                         static_cast<int>(key % 16)});
       last_key = key;
       have_last = true;
-    } else if (rng.chance(0.5)) {
-      table.erase(key);
-      if (have_last && key == last_key) have_last = false;
     } else if (const auto* v = table.find(key); v != nullptr) {
-      ASSERT_EQ(*v, key * 10);
+      ASSERT_EQ(v->signature, key * 10);
+      ASSERT_EQ(v->last_offset, static_cast<int>(key % 16));
       last_key = key;  // find refreshes recency
     }
     ASSERT_LE(table.size(), table.capacity());

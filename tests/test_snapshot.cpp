@@ -37,7 +37,6 @@
 #include "check/contract.hpp"
 #include "common/rng.hpp"
 #include "common/set_table.hpp"
-#include "common/table.hpp"
 #include "core/coordinators.hpp"
 #include "core/planaria.hpp"
 #include "core/slp.hpp"
@@ -1052,6 +1051,12 @@ TEST_F(SnapshotFileTest, SweepMixesCellFileSnapshotAndColdStart) {
   sim::ExperimentRunner cells(sim::SimConfig{}, kRecords, 1);
   cells.set_checkpoint_dir(dir_.string());
   cells.sweep({sim::PrefetcherKind::kNone});
+
+  // The mid-cell interval reaches a runner only through its environment.
+  setenv("PLANARIA_CHECKPOINT_EVERY", std::to_string(kEvery).c_str(), 1);
+  sim::ExperimentRunner mixed(sim::SimConfig{}, kRecords, 4);
+  unsetenv("PLANARIA_CHECKPOINT_EVERY");
+  mixed.set_checkpoint_dir(dir_.string());
   for (const std::string& app : trace::app_names()) {
     const auto t = trace::generate_app_trace(trace::app_by_name(app), kRecords);
     sim::Simulator part(sim::SimConfig{},
@@ -1062,14 +1067,8 @@ TEST_F(SnapshotFileTest, SweepMixesCellFileSnapshotAndColdStart) {
     ckpt.dir = dir_.string();
     ckpt.every = kEvery;
     ckpt.label = "cell_" + app + "_bop";
-    sim::write_checkpoint(part, ckpt, kCursor, sim::trace_fingerprint(t));
+    sim::write_checkpoint(part, ckpt, kCursor, mixed.snapshot_key(app));
   }
-
-  // The mid-cell interval reaches a runner only through its environment.
-  setenv("PLANARIA_CHECKPOINT_EVERY", std::to_string(kEvery).c_str(), 1);
-  sim::ExperimentRunner mixed(sim::SimConfig{}, kRecords, 4);
-  unsetenv("PLANARIA_CHECKPOINT_EVERY");
-  mixed.set_checkpoint_dir(dir_.string());
   const auto got = mixed.sweep(kinds);
   for (const auto& [app, per_kind] : want) {
     for (const auto& [kind_name, result] : per_kind) {
@@ -1080,6 +1079,55 @@ TEST_F(SnapshotFileTest, SweepMixesCellFileSnapshotAndColdStart) {
     EXPECT_FALSE(fs::exists(dir_ / ("cell_" + app + "_bop.snap"))) << app;
     EXPECT_FALSE(fs::exists(dir_ / ("cell_" + app + "_planaria.snap"))) << app;
   }
+}
+
+// A mid-cell snapshot is keyed by the configuration as well as the trace.
+// One left by a killed run at promote_threshold=3 must not be resumed by a
+// run at 2: that run equals an uninterrupted run at 2.
+TEST_F(SnapshotFileTest, MidCellSnapshotUnderAnotherConfigIsNotResumed) {
+  constexpr std::uint64_t kRecords = 20000;
+  constexpr std::uint64_t kEvery = 5000;
+  constexpr std::uint64_t kCursor = 10000;
+  const std::string app = "HoK";
+  const auto runner_at = [&](int threshold, bool checkpoints) {
+    setenv("PLANARIA_CHECKPOINT_EVERY", std::to_string(kEvery).c_str(), 1);
+    auto runner =
+        std::make_unique<sim::ExperimentRunner>(sim::SimConfig{}, kRecords, 1);
+    unsetenv("PLANARIA_CHECKPOINT_EVERY");
+    runner->set_checkpoint_dir(checkpoints ? dir_.string() : "");
+    runner->planaria_config().slp.promote_threshold = threshold;
+    return runner;
+  };
+  // Leaves the snapshot of `rows` rows simulated under `killed`'s
+  // configuration, claiming cursor kCursor.
+  const auto leave_snapshot = [&](sim::ExperimentRunner& killed,
+                                  std::uint64_t rows) {
+    const auto t = trace::generate_app_trace(trace::app_by_name(app), kRecords);
+    sim::Simulator part(
+        sim::SimConfig{},
+        sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria,
+                                     killed.planaria_config()),
+        "planaria");
+    part.run_sharded(t, 0, rows);
+    sim::CheckpointConfig ckpt;
+    ckpt.dir = dir_.string();
+    ckpt.every = kEvery;
+    ckpt.label = "cell_" + app + "_planaria";
+    sim::write_checkpoint(part, ckpt, kCursor, killed.snapshot_key(app));
+  };
+  const auto killed = runner_at(3, true);
+
+  leave_snapshot(*killed, kCursor);
+  const auto want = runner_at(2, false)->run(app, sim::PrefetcherKind::kPlanaria);
+  EXPECT_TRUE(runner_at(2, true)->run(app, sim::PrefetcherKind::kPlanaria) ==
+              want);
+
+  // Control: under its own configuration the key matches and the snapshot
+  // is resumed. This one holds only 5000 rows' state while claiming
+  // kCursor, so resuming it skips rows and shows in the result.
+  leave_snapshot(*killed, kCursor / 2);
+  EXPECT_FALSE(runner_at(3, true)->run(app, sim::PrefetcherKind::kPlanaria) ==
+               runner_at(3, false)->run(app, sim::PrefetcherKind::kPlanaria));
 }
 
 // ---------------------------------------------------------------------------
@@ -1380,10 +1428,11 @@ TEST(TlpSnapshotValidation, LastUseAheadOfTickIsRejected) {
 
 // ------------------------------------------- crafted table sections
 //
-// LruTable and SetAssocTable sections are outside input too: a key resident
-// twice, a stamp ahead of the table tick, or (set-associative only) a key
-// stored outside the set its hash selects is something no run could have
-// saved, and must be refused in every build, not only under debug asserts.
+// SPP signature-table and SetAssocTable sections are outside input too: a
+// key resident twice, a stamp ahead of the table tick, or (set-associative
+// only) a key stored outside the set its hash selects is something no run
+// could have saved, and must be refused in every build, not only under
+// debug asserts.
 
 /// One valid slot of a hand-built table section.
 struct CraftedTableSlot {
@@ -1491,79 +1540,107 @@ TEST(TableSnapshotValidation, PtKeyOutsideItsSetIsRejected) {
                snapshot::SnapshotError);
 }
 
-/// An LruTable<u64, u64> section with the given slots (payload = key + 1).
-std::vector<std::uint8_t> craft_lru_stream(
-    const std::vector<CraftedTableSlot>& slots, std::uint64_t tick) {
+/// A signature-table section with the given slots (signature = key + 1,
+/// last offset = key % 16).
+std::vector<std::uint8_t> craft_st_stream(
+    const std::vector<CraftedTableSlot>& slots, std::uint64_t tick,
+    std::uint64_t live) {
   snapshot::Writer w;
   w.u64(tick);
-  w.u64(slots.size());
+  w.u64(live);
   for (const CraftedTableSlot& s : slots) {
     w.u64(s.slot);
     w.u64(s.key);
     w.u64(s.last_use);
-    w.u64(s.key + 1);
+    w.u16(static_cast<std::uint16_t>(s.key + 1));
+    w.i64(static_cast<std::int64_t>(s.key % 16));
   }
   return w.buffer();
 }
+std::vector<std::uint8_t> craft_st_stream(
+    const std::vector<CraftedTableSlot>& slots, std::uint64_t tick) {
+  return craft_st_stream(slots, tick, slots.size());
+}
 
-void load_crafted_lru(const std::vector<std::uint8_t>& stream) {
-  LruTable<std::uint64_t, std::uint64_t> table(4);
+void load_crafted_st(const std::vector<std::uint8_t>& stream) {
+  prefetch::SignatureTable table(4);
   snapshot::Reader r(stream);
-  table.load_state(r, [](snapshot::Reader& i) { return i.u64(); });
+  table.load_state(r);
   r.require_end();
 }
 
-TEST(TableSnapshotValidation, LruKeyResidentTwiceIsRejected) {
-  EXPECT_THROW(load_crafted_lru(craft_lru_stream({{0, 7, 1}, {2, 7, 2}}, 2)),
+TEST(TableSnapshotValidation, SignatureTableKeyResidentTwiceIsRejected) {
+  EXPECT_THROW(load_crafted_st(craft_st_stream({{0, 7, 1}, {2, 7, 2}}, 2)),
                snapshot::SnapshotError);
 }
 
-TEST(TableSnapshotValidation, LruLastUseAheadOfTickIsRejected) {
-  EXPECT_THROW(load_crafted_lru(craft_lru_stream({{0, 7, 1}, {1, 9, 4}}, 3)),
+TEST(TableSnapshotValidation, SignatureTableLastUseAheadOfTickIsRejected) {
+  EXPECT_THROW(load_crafted_st(craft_st_stream({{0, 7, 1}, {1, 9, 4}}, 3)),
                snapshot::SnapshotError);
 }
 
-TEST(TableSnapshotValidation, WellFormedCraftedLruLoadsAndEvictsOldest) {
-  const auto stream = craft_lru_stream({{0, 7, 2}, {1, 9, 1}, {3, 11, 3}}, 3);
-  LruTable<std::uint64_t, std::uint64_t> table(4);
+TEST(TableSnapshotValidation, SignatureTableSlotsOutOfOrderAreRejected) {
+  EXPECT_THROW(load_crafted_st(craft_st_stream({{2, 7, 1}, {1, 9, 2}}, 2)),
+               snapshot::SnapshotError);
+  EXPECT_THROW(load_crafted_st(craft_st_stream({{1, 7, 1}, {1, 9, 2}}, 2)),
+               snapshot::SnapshotError);
+  EXPECT_THROW(load_crafted_st(craft_st_stream({{4, 7, 1}}, 1)),
+               snapshot::SnapshotError);
+}
+
+TEST(TableSnapshotValidation, SignatureTableLiveCountOverCapacityIsRejected) {
+  EXPECT_THROW(load_crafted_st(craft_st_stream({}, 0, 5)),
+               snapshot::SnapshotError);
+}
+
+TEST(TableSnapshotValidation, WellFormedCraftedSignatureTableLoadsAndEvictsOldest) {
+  const auto stream = craft_st_stream({{0, 7, 2}, {1, 9, 1}, {3, 11, 3}}, 3);
+  prefetch::SignatureTable table(4);
   snapshot::Reader r(stream);
-  table.load_state(r, [](snapshot::Reader& i) { return i.u64(); });
+  table.load_state(r);
   r.require_end();
   ASSERT_NE(table.peek(9), nullptr);
-  EXPECT_EQ(*table.peek(9), 10u);
+  EXPECT_EQ(table.peek(9)->signature, 10u);
+  EXPECT_EQ(table.peek(9)->last_offset, 9);
   // Slot 2 is free, so the first insert fills it; the next evicts key 9,
-  // the minimum stamp.
-  EXPECT_FALSE(table.insert(13, 14).has_value());
-  const auto evicted = table.insert(15, 16);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(evicted->key, 9u);
+  // the minimum stamp, then key 7.
+  EXPECT_FALSE(table.insert(13, {14, 13}).has_value());
+  EXPECT_EQ(table.insert(15, {16, 15}), std::optional<PageNumber>{9});
+  EXPECT_EQ(table.insert(17, {18, 1}), std::optional<PageNumber>{7});
+  snapshot::Writer again;
+  table.save_state(again);
+  EXPECT_EQ(again.buffer(),
+            craft_st_stream({{0, 17, 6}, {1, 15, 5}, {2, 13, 4}, {3, 11, 3}},
+                            6));
 }
 
-TEST(SnapshotTypeCoverage, LruTableRoundTripsWithExactRecency) {
-  LruTable<std::uint64_t, std::uint64_t> table(8);
-  for (std::uint64_t k = 0; k < 13; ++k) table.insert(k * 3, k + 100);
+TEST(SnapshotTypeCoverage, SignatureTableRoundTripsWithExactRecency) {
+  prefetch::SignatureTable table(8);
+  for (std::uint64_t k = 0; k < 13; ++k) {
+    table.insert(k * 3, {static_cast<std::uint16_t>(k + 100), 0});
+  }
   // Refresh a surviving entry (the first 5 inserts were evicted) so recency
   // differs from insertion order.
   table.find(18);
-  const auto encode = [](snapshot::Writer& w, const std::uint64_t& p) {
-    w.u64(p);
-  };
-  const auto decode = [](snapshot::Reader& r) { return r.u64(); };
 
   snapshot::Writer first;
-  table.save_state(first, encode);
+  table.save_state(first);
 
-  LruTable<std::uint64_t, std::uint64_t> restored(8);
+  prefetch::SignatureTable restored(8);
   snapshot::Reader r(first.buffer());
-  restored.load_state(r, decode);
+  restored.load_state(r);
   r.require_end();
   EXPECT_EQ(restored.size(), table.size());
   ASSERT_NE(restored.peek(18), nullptr);
-  EXPECT_EQ(*restored.peek(18), 106u);
+  EXPECT_EQ(restored.peek(18)->signature, 106u);
 
   snapshot::Writer second;
-  restored.save_state(second, encode);
+  restored.save_state(second);
   EXPECT_EQ(first.buffer(), second.buffer());
+  // The restored list evicts in the same order as the original.
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(restored.insert(1000 + k, {}), table.insert(1000 + k, {})) << k;
+  }
 }
 
 TEST(SnapshotTypeCoverage, SetAssocTableRoundTripsWithExactRecency) {

@@ -28,7 +28,7 @@
 //     scanned at their definition site, which matches the define-then-call
 //     shape every codec in this tree uses;
 //   * templates are analyzed once over their written body, never per
-//     instantiation — one LruTable node stands for every payload type.
+//     instantiation — one SetAssocTable node stands for every payload type.
 //
 // Waivers: a lint-prefixed `volatile(<member>): reason` comment near the
 // member or the codec, or a `volatile-member <spec> : <reason>` line in
