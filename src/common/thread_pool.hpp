@@ -91,4 +91,18 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs fn(0..n-1) on `pool` when it has more than one lane and there is
+/// more than one index, serially in index order otherwise. The one
+/// pool-or-serial dispatch: registered as a parallel-api in
+/// tools/lint/layers.conf, so the race-* family scans lambdas passed here
+/// even at call sites that only ever see the serial fallback.
+template <typename Fn>
+void for_each_ready(ThreadPool* pool, std::size_t n, const Fn& fn) {
+  if (pool != nullptr && pool->size() > 1 && n > 1) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 }  // namespace planaria::common

@@ -75,15 +75,6 @@ bool session_state_terminal(SessionState state) {
   }
 }
 
-void for_each_ready(common::ThreadPool* pool, std::size_t n,
-                    const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
 SessionServer::SessionServer(ServeConfig config, std::size_t threads)
     : config_(std::move(config)) {
   config_.validate();
@@ -139,7 +130,7 @@ void SessionServer::materialize(Session& s) const {
 
 void SessionServer::build_sim(Session& s) const {
   sim::SimConfig cfg = config_.sim;
-  if (config_.per_session_fault_streams && cfg.fault.any_enabled()) {
+  if (cfg.fault.any_enabled()) {
     cfg.fault = cfg.fault.for_session(s.id);
   }
   s.sim = std::make_unique<sim::Simulator>(
@@ -243,10 +234,7 @@ void SessionServer::handle_fault(Session& s, bool rebuild) {
     build_sim(s);
     if (s.fed > 0) s.sim->run_sharded(s.batch, 0, s.fed, pool_.get());
   }
-  std::uint64_t shift = static_cast<std::uint64_t>(s.attempts) - 1;
-  if (shift > 62) shift = 62;
-  std::uint64_t delay = config_.backoff_base_ticks << shift;
-  if (delay > config_.backoff_cap_ticks) delay = config_.backoff_cap_ticks;
+  std::uint64_t delay = backoff_delay(s.attempts);
   if (s.drill != nullptr && config_.backoff_base_ticks > 1) {
     // Deterministic jitter off the drill's target-selection stream —
     // seeded, checkpointed with the injector, never wall clock.
@@ -256,6 +244,13 @@ void SessionServer::handle_fault(Session& s, bool rebuild) {
   s.backoff_until = tick_ + delay;
   ++counters_.backoff_events;
   counters_.backoff_ticks_waited += delay;
+}
+
+std::uint64_t SessionServer::backoff_delay(int attempt) const {
+  const std::uint64_t shift =
+      std::min<std::uint64_t>(static_cast<std::uint64_t>(attempt) - 1, 62);
+  return std::min(config_.backoff_base_ticks << shift,
+                  config_.backoff_cap_ticks);
 }
 
 void SessionServer::fold_into_summary(const Session& s) {
@@ -355,8 +350,8 @@ bool SessionServer::tick() {
   admit_pending();
   ingest_all();
   const std::size_t n = collect_runnable();
-  for_each_ready(pool_.get(), n,
-                 [this](std::size_t i) { run_quantum(i); });
+  common::for_each_ready(pool_.get(), n,
+                         [this](std::size_t i) { run_quantum(i); });
   post_tick();
   if (all_terminal()) {
     finalize(/*write_final=*/true);
@@ -425,7 +420,6 @@ std::uint64_t SessionServer::fleet_fingerprint() const {
   w.u64(config_.backoff_cap_ticks);
   w.f64(config_.session_fault_rate);
   w.u64(config_.drill_seed);
-  w.b(config_.per_session_fault_streams);
   w.u64(config_.sim.fault.seed);
   for (double r : config_.sim.fault.rate) w.f64(r);
   w.u64(sessions_.size());
@@ -505,10 +499,7 @@ void SessionServer::degrade_checkpoint(const std::string& why) {
   // tick.
   if (ckpt_failstreak_ < config_.max_attempts) {
     ++ckpt_failstreak_;
-    std::uint64_t shift = static_cast<std::uint64_t>(ckpt_failstreak_) - 1;
-    if (shift > 62) shift = 62;
-    std::uint64_t delay = config_.backoff_base_ticks << shift;
-    if (delay > config_.backoff_cap_ticks) delay = config_.backoff_cap_ticks;
+    std::uint64_t delay = backoff_delay(ckpt_failstreak_);
     if (config_.backoff_base_ticks > 1) {
       delay += ckpt_jitter_.next_below(config_.backoff_base_ticks);
     }

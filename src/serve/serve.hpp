@@ -51,7 +51,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,9 +83,6 @@ struct ServeConfig {
   /// a per-session stream — "tenant submitted a malformed batch"). 0 = off.
   double session_fault_rate = 0.0;
   std::uint64_t drill_seed = 0xD811;  ///< seed for the drill fault streams
-  /// Derive each session's SimConfig fault plan via FaultPlan::for_session
-  /// so tenants draw disjoint in-simulator fault sequences from one plan.
-  bool per_session_fault_streams = true;
   std::string checkpoint_dir;             ///< empty = no crash safety
   std::uint64_t checkpoint_every_ticks = 0;  ///< envelope cadence; 0 = off
   bool checkpointing() const {
@@ -198,14 +194,6 @@ struct FleetSummary {
   friend bool operator==(const FleetSummary&, const FleetSummary&) = default;
 };
 
-/// Dispatch helper for the per-tick quantum fan-out: runs fn(0..n-1) on the
-/// pool when one is present, serially otherwise. Registered as a
-/// parallel-api in tools/lint/layers.conf so lambdas passed here are
-/// scanned by the race-* family even at call sites that only ever see the
-/// serial fallback.
-void for_each_ready(common::ThreadPool* pool, std::size_t n,
-                    const std::function<void(std::size_t)>& fn);
-
 // lint: suppress(snapshot-missing) the server checkpoints through its own envelope + per-session sim snapshots, not the Snapshottable interface
 class SessionServer {
  public:
@@ -285,6 +273,9 @@ class SessionServer {
   void run_quantum(std::size_t slot);  ///< hot root (tools/lint/layers.conf)
   void post_tick();
   void handle_fault(Session& s, bool rebuild);
+  /// Ticks to wait before retry `attempt` (1-based), before jitter:
+  /// min(backoff_base_ticks << (attempt-1), backoff_cap_ticks).
+  std::uint64_t backoff_delay(int attempt) const;
   void complete(Session& s);
   void shed(Session& s, SessionState why);
   void release_heavy(Session& s);

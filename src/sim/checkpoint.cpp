@@ -189,10 +189,23 @@ std::uint64_t load_checkpoint(Simulator& sim, const std::string& path,
   return cursor;
 }
 
+namespace {
+
+/// Rows [begin, end) of `batch`: one chunk of the checkpointed loop's feed.
+struct TraceSpan {
+  const trace::TraceBatch* batch = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// A Simulator restored from the newest intact snapshot of an enabled
+/// `ckpt` (current, then .prev) taken under `key` at a cursor within
+/// `records`, else a fresh one (cold start). `cursor` receives the record to
+/// continue at and `report` the recovery trail (reset first).
 std::unique_ptr<Simulator> restore_or_start(
     const SimConfig& config, PrefetcherFactory factory,
     std::string prefetcher_name, const CheckpointConfig& ckpt,
-    std::uint64_t fingerprint, std::uint64_t records, std::uint64_t& cursor,
+    std::uint64_t key, std::uint64_t records, std::uint64_t& cursor,
     RecoveryReport& report) {
   report = RecoveryReport{};
   cursor = 0;
@@ -208,8 +221,7 @@ std::unique_ptr<Simulator> restore_or_start(
       auto attempt = std::make_unique<Simulator>(config, factory,
                                                 prefetcher_name);
       try {
-        const std::uint64_t at =
-            load_checkpoint(*attempt, candidates[i], fingerprint);
+        const std::uint64_t at = load_checkpoint(*attempt, candidates[i], key);
         if (at > records) {
           throw snapshot::SnapshotError(
               "snapshot cursor lies beyond the end of the trace");
@@ -230,57 +242,95 @@ std::unique_ptr<Simulator> restore_or_start(
                                      std::move(prefetcher_name));
 }
 
+/// The one resume-feed-checkpoint loop. Restores from current, then .prev,
+/// then cold (restore_or_start), and feeds the rows past the cursor through
+/// run_sharded in chunks of at most `max_rows` that also end at every
+/// multiple of `ckpt.every`, checkpointing under `key` after each such
+/// boundary except the last. `next(rows)` yields the next chunk of the
+/// trace, in order from row 0, as a [begin, end) span of at most `rows`
+/// rows; rows before the cursor are skipped, not simulated.
+template <typename NextSpan>
+SimResult feed_checkpointed(const SimConfig& config, PrefetcherFactory factory,
+                            std::string prefetcher_name, std::uint64_t records,
+                            std::uint64_t key, const CheckpointConfig& ckpt,
+                            common::ThreadPool* pool, RecoveryReport* report,
+                            std::uint64_t max_rows, NextSpan next) {
+  RecoveryReport local;
+  RecoveryReport& rep = report != nullptr ? *report : local;
+  std::uint64_t cursor = 0;
+  const std::unique_ptr<Simulator> sim =
+      restore_or_start(config, std::move(factory), std::move(prefetcher_name),
+                       ckpt, key, records, cursor, rep);
+  for (std::uint64_t pos = 0; pos < records;) {
+    std::uint64_t rows = max_rows;
+    if (ckpt.enabled()) {
+      rows = std::min(rows, ckpt.every - pos % ckpt.every);
+    }
+    const TraceSpan span = next(rows);
+    const std::uint64_t end = pos + (span.end - span.begin);
+    if (end == pos) break;  // the source ran dry early
+    if (cursor < end) {
+      sim->run_sharded(*span.batch,
+                       span.begin + static_cast<std::size_t>(
+                                        std::max(cursor, pos) - pos),
+                       span.end, pool);
+      cursor = end;
+      // No checkpoint after the final chunk: the result is about to be
+      // returned, and a stale full-run snapshot would poison the next run.
+      // A failed write (rotation included) is degraded-mode, not fatal: the
+      // state in memory is untouched, so the run continues and only
+      // resumability is lost — counted and noted, never silent.
+      if (ckpt.enabled() && end < records && end % ckpt.every == 0) {
+        try {
+          write_checkpoint(*sim, ckpt, end, key);
+        } catch (const snapshot::SnapshotError& e) {
+          ++rep.checkpoint_failures;
+          rep.notes.push_back("checkpoint at cursor " + std::to_string(end) +
+                              " failed: " + e.what());
+        }
+      }
+    }
+    pos = end;
+  }
+  return sim->finish();
+}
+
+}  // namespace
+
 SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
                            std::string prefetcher_name,
                            const trace::TraceBatch& batch,
                            const CheckpointConfig& ckpt,
                            common::ThreadPool* pool, RecoveryReport* report) {
-  RecoveryReport local;
-  RecoveryReport& rep = report != nullptr ? *report : local;
-
   const std::uint64_t n = batch.size();
-  const std::uint64_t fingerprint = trace_fingerprint(batch);
-  std::uint64_t cursor = 0;
-  const std::unique_ptr<Simulator> sim =
-      restore_or_start(config, std::move(factory), std::move(prefetcher_name),
-                       ckpt, fingerprint, n, cursor, rep);
-
-  const std::uint64_t chunk = ckpt.enabled() ? ckpt.every : n;
-  while (cursor < n) {
-    const std::uint64_t next = std::min(n, cursor + chunk);
-    sim->run_sharded(batch, cursor, next, pool);
-    cursor = next;
-    // No checkpoint after the final chunk: the result is about to be
-    // returned, and a stale full-run snapshot would poison the next run.
-    // A failed checkpoint write (rotation included) is degraded-mode, not
-    // fatal: the simulation state in memory is untouched, so the run
-    // continues and only resumability is lost — counted and noted, never
-    // silent.
-    if (ckpt.enabled() && cursor < n) {
-      try {
-        write_checkpoint(*sim, ckpt, cursor, fingerprint);
-      } catch (const snapshot::SnapshotError& e) {
-        ++rep.checkpoint_failures;
-        rep.notes.push_back("checkpoint at cursor " + std::to_string(cursor) +
-                            " failed: " + e.what());
-      }
-    }
-  }
-  return sim->finish();
+  std::size_t pos = 0;
+  return feed_checkpointed(
+      config, std::move(factory), std::move(prefetcher_name), n,
+      ckpt.enabled() ? trace_fingerprint(batch) : 0, ckpt, pool, report, n,
+      [&](std::uint64_t rows) {
+        const std::size_t begin = pos;
+        pos += static_cast<std::size_t>(std::min<std::uint64_t>(rows, n - pos));
+        return TraceSpan{&batch, begin, pos};
+      });
 }
 
-SimResult resume(const SimConfig& config, PrefetcherFactory factory,
-                 std::string prefetcher_name, const trace::TraceBatch& batch,
-                 const std::string& path, common::ThreadPool* pool) {
-  Simulator sim(config, std::move(factory), std::move(prefetcher_name));
-  const std::uint64_t cursor =
-      load_checkpoint(sim, path, trace_fingerprint(batch));
-  if (cursor > batch.size()) {
-    throw snapshot::SnapshotError(
-        "snapshot cursor lies beyond the end of the trace");
-  }
-  sim.run_sharded(batch, cursor, batch.size(), pool);
-  return sim.finish();
+SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
+                           std::string prefetcher_name,
+                           const trace::AppProfile& app, std::uint64_t records,
+                           std::uint64_t key, const CheckpointConfig& ckpt,
+                           common::ThreadPool* pool, RecoveryReport* report) {
+  // A Simulator's per-channel shards grow to the largest share of a chunk
+  // one channel receives, so the chunk size bounds them too (2^18-row
+  // chunks grew a skewed 64M-record HoK run's shards by ~3 MiB).
+  constexpr std::uint64_t kChunkRows = std::uint64_t{1} << 16;
+  trace::AppTraceStream stream(app, records);
+  trace::TraceBatch chunk;
+  return feed_checkpointed(
+      config, std::move(factory), std::move(prefetcher_name), records, key,
+      ckpt, pool, report, kChunkRows, [&](std::uint64_t rows) {
+        stream.next(chunk, static_cast<std::size_t>(rows));
+        return TraceSpan{&chunk, 0, chunk.size()};
+      });
 }
 
 }  // namespace planaria::sim

@@ -2,11 +2,13 @@
 //
 // The snapshot library (src/snapshot/) provides the byte format and the
 // atomic file envelope; this layer decides *when* to checkpoint and *what* to
-// trust at restart. A checkpointed run:
+// trust at restart. Both run_checkpointed overloads (a whole batch, or an
+// app's trace streamed; ExperimentRunner's cells use the latter) share one
+// loop, and a checkpointed run:
 //
-//   * feeds the trace in `every`-record [begin, end) spans through
-//     Simulator::run_sharded (chunked execution is bit-identical to a single
-//     call — see the contract on that function);
+//   * feeds the trace through Simulator::run_sharded in [begin, end) spans
+//     that end at every multiple of `every` (chunked execution is
+//     bit-identical to a single call — see the contract on that function);
 //   * after each full chunk rotates <label>.snap to <label>.snap.prev and
 //     atomically writes a fresh <label>.snap, so at every instant the
 //     directory holds at least one complete snapshot (last-good retention);
@@ -44,8 +46,9 @@ struct CheckpointConfig {
   std::string prev_path() const { return current_path() + ".prev"; }
 
   /// Reads PLANARIA_CHECKPOINT_DIR and PLANARIA_CHECKPOINT_EVERY; either
-  /// unset leaves checkpointing disabled. Throws std::invalid_argument on an
-  /// interval that is not a decimal integer (common::parse_env_uint).
+  /// unset leaves checkpointing disabled. ExperimentRunner is the one
+  /// reader; Simulator::run never checkpoints. Throws std::invalid_argument
+  /// on an interval that is not a decimal integer (common::parse_env_uint).
   static CheckpointConfig from_env();
 };
 
@@ -117,27 +120,19 @@ void write_checkpoint(const Simulator& sim, const CheckpointConfig& ckpt,
 /// Restores `sim` (freshly constructed from the same config/factory/name)
 /// from the snapshot at `path` and returns the record cursor to resume at.
 /// Throws snapshot::SnapshotError on any validation failure — envelope, tag
-/// structure, trace fingerprint or prefetcher mismatch; `sim` is then
-/// partially updated and must be discarded.
+/// structure, key (`expected_fingerprint`) or prefetcher mismatch; `sim` is
+/// then partially updated and must be discarded.
 std::uint64_t load_checkpoint(Simulator& sim, const std::string& path,
                               std::uint64_t expected_fingerprint);
 
-/// The resume half of run_checkpointed: a Simulator restored from the newest
-/// intact snapshot of an enabled `ckpt` (current, then .prev) taken against
-/// `fingerprint` at a cursor within `records`, else a fresh one (cold
-/// start). `cursor` receives the record to continue at and `report` the
-/// recovery trail (reset first).
-std::unique_ptr<Simulator> restore_or_start(
-    const SimConfig& config, PrefetcherFactory factory,
-    std::string prefetcher_name, const CheckpointConfig& ckpt,
-    std::uint64_t fingerprint, std::uint64_t records, std::uint64_t& cursor,
-    RecoveryReport& report);
-
-/// Crash-safe front end to Simulator::run. Resumes from the newest intact
-/// snapshot when `ckpt` is enabled (current, then .prev, else cold start —
-/// see RecoveryReport), then feeds the remaining records chunk by chunk with
-/// a checkpoint after every full chunk. Disabled `ckpt` degenerates to one
-/// chunk and no files. `report`, when non-null, receives the recovery trail.
+/// Crash-safe run of a whole trace. Resumes from the newest intact snapshot
+/// when `ckpt` is enabled (current, then .prev, else cold start — see
+/// RecoveryReport), then feeds the remaining records in chunks that end at
+/// every multiple of `ckpt.every`, checkpointing after each but the last. A
+/// failed checkpoint write is counted and noted in the report, never fatal.
+/// Disabled `ckpt` degenerates to one run_sharded call and no files.
+/// Snapshots are keyed by trace_fingerprint(batch). `report`, when
+/// non-null, receives the recovery trail.
 SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
                            std::string prefetcher_name,
                            const trace::TraceBatch& batch,
@@ -145,11 +140,16 @@ SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
                            common::ThreadPool* pool = nullptr,
                            RecoveryReport* report = nullptr);
 
-/// Explicit resume entry point: restores from exactly `path` (throwing
-/// snapshot::SnapshotError if it is missing or invalid — no fallback) and
-/// completes the run. Bit-identical to the uninterrupted run.
-SimResult resume(const SimConfig& config, PrefetcherFactory factory,
-                 std::string prefetcher_name, const trace::TraceBatch& batch,
-                 const std::string& path, common::ThreadPool* pool = nullptr);
+/// The same run over trace::AppTraceStream(app, records), fed in chunks of
+/// at most 2^16 rows so no trace is held; rows before a resumed cursor are
+/// generated and skipped. Snapshots are keyed by the caller's `key` (e.g. a
+/// trace fingerprint mixed with a configuration digest). Same throws as the
+/// stream's constructor.
+SimResult run_checkpointed(const SimConfig& config, PrefetcherFactory factory,
+                           std::string prefetcher_name,
+                           const trace::AppProfile& app, std::uint64_t records,
+                           std::uint64_t key, const CheckpointConfig& ckpt,
+                           common::ThreadPool* pool = nullptr,
+                           RecoveryReport* report = nullptr);
 
 }  // namespace planaria::sim

@@ -1,6 +1,5 @@
 #include "sim/experiment.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,7 +9,6 @@
 
 #include "common/block_map.hpp"
 #include "common/env.hpp"
-#include "trace/generator.hpp"
 
 namespace planaria::sim {
 
@@ -178,12 +176,7 @@ SimResult ExperimentRunner::run_cell(const std::string& app,
                                      PrefetcherKind kind,
                                      const PrefetcherFactory& factory,
                                      const CellKey& key, bool verbose) {
-  // A Simulator's per-channel shards grow to the largest share of a chunk
-  // one channel receives, so the chunk size bounds them too (2^18-row
-  // chunks grew a skewed 64M-record HoK run's shards by ~3 MiB).
-  constexpr std::size_t kChunkRows = std::size_t{1} << 16;
   const char* kind_name = prefetcher_kind_name(kind);
-  const trace::AppProfile& profile = trace::app_by_name(app);
   // Restarted sweep: a completed cell's persisted result is reloaded
   // verbatim (bit-identical by the snapshot round-trip guarantee) instead of
   // re-simulating; anything unreadable or mismatched falls through to a
@@ -208,37 +201,9 @@ SimResult ExperimentRunner::run_cell(const std::string& app,
     ckpt = {checkpoint_dir_, checkpoint_every_,
             std::string("cell_") + app + "_" + kind_name};
   }
-  std::uint64_t cursor = 0;
-  RecoveryReport report;
-  const std::uint64_t snapshot_key = key.snapshot_key();
-  const std::unique_ptr<Simulator> sim =
-      restore_or_start(config_, factory, kind_name, ckpt, snapshot_key,
-                       records_, cursor, report);
-  // The stream starts at row 0 and rows before a resumed cursor are skipped.
-  // With mid-cell snapshots on, chunks also end at every multiple of the
-  // interval, where the cell checkpoints as run_checkpointed would.
-  trace::AppTraceStream stream(profile, records_);
-  trace::TraceBatch chunk;
-  for (std::uint64_t pos = 0; pos < records_; pos += chunk.size()) {
-    std::size_t rows = kChunkRows;
-    if (ckpt.enabled()) {
-      rows = std::min<std::uint64_t>(rows, ckpt.every - pos % ckpt.every);
-    }
-    if (!stream.next(chunk, rows)) break;
-    const std::uint64_t end = pos + chunk.size();
-    if (cursor >= end) continue;
-    sim->run_sharded(chunk, static_cast<std::size_t>(cursor - pos),
-                     chunk.size(), pool_.get());
-    cursor = end;
-    if (ckpt.enabled() && end < records_ && end % ckpt.every == 0) {
-      try {
-        write_checkpoint(*sim, ckpt, end, snapshot_key);
-      } catch (const snapshot::SnapshotError&) {
-        // A failed write costs resumability, never the result.
-      }
-    }
-  }
-  result = sim->finish();
+  result = run_checkpointed(config_, factory, kind_name,
+                            trace::app_by_name(app), records_,
+                            key.snapshot_key(), ckpt, pool_.get());
   if (persist) store_cell(app, kind_name, key, result);
   return result;
 }
@@ -254,17 +219,12 @@ std::vector<SimResult> ExperimentRunner::run(
     const std::string& app, const std::vector<PrefetcherKind>& kinds) {
   const CellKey key = cell_key(app);
   std::vector<SimResult> results(kinds.size());
-  const auto run_one = [&](std::size_t k) {
+  common::for_each_ready(pool_.get(), kinds.size(), [&](std::size_t k) {
     results[k] = run_cell(app, kinds[k],
                           make_prefetcher_factory(kinds[k], planaria_, bop_,
                                                   spp_),
                           key, false);
-  };
-  if (pool_) {
-    pool_->parallel_for(kinds.size(), run_one);
-  } else {
-    for (std::size_t k = 0; k < kinds.size(); ++k) run_one(k);
-  }
+  });
   return results;
 }
 
@@ -285,20 +245,13 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
   // cells' key is taken per sweep: one fingerprint pass per app, not per
   // cell.
   std::vector<CellKey> keys(apps.size());
-  const auto key_app = [&](std::size_t a) { keys[a] = cell_key(apps[a]); };
-  if (pool_) {
-    pool_->parallel_for(apps.size(), key_app);
-  } else {
-    for (std::size_t a = 0; a < apps.size(); ++a) key_app(a);
-  }
+  common::for_each_ready(pool_.get(), apps.size(),
+                         [&](std::size_t a) { keys[a] = cell_key(apps[a]); });
 
   // Flatten the grid so the pool can claim cells; results land in a
   // preallocated slot per cell, which keeps the output independent of
-  // completion order. Failure slots are likewise per-cell (unique_ptr, one
-  // writer each — never a shared vector push from pooled tasks) and compacted
-  // in cell order after the join, so the report is deterministic too.
+  // completion order.
   std::vector<SimResult> results(apps.size() * kinds.size());
-  std::vector<std::unique_ptr<FailureReport>> failed(results.size());
   const auto attempt_one = [&](std::size_t i) {
     const std::size_t a = i / kinds.size();
     const std::size_t k = i % kinds.size();
@@ -306,105 +259,39 @@ std::map<std::string, std::map<std::string, SimResult>> ExperimentRunner::sweep(
   };
   if (failures == nullptr) {
     // Fast path: the first cell exception propagates.
-    if (pool_) {
-      pool_->parallel_for(results.size(), attempt_one);
-    } else {
-      for (std::size_t i = 0; i < results.size(); ++i) attempt_one(i);
-    }
+    common::for_each_ready(pool_.get(), results.size(), attempt_one);
   } else {
-    // Isolated mode: each failing cell is retried, from a fresh stream,
-    // under deterministic seeded exponential backoff. "Time" here is a
-    // scheduler round counter — the batch sweep's sim-tick analog (the
-    // determinism lint bans wall clocks) — and a cell that fails on attempt
-    // a is parked for
-    // min(kBase << (a-1), kCap) rounds plus a seeded jitter draw, so
-    // correlated transients (e.g. memory pressure across pooled cells) are
-    // not retried in lockstep. The schedule is a pure function of
-    // (cell index, attempt): identical at every thread count and on every
-    // rerun. A cell that exhausts kMaxAttempts keeps its slot
-    // default-constructed and files one FailureReport (cell order), with its
-    // backoff history recorded; every other cell still lands.
+    // Isolated mode: bounded retry. Each round re-runs the cells that failed
+    // the last one, from a fresh stream, over the pool; a cell that fails
+    // kMaxAttempts times keeps its slot default-constructed and files one
+    // FailureReport. Error slots are per cell (one writer each, never a
+    // shared push from pooled tasks) and reports are filed in cell order
+    // after the last round, so they are deterministic too.
     constexpr int kMaxAttempts = 3;
-    constexpr std::uint64_t kBackoffBaseRounds = 2;
-    constexpr std::uint64_t kBackoffCapRounds = 16;
-    constexpr std::uint64_t kBackoffJitterSeed = 0xB0FF'5EEDull;
-    std::vector<std::uint8_t> failed_now(results.size(), 0);
     std::vector<std::string> errors(results.size());
+    std::vector<std::uint8_t> failed(results.size(), 0);
     const auto run_isolated = [&](std::size_t i) {
       try {
         attempt_one(i);
-        failed_now[i] = 0;
+        failed[i] = 0;
       } catch (const std::exception& e) {
-        failed_now[i] = 1;
+        failed[i] = 1;
         errors[i] = e.what();
       }
     };
-    const auto backoff_delay = [&](std::size_t i, int attempt) {
-      std::uint64_t shift = static_cast<std::uint64_t>(attempt) - 1;
-      if (shift > 62) shift = 62;
-      std::uint64_t delay = kBackoffBaseRounds << shift;
-      if (delay > kBackoffCapRounds) delay = kBackoffCapRounds;
-      Rng jitter(kBackoffJitterSeed ^ (i * 0x9E3779B97F4A7C15ull) ^
-                 static_cast<std::uint64_t>(attempt));
-      return delay + jitter.next_below(kBackoffBaseRounds + 1);
-    };
-    if (pool_) {
-      pool_->parallel_for(results.size(), run_isolated);
-    } else {
-      for (std::size_t i = 0; i < results.size(); ++i) run_isolated(i);
+    std::vector<std::size_t> pending(results.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
+    for (int attempt = 1; attempt <= kMaxAttempts && !pending.empty();
+         ++attempt) {
+      common::for_each_ready(pool_.get(), pending.size(), [&](std::size_t j) {
+        run_isolated(pending[j]);
+      });
+      std::erase_if(pending, [&](std::size_t i) { return failed[i] == 0; });
     }
-    std::vector<int> attempts(results.size(), 1);
-    std::vector<std::uint64_t> eligible(results.size(), 0);
-    std::vector<std::uint64_t> waited(results.size(), 0);
-    std::vector<std::size_t> pending;
-    std::uint64_t round = 0;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (failed_now[i] == 0) continue;
-      const std::uint64_t delay = backoff_delay(i, attempts[i]);
-      eligible[i] = round + delay;
-      waited[i] += delay;
-      pending.push_back(i);
-    }
-    std::vector<std::size_t> runnable;
-    while (!pending.empty()) {
-      // Advance straight to the earliest eligible round: idle rounds carry
-      // no work, but the skipped wait stays charged to each cell.
-      round = eligible[pending.front()];
-      for (const std::size_t i : pending) round = std::min(round, eligible[i]);
-      runnable.clear();
-      for (const std::size_t i : pending) {
-        if (eligible[i] <= round) runnable.push_back(i);
-      }
-      if (pool_) {
-        pool_->parallel_for(runnable.size(),
-                            [&](std::size_t j) { run_isolated(runnable[j]); });
-      } else {
-        for (const std::size_t i : runnable) run_isolated(i);
-      }
-      std::vector<std::size_t> still_pending;
-      for (const std::size_t i : pending) {
-        if (eligible[i] > round) {
-          still_pending.push_back(i);
-          continue;
-        }
-        if (failed_now[i] == 0) continue;
-        ++attempts[i];
-        if (attempts[i] >= kMaxAttempts) {
-          failed[i] = std::make_unique<FailureReport>(FailureReport{
-              apps[i / kinds.size()],
-              prefetcher_kind_name(kinds[i % kinds.size()]), attempts[i],
-              attempts[i] - 1, waited[i], errors[i]});
-          continue;
-        }
-        const std::uint64_t delay = backoff_delay(i, attempts[i]);
-        eligible[i] = round + delay;
-        waited[i] += delay;
-        still_pending.push_back(i);
-      }
-      pending = std::move(still_pending);
-    }
-    for (auto& f : failed) {
-      if (f != nullptr) failures->push_back(std::move(*f));
+    for (const std::size_t i : pending) {
+      failures->push_back({apps[i / kinds.size()],
+                           prefetcher_kind_name(kinds[i % kinds.size()]),
+                           kMaxAttempts, errors[i]});
     }
   }
 

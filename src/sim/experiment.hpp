@@ -46,11 +46,6 @@ struct FailureReport {
   std::string app;
   std::string kind;
   int attempts = 0;   ///< how many times the cell was tried (1 + retries)
-  int backoffs = 0;   ///< retries that were scheduled (attempts - 1)
-  /// Total scheduler rounds the cell spent parked between attempts —
-  /// deterministic sim-tick delays (seeded exponential backoff with jitter),
-  /// never wall clock.
-  std::uint64_t backoff_rounds = 0;
   std::string what;   ///< message of the last attempt's exception
 };
 
@@ -79,12 +74,11 @@ class ExperimentRunner {
   ///
   /// Failure isolation is opt-in: with `failures` null (the default), the
   /// first cell exception propagates. With a sink supplied, each cell runs
-  /// isolated: a throwing cell is retried, from a fresh stream, under seeded
-  /// backoff, for up to 3 attempts in all; if every attempt throws, the
-  /// cell's slot stays default-constructed and one
-  /// FailureReport is appended (deterministic cell order) while every other
-  /// cell runs to completion. A 44-cell overnight sweep no longer forfeits 43
-  /// results to one poisoned cell.
+  /// isolated: the cells that threw are re-run, from fresh streams, over the
+  /// pool, for up to 3 attempts in all; if every attempt throws, the cell's
+  /// slot stays default-constructed and one FailureReport is appended (cell
+  /// order) while every other cell runs to completion. A 44-cell overnight
+  /// sweep no longer forfeits 43 results to one poisoned cell.
   std::map<std::string, std::map<std::string, SimResult>> sweep(
       const std::vector<PrefetcherKind>& kinds, bool verbose = false,
       std::vector<FailureReport>* failures = nullptr);

@@ -10,7 +10,6 @@
 #include "prefetch/simple.hpp"
 #include "prefetch/sms.hpp"
 #include "prefetch/spp.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace planaria::sim {
 
@@ -381,14 +380,9 @@ void Simulator::run_sharded(const trace::TraceBatch& batch, std::size_t begin,
       }
     }
     // No state crosses channels, so the shards run concurrently on the pool.
-    if (pool != nullptr && pool->size() > 1) {
-      pool->parallel_for(static_cast<std::size_t>(kChannels),
-                         [&](std::size_t c) {
-                           run_channel_shard(channels_[c], batch, first);
-                         });
-    } else {
-      for (auto& ch : channels_) run_channel_shard(ch, batch, first);
-    }
+    common::for_each_ready(pool, channels_.size(), [&](std::size_t c) {
+      run_channel_shard(channels_[c], batch, first);
+    });
   }
 }
 
@@ -553,11 +547,9 @@ SimResult Simulator::run(const SimConfig& config, PrefetcherFactory factory,
                          std::string prefetcher_name,
                          const trace::TraceBatch& batch,
                          common::ThreadPool* pool) {
-  // Checkpointing is env-opt-in (PLANARIA_CHECKPOINT_DIR/_EVERY); with it off
-  // run_checkpointed degenerates to the plain construct/run/finish sequence.
-  return run_checkpointed(config, std::move(factory),
-                          std::move(prefetcher_name), batch,
-                          CheckpointConfig::from_env(), pool, nullptr);
+  Simulator sim(config, std::move(factory), std::move(prefetcher_name));
+  sim.run_sharded(batch, pool);
+  return sim.finish();
 }
 
 void Simulator::save_state(snapshot::Writer& w) const {

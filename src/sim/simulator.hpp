@@ -140,8 +140,10 @@ class Simulator {
   /// deterministic regardless of how the channels were executed.
   SimResult finish();
 
-  /// Convenience: run a whole trace front to back (sharded; parallel across
-  /// channels when `pool` is non-null and has more than one lane).
+  /// Convenience: construct, run a whole trace front to back (sharded;
+  /// parallel across channels when `pool` is non-null and has more than one
+  /// lane), finish. Never checkpoints and reads no environment; crash-safe
+  /// runs go through run_checkpointed (sim/checkpoint.hpp).
   static SimResult run(const SimConfig& config, PrefetcherFactory factory,
                        std::string prefetcher_name,
                        const trace::TraceBatch& batch,

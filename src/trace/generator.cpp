@@ -634,14 +634,9 @@ std::vector<TraceBatch> generate_app_traces(const std::vector<AppProfile>& apps,
                                             std::uint64_t records,
                                             common::ThreadPool* pool) {
   std::vector<TraceBatch> out(apps.size());
-  const auto generate = [&](std::size_t i) {
+  common::for_each_ready(pool, apps.size(), [&](std::size_t i) {
     out[i] = generate_app_trace(apps[i], records);
-  };
-  if (pool != nullptr && pool->size() > 1 && apps.size() > 1) {
-    pool->parallel_for(apps.size(), generate);
-  } else {
-    for (std::size_t i = 0; i < apps.size(); ++i) generate(i);
-  }
+  });
   return out;
 }
 

@@ -86,6 +86,19 @@ TEST(ThreadPool, ParallelForPropagatesBodyException) {
   EXPECT_EQ(ran.load(), 8);
 }
 
+TEST(ThreadPool, ForEachReadySerialAndPooledAgree) {
+  std::vector<int> serial(16, 0);
+  common::for_each_ready(nullptr, serial.size(), [&serial](std::size_t i) {
+    serial[i] = static_cast<int>(i);
+  });
+  common::ThreadPool pool(3);
+  std::vector<int> pooled(16, 0);
+  common::for_each_ready(&pool, pooled.size(), [&pooled](std::size_t i) {
+    pooled[i] = static_cast<int>(i);
+  });
+  EXPECT_EQ(serial, pooled);
+}
+
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   // Mirrors the sweep shape: grid cells fan out on the pool and each cell
   // shards its channels on the same pool. The caller-participation design

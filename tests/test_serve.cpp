@@ -396,16 +396,5 @@ TEST(Serve, UnknownAppRejectedAtSubmitTime) {
   EXPECT_THROW(server.add_session(spec), std::out_of_range);
 }
 
-TEST(Serve, ForEachReadySerialAndPooledAgree) {
-  std::vector<int> serial(16, 0);
-  serve::for_each_ready(nullptr, serial.size(),
-                        [&serial](std::size_t i) { serial[i] = static_cast<int>(i); });
-  common::ThreadPool pool(3);
-  std::vector<int> pooled(16, 0);
-  serve::for_each_ready(&pool, pooled.size(),
-                        [&pooled](std::size_t i) { pooled[i] = static_cast<int>(i); });
-  EXPECT_EQ(serial, pooled);
-}
-
 }  // namespace
 }  // namespace planaria

@@ -783,19 +783,50 @@ TEST_F(SnapshotFileTest, ResumeMatchesUninterruptedRunBitForBit) {
   ckpt.every = 6000;
   sim::write_checkpoint(*part, ckpt, 6000, sim::trace_fingerprint(t));
 
-  const auto resumed = sim::resume(
+  sim::RecoveryReport rep;
+  const auto resumed = sim::run_checkpointed(
       sim::SimConfig{},
       sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
-      t, ckpt.current_path());
+      t, ckpt, nullptr, &rep);
+  EXPECT_EQ(rep.outcome, sim::RecoveryReport::Outcome::kResumed);
+  EXPECT_EQ(rep.resumed_cursor, 6000u);
   EXPECT_TRUE(resumed == base);
 
-  // resume() on a damaged snapshot throws instead of falling back.
+  // A damaged snapshot is rejected with a note, never loaded: the run
+  // cold-starts and still matches.
   fs::resize_file(ckpt.current_path(), 30);
-  EXPECT_THROW(sim::resume(sim::SimConfig{},
-                           sim::make_prefetcher_factory(
-                               sim::PrefetcherKind::kPlanaria),
-                           "planaria", t, ckpt.current_path()),
-               snapshot::SnapshotError);
+  sim::RecoveryReport damaged;
+  const auto cold = sim::run_checkpointed(
+      sim::SimConfig{},
+      sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria), "planaria",
+      t, ckpt, nullptr, &damaged);
+  EXPECT_EQ(damaged.outcome, sim::RecoveryReport::Outcome::kColdStart);
+  EXPECT_EQ(damaged.notes.size(), 1u);
+  EXPECT_TRUE(cold == base);
+}
+
+// Simulator::run never checkpoints, whatever the environment says: a run
+// under one configuration leaves no snapshot that a later run under another
+// configuration on the same trace could resume (its key is the trace alone,
+// and load_state does not check the SimConfig).
+TEST_F(SnapshotFileTest, SimulatorRunIgnoresCheckpointEnvironment) {
+  const auto t = trace::generate_app_trace(trace::app_by_name("HoK"), 20000);
+  const auto factory =
+      sim::make_prefetcher_factory(sim::PrefetcherKind::kPlanaria);
+  sim::SimConfig b;
+  b.sc_hit_latency += 20;
+  const auto want = sim::Simulator::run(b, factory, "planaria", t);
+
+  setenv("PLANARIA_CHECKPOINT_DIR", dir_.string().c_str(), 1);
+  setenv("PLANARIA_CHECKPOINT_EVERY", "5000", 1);
+  sim::Simulator::run(sim::SimConfig{}, factory, "planaria", t);
+  const auto got = sim::Simulator::run(b, factory, "planaria", t);
+  unsetenv("PLANARIA_CHECKPOINT_DIR");
+  unsetenv("PLANARIA_CHECKPOINT_EVERY");
+
+  EXPECT_TRUE(got == want) << got.amat_cycles << " vs " << want.amat_cycles;
+  EXPECT_FALSE(fs::exists(dir_ / "run.snap"));
+  EXPECT_FALSE(fs::exists(dir_ / "run.snap.prev"));
 }
 
 TEST_F(SnapshotFileTest, FingerprintMismatchForcesColdStart) {
@@ -972,7 +1003,7 @@ TEST_F(SnapshotFileTest, SweepCellsRerunWhenConfigChanges) {
   expect_fresh(sim_config, sim_config_fresh);
 }
 
-TEST_F(SnapshotFileTest, PoisonedSweepCellBacksOffThenReportsOthersLand) {
+TEST_F(SnapshotFileTest, PoisonedSweepCellRetriesThenReportsOthersLand) {
   // Poison exactly one cell's persistence: a directory squatting on the
   // store path's .tmp name makes every store_cell attempt for that cell
   // throw, while all other cells run and persist normally.
@@ -993,29 +1024,25 @@ TEST_F(SnapshotFileTest, PoisonedSweepCellBacksOffThenReportsOthersLand) {
     EXPECT_GT(per_kind.at("bop").demand_reads, 0u) << grid_app;
   }
 
-  // Exactly one report, carrying the bounded-retry and backoff history:
-  // 3 attempts = 2 scheduled backoffs, each of at least the base delay.
+  // Exactly one report, carrying the bounded-retry history.
   ASSERT_EQ(failures.size(), 1u);
   const sim::FailureReport& report = failures.front();
   EXPECT_EQ(report.app, app);
   EXPECT_EQ(report.kind, "none");
   EXPECT_EQ(report.attempts, 3);
-  EXPECT_EQ(report.backoffs, 2);
-  EXPECT_GE(report.backoff_rounds, 2u * 2u);  // two waits of >= base rounds
   // The report names the failing VFS op (the squatting directory makes the
   // durable-write `.tmp` creation fail).
   EXPECT_NE(report.what.find("io: create"), std::string::npos);
 
-  // The backoff schedule is a pure function of (cell, attempt): a rerun of
-  // the same poisoned sweep files a byte-identical report.
-  sim::ExperimentRunner again(sim::SimConfig{}, 4000, 1);
+  // The retry schedule is deterministic: a rerun of the same poisoned sweep,
+  // retrying over a 4-thread pool, files an identical report.
+  sim::ExperimentRunner again(sim::SimConfig{}, 4000, 4);
   again.set_checkpoint_dir(dir_.string());
   std::vector<sim::FailureReport> failures2;
   again.sweep(kinds, false, &failures2);
   ASSERT_EQ(failures2.size(), 1u);
   EXPECT_EQ(failures2.front().attempts, report.attempts);
-  EXPECT_EQ(failures2.front().backoffs, report.backoffs);
-  EXPECT_EQ(failures2.front().backoff_rounds, report.backoff_rounds);
+  EXPECT_EQ(failures2.front().what, report.what);
 }
 
 // The runner keys cell files on a fingerprint it computes while the trace
